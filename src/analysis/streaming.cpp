@@ -1,6 +1,7 @@
 #include "analysis/streaming.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "net/protocols.hpp"
@@ -149,6 +150,13 @@ VennCounts VennBuilder::finish() const {
 
 // --------------------------------------------------------------- port mix
 
+int PortMixBuilder::bucket_of(std::uint16_t port) {
+  for (std::size_t b = 1; b < kPortBuckets.size(); ++b) {
+    if (kPortBuckets[b] == port) return static_cast<int>(b);
+  }
+  return 0;
+}
+
 void PortMixBuilder::add(const net::FlowBatch& batch,
                          std::span<const Label> labels) {
   const auto proto = batch.proto();
@@ -166,15 +174,15 @@ void PortMixBuilder::add(const net::FlowBatch& batch,
     }
     const auto c =
         static_cast<int>(classify::Classifier::unpack(labels[i], space_idx_));
-    const auto bucket = [](std::uint16_t port) -> std::uint16_t {
-      return net::is_tracked_port(port) ? port : 0;
+    const auto count = [&](Direction dir, std::uint16_t port) {
+      const int d = static_cast<int>(dir);
+      const int b = bucket_of(port);
+      counts_[c][transport][d][b] += packets[i];
+      seen_[c][transport][d] |= static_cast<std::uint8_t>(1u << b);
+      totals_[c][transport][d] += packets[i];
     };
-    counts_[c][transport][static_cast<int>(Direction::kDst)][bucket(dport[i])] +=
-        packets[i];
-    counts_[c][transport][static_cast<int>(Direction::kSrc)][bucket(sport[i])] +=
-        packets[i];
-    totals_[c][transport][static_cast<int>(Direction::kDst)] += packets[i];
-    totals_[c][transport][static_cast<int>(Direction::kSrc)] += packets[i];
+    count(Direction::kDst, dport[i]);
+    count(Direction::kSrc, sport[i]);
   }
 }
 
@@ -182,9 +190,10 @@ void PortMixBuilder::merge(const PortMixBuilder& other) {
   for (int c = 0; c < kNumClasses; ++c) {
     for (int t = 0; t < 2; ++t) {
       for (int d = 0; d < 2; ++d) {
-        for (const auto& [port, pkts] : other.counts_[c][t][d]) {
-          counts_[c][t][d][port] += pkts;
+        for (std::size_t b = 0; b < kPortBuckets.size(); ++b) {
+          counts_[c][t][d][b] += other.counts_[c][t][d][b];
         }
+        seen_[c][t][d] |= other.seen_[c][t][d];
         totals_[c][t][d] += other.totals_[c][t][d];
       }
     }
@@ -198,8 +207,10 @@ PortMix PortMixBuilder::finish() const {
       for (int d = 0; d < 2; ++d) {
         auto& dst = out.shares[c][t][d];
         const double total = totals_[c][t][d];
-        for (const auto& [port, pkts] : counts_[c][t][d]) {
-          if (total > 0) dst.push_back({port, pkts / total});
+        for (std::size_t b = 0; b < kPortBuckets.size(); ++b) {
+          if (total > 0 && (seen_[c][t][d] >> b & 1u) != 0) {
+            dst.push_back({kPortBuckets[b], counts_[c][t][d][b] / total});
+          }
         }
         std::sort(dst.begin(), dst.end(),
                   [](const PortShare& a, const PortShare& b) {
@@ -601,7 +612,11 @@ void IncidentsBuilder::add(const net::FlowBatch& batch,
     c.packets += packets[i];
     c.bytes += bytes[i];
     c.counterparts.touch(trigger_shaped ? dst[i] : src[i]);
-    c.members.insert(member_in[i]);
+    const auto at =
+        std::lower_bound(c.members.begin(), c.members.end(), member_in[i]);
+    if (at == c.members.end() || *at != member_in[i]) {
+      c.members.insert(at, member_in[i]);
+    }
   }
 }
 
@@ -613,7 +628,11 @@ void IncidentsBuilder::merge(const IncidentsBuilder& other) {
     ours.packets += theirs.packets;
     ours.bytes += theirs.bytes;
     ours.counterparts.merge(theirs.counterparts, [](char&, const char&) {});
-    ours.members.insert(theirs.members.begin(), theirs.members.end());
+    std::vector<Asn> members;
+    std::set_union(ours.members.begin(), ours.members.end(),
+                   theirs.members.begin(), theirs.members.end(),
+                   std::back_inserter(members));
+    ours.members = std::move(members);
   };
   by_dst_.merge(other.by_dst_, fold);
   by_trigger_src_.merge(other.by_trigger_src_, fold);
@@ -635,7 +654,7 @@ std::vector<Incident> IncidentsBuilder::finish() const {
     } else {
       inc.distinct_destinations = c.counterparts.size();
     }
-    inc.members.assign(c.members.begin(), c.members.end());
+    inc.members = c.members;
     out.push_back(std::move(inc));
   };
   for (const std::uint32_t dst : by_dst_.sorted_keys()) {
@@ -741,7 +760,11 @@ std::string format_report(const ReportResult& r, std::size_t top_incidents) {
     std::vector<double> shares;
     shares.reserve(r.member_counts.size());
     for (const auto& mc : r.member_counts) {
-      shares.push_back(1.0 - mc.packet_share(TrafficClass::kValid));
+      // A member with no sampled packets spoofed nothing (as in Fig 4's
+      // bench), not everything.
+      shares.push_back(mc.total_packets() == 0
+                           ? 0.0
+                           : 1.0 - mc.packet_share(TrafficClass::kValid));
     }
     os << "Per-member spoofed packet share (Fig 4): p50 "
        << util::percent(util::quantile(shares, 0.5)) << ", p90 "

@@ -10,7 +10,7 @@
 //    sets, incident clusters) live in BoundedTable, which applies the
 //    same deterministic LRU discipline StreamingDetector uses for
 //    member windows: at the cap, the least-recently-touched entry is
-//    evicted (ties: smallest key), and every eviction is counted;
+//    evicted, and every eviction is counted;
 //  - distribution summaries (packet-size CDFs) use the mergeable
 //    util::QuantileSketch instead of materialized sample vectors;
 //  - time series bins are fixed by the window length (or grow with the
@@ -32,12 +32,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/attack_patterns.hpp"
@@ -49,19 +49,33 @@
 #include "analysis/venn.hpp"
 #include "classify/pipeline.hpp"
 #include "net/flow_batch.hpp"
+#include "net/protocols.hpp"
 #include "util/stats.hpp"
 
 namespace spoofscope::analysis {
 
 /// Deterministic bounded key->value accumulator table. Mirrors the
 /// StreamingDetector member-window discipline: admitting a new key at
-/// the cap evicts the least-recently-touched entry (recency is a
-/// logical sequence number — a pure function of the touch sequence —
-/// with ties broken towards the smallest key), and evictions are
-/// counted so degraded results are visible rather than silent.
-/// max_entries == 0 means unbounded (the oracle-exact configuration).
+/// the cap evicts the least-recently-touched entry (recency is a pure
+/// function of the touch sequence), and evictions are counted so
+/// degraded results are visible rather than silent. max_entries == 0
+/// means unbounded (the oracle-exact configuration).
+///
+/// Layout: entries live in a dense slab, found through an
+/// open-addressed index of slab positions (linear probing, load <= 1/2,
+/// backward-shift delete) and ordered by an intrusive doubly-linked
+/// recency list (head = least recently touched). A touch of a present
+/// key is one probe plus a list splice; nothing allocates once the slab
+/// and index have grown to the table's working size.
+///
+/// A reference returned by touch() (or a pointer from find()) stays
+/// valid only until the next touch(), set_cap() or merge() on the same
+/// table: those may grow the slab or move an entry into a freed slot.
+/// Touching a table nested inside the referenced value is fine.
 template <typename Key, typename Value>
 class BoundedTable {
+  static_assert(std::is_integral_v<Key>, "BoundedTable hashes integer keys");
+
  public:
   BoundedTable() = default;  // unbounded; non-explicit so Value types
                              // holding a table aggregate-initialize
@@ -71,32 +85,46 @@ class BoundedTable {
   /// The entry for `key`, created (default-constructed) if absent,
   /// marked most-recently-used either way. May evict another entry.
   Value& touch(const Key& key) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      recency_.erase({it->second.last_touch, key});
-      it->second.last_touch = ++seq_;
-      recency_.insert({it->second.last_touch, key});
-      return it->second.value;
+    if (index_.empty()) grow_index();
+    std::size_t slot = probe(key);
+    if (index_[slot] != kNil) {
+      const std::uint32_t pos = index_[slot];
+      if (pos != tail_) {
+        unlink(pos);
+        link_back(pos);
+      }
+      return slab_[pos].value;
     }
-    if (max_entries_ != 0 && entries_.size() >= max_entries_) {
-      const auto victim = *recency_.begin();
-      recency_.erase(recency_.begin());
-      entries_.erase(victim.second);
+    if (max_entries_ != 0 && slab_.size() >= max_entries_) {
+      // Recycle the victim's slab slot for the new key.
+      const std::uint32_t pos = head_;
+      unindex(pos);
+      unlink(pos);
       ++evictions_;
+      slab_[pos].key = key;
+      slab_[pos].value = Value{};
+      index_[probe(key)] = pos;
+      link_back(pos);
+      return slab_[pos].value;
     }
-    Entry fresh;
-    fresh.last_touch = ++seq_;
-    const auto ins = entries_.emplace(key, std::move(fresh)).first;
-    recency_.insert({ins->second.last_touch, key});
-    return ins->second.value;
+    if (2 * (slab_.size() + 1) > index_.size()) {
+      grow_index();
+      slot = probe(key);
+    }
+    const auto pos = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back().key = key;
+    index_[slot] = pos;
+    link_back(pos);
+    return slab_[pos].value;
   }
 
   const Value* find(const Key& key) const {
-    const auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second.value;
+    if (index_.empty()) return nullptr;
+    const std::uint32_t pos = index_[probe(key)];
+    return pos == kNil ? nullptr : &slab_[pos].value;
   }
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return slab_.size(); }
   std::size_t cap() const { return max_entries_; }
   std::uint64_t evictions() const { return evictions_; }
 
@@ -104,10 +132,8 @@ class BoundedTable {
   /// least-recently-touched entries immediately.
   void set_cap(std::size_t max_entries) {
     max_entries_ = max_entries;
-    while (max_entries_ != 0 && entries_.size() > max_entries_) {
-      const auto victim = *recency_.begin();
-      recency_.erase(recency_.begin());
-      entries_.erase(victim.second);
+    while (max_entries_ != 0 && slab_.size() > max_entries_) {
+      erase(head_);
       ++evictions_;
     }
   }
@@ -116,8 +142,8 @@ class BoundedTable {
   /// finish() uses.
   std::vector<Key> sorted_keys() const {
     std::vector<Key> keys;
-    keys.reserve(entries_.size());
-    for (const auto& [k, e] : entries_) keys.push_back(k);
+    keys.reserve(slab_.size());
+    for (const Entry& e : slab_) keys.push_back(e.key);
     std::sort(keys.begin(), keys.end());
     return keys;
   }
@@ -133,15 +159,102 @@ class BoundedTable {
   }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Entry {
-    Value value{};  // value-initialize: Value may be a bare scalar
-    std::uint64_t last_touch = 0;
+    Key key{};
+    std::uint32_t prev = kNil;  ///< towards the least recently touched
+    std::uint32_t next = kNil;  ///< towards the most recently touched
+    Value value{};              // value-initialize: Value may be a bare scalar
   };
+
+  /// Home slot of `key`: Fibonacci hashing of the folded key bits.
+  std::size_t home(const Key& key) const {
+    auto x = static_cast<std::uint64_t>(key);
+    x ^= x >> 32;
+    return static_cast<std::size_t>((x * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  std::size_t probe(const Key& key) const {
+    std::size_t s = home(key);
+    while (index_[s] != kNil && slab_[index_[s]].key != key) {
+      s = (s + 1) & (index_.size() - 1);
+    }
+    return s;
+  }
+
+  /// The slot holding slab position `pos`.
+  std::size_t slot_of(std::uint32_t pos) const {
+    std::size_t s = home(slab_[pos].key);
+    while (index_[s] != pos) s = (s + 1) & (index_.size() - 1);
+    return s;
+  }
+
+  void grow_index() {
+    const std::size_t size = std::max<std::size_t>(16, 2 * index_.size());
+    shift_ = 64 - std::countr_zero(size);
+    index_.assign(size, kNil);
+    for (std::uint32_t pos = 0; pos < slab_.size(); ++pos) {
+      std::size_t s = home(slab_[pos].key);
+      while (index_[s] != kNil) s = (s + 1) & (size - 1);
+      index_[s] = pos;
+    }
+  }
+
+  /// Removes `pos` from the index, shifting later members of its probe
+  /// run back so every lookup still ends at the first empty slot.
+  void unindex(std::uint32_t pos) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = slot_of(pos);
+    for (std::size_t j = (hole + 1) & mask; index_[j] != kNil;
+         j = (j + 1) & mask) {
+      // Movable iff the hole lies on the path from its home slot to j.
+      const std::size_t h = home(slab_[index_[j]].key);
+      if (((j - h) & mask) >= ((j - hole) & mask)) {
+        index_[hole] = index_[j];
+        hole = j;
+      }
+    }
+    index_[hole] = kNil;
+  }
+
+  void unlink(std::uint32_t pos) {
+    const Entry& e = slab_[pos];
+    (e.prev == kNil ? head_ : slab_[e.prev].next) = e.next;
+    (e.next == kNil ? tail_ : slab_[e.next].prev) = e.prev;
+  }
+
+  void link_back(std::uint32_t pos) {
+    Entry& e = slab_[pos];
+    e.prev = tail_;
+    e.next = kNil;
+    (tail_ == kNil ? head_ : slab_[tail_].next) = pos;
+    tail_ = pos;
+  }
+
+  /// Drops the entry at `pos`, moving the last slab entry into its slot.
+  void erase(std::uint32_t pos) {
+    unindex(pos);
+    unlink(pos);
+    const auto last = static_cast<std::uint32_t>(slab_.size() - 1);
+    if (pos != last) {
+      index_[slot_of(last)] = pos;
+      slab_[pos] = std::move(slab_[last]);
+      const Entry& e = slab_[pos];
+      (e.prev == kNil ? head_ : slab_[e.prev].next) = pos;
+      (e.next == kNil ? tail_ : slab_[e.next].prev) = pos;
+    }
+    slab_.pop_back();
+  }
+
   std::size_t max_entries_ = 0;
-  std::uint64_t seq_ = 0;
   std::uint64_t evictions_ = 0;
-  std::unordered_map<Key, Entry> entries_;
-  std::set<std::pair<std::uint64_t, Key>> recency_;
+  std::vector<Entry> slab_;
+  std::vector<std::uint32_t> index_;  ///< slab positions; size a power of 2
+  int shift_ = 64;                    ///< 64 - log2(index_.size())
+  std::uint32_t head_ = kNil;         ///< least recently touched
+  std::uint32_t tail_ = kNil;         ///< most recently touched
 };
 
 /// State caps for one streaming report. 0 = unbounded. unbounded() is
@@ -222,8 +335,24 @@ class PortMixBuilder {
   PortMix finish() const;
 
  private:
+  /// Bucket b counts port kPortBuckets[b]; bucket 0 ("other") stands in
+  /// for every untracked port. Ascending, so finish() lists ports in
+  /// the order the oracle's port map does.
+  static constexpr std::array<std::uint16_t, 7> kPortBuckets = {
+      0,
+      net::ports::kHttp,
+      net::ports::kNtp,
+      net::ports::kHttps,
+      net::ports::kItalkGame,
+      net::ports::kSteam,
+      net::ports::kCod};
+  static int bucket_of(std::uint16_t port);
+
   std::size_t space_idx_;
-  std::map<std::uint16_t, double> counts_[kNumClasses][2][2];
+  double counts_[kNumClasses][2][2][kPortBuckets.size()] = {};
+  /// Bit b set: bucket b has seen a flow (a 0-packet flow included),
+  /// which is what gives the port an entry in finish().
+  std::uint8_t seen_[kNumClasses][2][2] = {};
   double totals_[kNumClasses][2][2] = {};
 };
 
@@ -371,7 +500,7 @@ class IncidentsBuilder {
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
     BoundedTable<std::uint32_t, char> counterparts;
-    std::set<Asn> members;
+    std::vector<Asn> members;  ///< ascending, distinct
   };
 
   std::size_t space_idx_;

@@ -112,6 +112,20 @@ double LogHistogram::bin_lo(std::size_t i) const {
   return i == 0 ? 0.0 : std::pow(base_, static_cast<double>(i - 1));
 }
 
+namespace {
+
+/// Appends `count` copies of `value`, extending the last run if equal.
+template <typename Run>
+void append_run(std::vector<Run>& runs, double value, std::uint64_t count) {
+  if (!runs.empty() && runs.back().value == value) {
+    runs.back().count += count;
+  } else {
+    runs.push_back({value, count});
+  }
+}
+
+}  // namespace
+
 QuantileSketch::QuantileSketch(std::size_t k) : k_(std::max<std::size_t>(k, 8)) {
   if (k_ % 2 != 0) ++k_;
   levels_.emplace_back();
@@ -119,38 +133,87 @@ QuantileSketch::QuantileSketch(std::size_t k) : k_(std::max<std::size_t>(k, 8)) 
 }
 
 void QuantileSketch::add(double x, std::uint64_t weight) {
-  for (std::uint64_t i = 0; i < weight; ++i) {
-    levels_[0].push_back(x);
-    ++count_;
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      if (levels_[l].size() >= k_) compact(l);
+  // Every level stays below k between calls, so single inserts could
+  // only compact when one fills level 0: append up to that point in one
+  // run, then cascade exactly as the filling insert would.
+  while (weight > 0) {
+    Level& l0 = levels_[0];
+    const std::uint64_t n = std::min<std::uint64_t>(weight, k_ - l0.size);
+    append_run(l0.runs, x, n);
+    l0.size += n;
+    count_ += n;
+    weight -= n;
+    for (std::size_t l = 0; l < levels_.size() && levels_[l].size >= k_; ++l) {
+      compact(l);
     }
   }
 }
 
 void QuantileSketch::compact(std::size_t level) {
-  std::sort(levels_[level].begin(), levels_[level].end());
+  if (level == 0) {
+    std::sort(levels_[0].runs.begin(), levels_[0].runs.end(),
+              [](const Run& a, const Run& b) { return a.value < b.value; });
+  }
   // Promote every other element of the sorted even-length prefix with
   // doubled weight; an odd straggler (possible after merge) stays put.
-  const std::size_t pairs = levels_[level].size() / 2;
+  const std::uint64_t size = levels_[level].size;
+  const std::uint64_t pairs = size / 2;
   if (pairs == 0) return;
   if (level + 1 >= levels_.size()) {
     levels_.emplace_back();  // may reallocate levels_: take refs after
     parity_.push_back(0);
   }
-  auto& buf = levels_[level];
-  auto& up = levels_[level + 1];
-  const std::size_t offset = parity_[level];
+  auto& runs = levels_[level].runs;
+  const std::uint64_t offset = parity_[level];
   parity_[level] ^= 1;
-  for (std::size_t i = 0; i < pairs; ++i) up.push_back(buf[2 * i + offset]);
-  if (buf.size() % 2 != 0) {
-    buf[0] = buf.back();
-    buf.resize(1);
-  } else {
-    buf.clear();
+  // Sorted positions below m that get promoted: offset, offset + 2, ...
+  const auto promoted_below = [offset](std::uint64_t m) {
+    return (m + 1 - offset) / 2;
+  };
+  std::uint64_t first = 0;  // sorted position of the run's first copy
+  for (const Run& r : runs) {
+    const std::uint64_t end = std::min(first + r.count, 2 * pairs);
+    if (end > first) {
+      const std::uint64_t n = promoted_below(end) - promoted_below(first);
+      if (n > 0) append_run(promoted_, r.value, n);
+    }
+    first += r.count;
   }
+  const double top = runs.back().value;
+  runs.clear();
+  levels_[level].size = size % 2;
+  if (size % 2 != 0) runs.push_back({top, 1});
+  merge_sorted(level + 1, promoted_);
+  promoted_.clear();
   // Keeping one of each weight-w pair shifts any rank by at most w.
   error_bound_ += std::uint64_t{1} << level;
+}
+
+void QuantileSketch::merge_sorted(std::size_t level,
+                                  std::span<const Run> incoming) {
+  auto& runs = levels_[level].runs;
+  // Merge from the back into the grown vector, then coalesce equal
+  // neighbours.
+  std::size_t ours = runs.size();
+  std::size_t theirs = incoming.size();
+  runs.resize(ours + theirs);
+  for (std::size_t out = runs.size(); theirs > 0;) {
+    if (ours > 0 && incoming[theirs - 1].value < runs[ours - 1].value) {
+      runs[--out] = runs[--ours];
+    } else {
+      runs[--out] = incoming[--theirs];
+    }
+  }
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    if (runs[i].value == runs[last].value) {
+      runs[last].count += runs[i].count;
+    } else {
+      runs[++last] = runs[i];
+    }
+  }
+  if (!runs.empty()) runs.resize(last + 1);
+  for (const Run& r : incoming) levels_[level].size += r.count;
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -159,25 +222,30 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   }
   count_ += other.count_;
   error_bound_ += other.error_bound_;
-  for (std::size_t l = 0; l < other.levels_.size(); ++l) {
-    if (l >= levels_.size()) {
-      levels_.emplace_back();
-      parity_.push_back(0);
-    }
-    levels_[l].insert(levels_[l].end(), other.levels_[l].begin(),
-                      other.levels_[l].end());
+  while (levels_.size() < other.levels_.size()) {
+    levels_.emplace_back();
+    parity_.push_back(0);
+  }
+  const Level& their0 = other.levels_[0];
+  levels_[0].runs.insert(levels_[0].runs.end(), their0.runs.begin(),
+                         their0.runs.end());
+  levels_[0].size += their0.size;
+  for (std::size_t l = 1; l < other.levels_.size(); ++l) {
+    merge_sorted(l, other.levels_[l].runs);
   }
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    while (levels_[l].size() >= k_) compact(l);
+    while (levels_[l].size >= k_) compact(l);
   }
 }
 
 std::vector<std::pair<double, std::uint64_t>> QuantileSketch::weighted() const {
+  // One pair per run: equal values are adjacent after the sort, so the
+  // quantile walk sees the same cumulative weight at every value change.
   std::vector<std::pair<double, std::uint64_t>> out;
-  out.reserve(retained());
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    const std::uint64_t w = std::uint64_t{1} << l;
-    for (const double x : levels_[l]) out.emplace_back(x, w);
+    for (const Run& r : levels_[l].runs) {
+      out.emplace_back(r.value, r.count << l);
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -185,7 +253,12 @@ std::vector<std::pair<double, std::uint64_t>> QuantileSketch::weighted() const {
 
 double QuantileSketch::quantile(double q) const {
   if (count_ == 0) return 0.0;
-  if (exact()) return util::quantile(levels_[0], q);
+  if (exact()) {
+    std::vector<double> xs;
+    xs.reserve(levels_[0].size);
+    for (const Run& r : levels_[0].runs) xs.insert(xs.end(), r.count, r.value);
+    return util::quantile(xs, q);
+  }
   q = std::clamp(q, 0.0, 1.0);
   const auto items = weighted();
   const double pos = q * static_cast<double>(count_ - 1);
@@ -200,9 +273,8 @@ double QuantileSketch::quantile(double q) const {
 std::uint64_t QuantileSketch::rank(double x) const {
   std::uint64_t r = 0;
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    const std::uint64_t w = std::uint64_t{1} << l;
-    for (const double v : levels_[l]) {
-      if (v <= x) r += w;
+    for (const Run& run : levels_[l].runs) {
+      if (run.value <= x) r += run.count << l;
     }
   }
   return r;
@@ -210,7 +282,7 @@ std::uint64_t QuantileSketch::rank(double x) const {
 
 std::size_t QuantileSketch::retained() const {
   std::size_t n = 0;
-  for (const auto& level : levels_) n += level.size();
+  for (const auto& level : levels_) n += level.size;
   return n;
 }
 

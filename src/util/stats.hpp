@@ -93,6 +93,11 @@ class LogHistogram {
 /// sequence — no randomness, no hash order — so two runs over the same
 /// stream produce bit-identical summaries.
 ///
+/// Levels hold runs of equal values. Level 0 keeps its runs in arrival
+/// order (a weighted add is one run) and sorts them by value when it
+/// compacts; every higher level stays sorted, so a compaction merges
+/// the promoted runs into it instead of sorting the level.
+///
 /// Guarantees:
 ///  - Exact mode: while count() < exact_threshold() no compaction has
 ///    happened and quantile() equals util::quantile() of the retained
@@ -113,7 +118,8 @@ class QuantileSketch {
   /// minimum 8): larger k = smaller error, more memory.
   explicit QuantileSketch(std::size_t k = 256);
 
-  /// Inserts one sample (weight folds `weight` identical samples in).
+  /// Inserts one sample; `weight` folds that many identical samples in,
+  /// with the same result as `weight` single inserts.
   void add(double x, std::uint64_t weight = 1);
 
   /// Folds `other` into this sketch. Throws std::invalid_argument if
@@ -144,15 +150,30 @@ class QuantileSketch {
   std::size_t retained() const;
 
  private:
+  /// `count` copies of `value`.
+  struct Run {
+    double value = 0.0;
+    std::uint64_t count = 0;
+  };
+  /// Level i holds weight-2^i values. Level 0's runs are in arrival
+  /// order; higher levels are sorted with equal values coalesced.
+  struct Level {
+    std::vector<Run> runs;
+    std::uint64_t size = 0;  ///< values held: the sum of run counts
+  };
+
   void compact(std::size_t level);
+  /// Merges the sorted `incoming` runs into sorted level `level`.
+  void merge_sorted(std::size_t level, std::span<const Run> incoming);
   /// All retained (value, weight) pairs, sorted by value.
   std::vector<std::pair<double, std::uint64_t>> weighted() const;
 
   std::size_t k_;
   std::uint64_t count_ = 0;
   std::uint64_t error_bound_ = 0;
-  std::vector<std::vector<double>> levels_;  ///< level i holds weight-2^i values
-  std::vector<std::uint8_t> parity_;         ///< per-level alternating offset
+  std::vector<Level> levels_;
+  std::vector<std::uint8_t> parity_;  ///< per-level alternating offset
+  std::vector<Run> promoted_;  ///< compact() scratch; empty between calls
 };
 
 /// Pearson correlation of two equal-length samples; 0 for degenerate input.

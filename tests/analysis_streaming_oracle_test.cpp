@@ -6,13 +6,18 @@
 // within their pinned rank-error bound. Also pins the chunk-order merge
 // reduction to the sequential pass, skip-mode streaming over corrupted
 // traces to the clean-survivor-restricted oracle, determinism under
-// finite caps, and the BoundedTable LRU eviction discipline itself.
+// finite caps, golden digests of whole (evicting and production)
+// reports, and the BoundedTable LRU eviction discipline itself, against
+// the map + recency-set table it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/filtering_strategy.hpp"
@@ -70,6 +75,22 @@ ReportOptions base_options(scenario::Scenario& w, std::size_t space_idx,
   opts.window_seconds = window_seconds;
   opts.ixp = &w.ixp();
   return opts;
+}
+
+/// Caps small enough that every bounded table of a small world evicts.
+ReportLimits capped_limits() {
+  ReportLimits l;
+  l.max_members = 8;
+  l.max_destinations = 16;
+  l.max_sources_per_destination = 8;
+  l.max_victims = 8;
+  l.max_amplifiers_per_victim = 8;
+  l.max_amplifiers = 16;
+  l.max_pairs = 16;
+  l.max_clusters = 8;
+  l.max_counterparts_per_cluster = 8;
+  l.sketch_k = 64;
+  return l;
 }
 
 // ----------------------------------------------------- oracle computation
@@ -378,6 +399,127 @@ void expect_sketch_within_bound(const util::QuantileSketch& sketch,
   }
 }
 
+/// FNV-1a-64 over every field of a ReportResult: doubles by bit pattern,
+/// containers with their lengths, each sketch by count, retained size,
+/// error bound and a 101-point quantile grid.
+class ReportDigest {
+ public:
+  explicit ReportDigest(const ReportResult& r) {
+    const auto& agg = r.aggregate;
+    f64(agg.total_flows);
+    f64(agg.total_packets);
+    f64(agg.total_bytes);
+    u64(agg.totals.size());
+    for (const auto& space : agg.totals) {
+      for (const auto& t : space) {
+        f64(t.flows);
+        f64(t.packets);
+        f64(t.bytes);
+        u64(t.members);
+      }
+    }
+    u64(r.member_counts.size());
+    for (const auto& mc : r.member_counts) {
+      u64(mc.member);
+      u64(static_cast<std::uint64_t>(mc.type));
+      for (int c = 0; c < kNumClasses; ++c) {
+        f64(mc.packets[c]);
+        f64(mc.bytes[c]);
+        f64(mc.flows[c]);
+      }
+    }
+    const auto& v = r.venn;
+    u64(v.member_count);
+    for (const double f : {v.clean, v.only_bogon, v.only_unrouted,
+                           v.only_invalid, v.bogon_unrouted, v.bogon_invalid,
+                           v.unrouted_invalid, v.all_three,
+                           v.unrouted_also_other}) {
+      f64(f);
+    }
+    for (const std::size_t n : r.strategy_counts) u64(n);
+    for (const auto& by_transport : r.ports.shares) {
+      for (const auto& by_direction : by_transport) {
+        for (const auto& shares : by_direction) {
+          u64(shares.size());
+          for (const auto& s : shares) {
+            u64(s.port);
+            f64(s.fraction);
+          }
+        }
+      }
+    }
+    u64(r.traffic.series.bin_seconds);
+    for (const auto& s : r.traffic.series.series) series(s);
+    for (const double f : r.traffic.small_packet_fraction) f64(f);
+    for (const auto& sk : r.traffic.size_sketch) {
+      u64(sk.count());
+      u64(sk.retained());
+      u64(sk.rank_error_bound());
+      for (int q = 0; q <= 100; ++q) f64(sk.quantile(q / 100.0));
+    }
+    u64(r.src_ratio.bins);
+    for (int c = 0; c < kNumClasses; ++c) {
+      u64(r.src_ratio.destinations[c]);
+      series(r.src_ratio.fractions[c]);
+    }
+    const auto& ntp = r.ntp;
+    u64(ntp.trigger_packets);
+    u64(ntp.distinct_victims);
+    u64(ntp.contributing_members);
+    u64(ntp.amplifiers_contacted);
+    f64(ntp.top_member_share);
+    f64(ntp.top5_member_share);
+    f64(ntp.invalid_udp_ntp_share);
+    u64(ntp.top_victims.size());
+    for (const auto& tv : ntp.top_victims) {
+      u64(tv.victim.value());
+      u64(tv.trigger_packets);
+      u64(tv.amplifiers);
+      u64(tv.packets_per_amplifier.size());
+      for (const std::uint64_t p : tv.packets_per_amplifier) u64(p);
+      f64(tv.concentration);
+    }
+    const auto& amp = r.amplification;
+    u64(amp.bin_seconds);
+    series(amp.packets_to_amplifier);
+    series(amp.packets_from_amplifier);
+    series(amp.bytes_to_amplifier);
+    series(amp.bytes_from_amplifier);
+    u64(r.incidents.size());
+    for (const auto& inc : r.incidents) {
+      u64(static_cast<std::uint64_t>(inc.kind));
+      u64(inc.victim.value());
+      u64(inc.start_ts);
+      u64(inc.end_ts);
+      u64(inc.packets);
+      u64(inc.bytes);
+      u64(inc.distinct_sources);
+      u64(inc.distinct_destinations);
+      u64(inc.members.size());
+      for (const Asn m : inc.members) u64(m);
+    }
+    u64(r.flows);
+    u64(r.evictions);
+  }
+
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void series(const std::vector<double>& s) {
+    u64(s.size());
+    for (const double x : s) f64(x);
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
 // ------------------------------------------------------------------ tests
 
 class StreamingOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -676,16 +818,7 @@ TEST_P(StreamingOracleTest, BoundedCapsAreDeterministicAcrossBatchCuts) {
   const std::uint32_t window = w.params().workload.window_seconds;
 
   auto opts = base_options(w, 0, window);
-  opts.limits.max_members = 8;
-  opts.limits.max_destinations = 16;
-  opts.limits.max_sources_per_destination = 8;
-  opts.limits.max_victims = 8;
-  opts.limits.max_amplifiers_per_victim = 8;
-  opts.limits.max_amplifiers = 16;
-  opts.limits.max_pairs = 16;
-  opts.limits.max_clusters = 8;
-  opts.limits.max_counterparts_per_cluster = 8;
-  opts.limits.sketch_k = 64;
+  opts.limits = capped_limits();
 
   ReportResult reference;
   bool have_reference = false;
@@ -716,6 +849,46 @@ TEST_P(StreamingOracleTest, BoundedCapsAreDeterministicAcrossBatchCuts) {
   EXPECT_EQ(bounded_result.evictions, 0u);
   expect_same_report(bounded_result, unbounded.finish(),
                      /*exact_sketches=*/true, "production limits");
+}
+
+/// Report digests (ReportDigest) and eviction totals recorded with the
+/// previous table and sketch implementations: an unordered_map plus a
+/// std::set recency index, and a compactor fed one sample at a time that
+/// std::sort-ed every full level. The capped report evicts from every
+/// bounded table, so a changed eviction order changes its digest.
+struct GoldenReport {
+  std::uint64_t seed;
+  std::uint64_t capped_evictions;
+  std::uint64_t capped_digest;
+  std::uint64_t production_digest;
+};
+constexpr GoldenReport kGoldenReports[] = {
+    {1, 51268, 0x9c02732867f00656ull, 0x289d50bf2154d1e7ull},
+    {7, 54701, 0xdfc31c1a120cc21eull, 0x601fcd770cf13f0full},
+    {20170205, 22934, 0x1c72ba8286219307ull, 0x44d6b0f3ef7c2edaull},
+};
+
+TEST_P(StreamingOracleTest, GoldenReportDigestsHold) {
+  auto& w = world(GetParam());
+  const auto* golden =
+      std::find_if(std::begin(kGoldenReports), std::end(kGoldenReports),
+                   [&](const GoldenReport& g) { return g.seed == GetParam(); });
+  ASSERT_NE(golden, std::end(kGoldenReports));
+  const std::uint32_t window = w.params().workload.window_seconds;
+  const auto run = [&](const ReportLimits& limits) {
+    auto opts = base_options(w, 0, window);
+    opts.limits = limits;
+    StreamingReport report(w.classifier().space_count(), opts);
+    feed(report, w.trace().flows, w.labels(), 4096);
+    return report.finish();
+  };
+
+  const auto capped = run(capped_limits());
+  const auto production = run(ReportLimits::production());
+  EXPECT_EQ(capped.evictions, golden->capped_evictions);
+  EXPECT_EQ(ReportDigest(capped).value(), golden->capped_digest);
+  EXPECT_EQ(production.evictions, 0u);
+  EXPECT_EQ(ReportDigest(production).value(), golden->production_digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingOracleTest,
@@ -756,6 +929,258 @@ TEST(BoundedTableTest, LruEvictionDiscipline) {
   for (int k = 10; k < 20; ++k) table.touch(k) = k;
   EXPECT_EQ(table.size(), 11u);
   EXPECT_EQ(table.evictions(), 3u);
+}
+
+// A member whose only flow carries 0 sampled packets spoofed nothing: its
+// Fig 4 share is 0, not 1 - 0.
+TEST(FormatReportTest, MemberWithoutPacketsHasZeroSpoofedShare) {
+  net::FlowBatch batch;
+  net::FlowRecord clean;
+  clean.packets = 10;
+  clean.bytes = 4000;
+  clean.member_in = 100;
+  batch.push_back(clean);
+  net::FlowRecord empty;
+  empty.member_in = 200;
+  batch.push_back(empty);
+  const Label labels[] = {static_cast<Label>(TrafficClass::kValid),
+                          static_cast<Label>(TrafficClass::kInvalid)};
+
+  StreamingReport report(1);
+  report.add(batch, labels);
+  const auto result = report.finish();
+  ASSERT_EQ(result.member_counts.size(), 2u);
+  EXPECT_EQ(result.member_counts[1].total_packets(), 0.0);
+  EXPECT_NE(format_report(result).find(
+                "Per-member spoofed packet share (Fig 4): p50 0.00%, p90 "
+                "0.00%, p99 0.00%, max 0.00%\n"),
+            std::string::npos)
+      << format_report(result);
+}
+
+/// The table BoundedTable replaced, kept as its reference: a hash map of
+/// entries plus a std::set of (last touch, key) recency pairs.
+template <typename Key, typename Value>
+class ReferenceTable {
+ public:
+  ReferenceTable() = default;
+  explicit ReferenceTable(std::size_t max_entries)
+      : max_entries_(max_entries) {}
+
+  Value& touch(const Key& key) {
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      recency_.erase({it->second.last_touch, key});
+      it->second.last_touch = ++seq_;
+      recency_.insert({it->second.last_touch, key});
+      return it->second.value;
+    }
+    if (max_entries_ != 0 && entries_.size() >= max_entries_) evict_oldest();
+    Entry fresh;
+    fresh.last_touch = ++seq_;
+    const auto ins = entries_.emplace(key, std::move(fresh)).first;
+    recency_.insert({ins->second.last_touch, key});
+    return ins->second.value;
+  }
+
+  const Value* find(const Key& key) const {
+    const auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : &it->second.value;
+  }
+
+  std::size_t size() const { return entries_.size(); }
+  std::uint64_t evictions() const { return evictions_; }
+
+  void set_cap(std::size_t max_entries) {
+    max_entries_ = max_entries;
+    while (max_entries_ != 0 && entries_.size() > max_entries_) evict_oldest();
+  }
+
+  std::vector<Key> sorted_keys() const {
+    std::vector<Key> keys;
+    for (const auto& [k, e] : entries_) keys.push_back(k);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  template <typename Fold>
+  void merge(const ReferenceTable& other, Fold&& fold) {
+    evictions_ += other.evictions_;
+    for (const Key& k : other.sorted_keys()) fold(touch(k), *other.find(k));
+  }
+
+ private:
+  void evict_oldest() {
+    const auto victim = *recency_.begin();
+    recency_.erase(recency_.begin());
+    entries_.erase(victim.second);
+    ++evictions_;
+  }
+
+  struct Entry {
+    Value value{};
+    std::uint64_t last_touch = 0;
+  };
+  std::size_t max_entries_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::unordered_map<Key, Entry> entries_;
+  std::set<std::pair<std::uint64_t, Key>> recency_;
+};
+
+::testing::AssertionResult same_value(std::uint64_t a, std::uint64_t b) {
+  if (a == b) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << a << " != " << b;
+}
+
+template <typename Key, typename Got, typename Want>
+::testing::AssertionResult same_value(const BoundedTable<Key, Got>& got,
+                                      const ReferenceTable<Key, Want>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  if (got.evictions() != want.evictions()) {
+    return ::testing::AssertionFailure()
+           << "evictions " << got.evictions() << " != " << want.evictions();
+  }
+  const auto keys = want.sorted_keys();
+  if (got.sorted_keys() != keys) {
+    return ::testing::AssertionFailure() << "sorted_keys differ";
+  }
+  for (const Key k : keys) {
+    const auto* g = got.find(k);
+    if (g == nullptr) return ::testing::AssertionFailure() << "missing " << k;
+    const auto inner = same_value(*g, *want.find(k));
+    if (!inner) {
+      return ::testing::AssertionFailure() << "key " << k << ": "
+                                           << inner.message();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One random step on a table pair: mostly touches that add to the
+/// value over a small key domain, sometimes a re-cap (shrink, grow or
+/// unbounded) or a lookup.
+template <typename Key>
+struct RandomTableOps {
+  util::Rng rng;
+  std::uint64_t domain;
+
+  Key key() {
+    const std::uint64_t k = rng.uniform_u64(0, domain - 1);
+    // Spread u64 keys over both halves, like the (src, dst) pair keys.
+    if constexpr (sizeof(Key) == 8) {
+      return static_cast<Key>((k % 7) << 32 | k);
+    }
+    return static_cast<Key>(k);
+  }
+  std::size_t cap() {
+    constexpr std::size_t kCaps[] = {0, 1, 2, 3, 5, 8, 13, 64, 300};
+    return kCaps[rng.index(std::size(kCaps))];
+  }
+
+  template <typename Got, typename Want>
+  void step(Got& got, Want& want) {
+    const std::uint64_t op = rng.index(100);
+    if (op < 88) {
+      const Key k = key();
+      const std::uint64_t w = 1 + rng.index(1000);
+      got.touch(k) += w;
+      want.touch(k) += w;
+    } else if (op < 94) {
+      const std::size_t c = cap();
+      got.set_cap(c);
+      want.set_cap(c);
+    } else {
+      const Key k = key();
+      ASSERT_EQ(got.find(k) == nullptr, want.find(k) == nullptr);
+    }
+  }
+};
+
+// Differential: the slab table evicts, re-caps and merges exactly like the
+// map + recency-set table it replaced, for u32 and u64 keys, over small
+// key domains (constant eviction) and large ones (index growth).
+TEST(BoundedTableTest, SlabTableMatchesReferenceTable) {
+  const auto run = [](auto key_tag, std::uint64_t seed, std::uint64_t domain) {
+    using Key = decltype(key_tag);
+    RandomTableOps<Key> ops{util::Rng(seed), domain};
+    const std::size_t cap0 = ops.cap();
+    BoundedTable<Key, std::uint64_t> got(cap0);
+    ReferenceTable<Key, std::uint64_t> want(cap0);
+    const auto sum = [](std::uint64_t& a, const std::uint64_t& b) { a += b; };
+    for (int i = 0; i < 4000; ++i) {
+      if (ops.rng.index(200) == 0) {
+        // Merge in a capped table built from its own touch sequence.
+        const std::size_t cap = ops.cap();
+        BoundedTable<Key, std::uint64_t> got_other(cap);
+        ReferenceTable<Key, std::uint64_t> want_other(cap);
+        for (int j = 0; j < 200; ++j) ops.step(got_other, want_other);
+        ASSERT_TRUE(same_value(got_other, want_other));
+        got.merge(got_other, sum);
+        want.merge(want_other, sum);
+      } else {
+        ops.step(got, want);
+      }
+      ASSERT_TRUE(same_value(got, want))
+          << "seed=" << seed << " domain=" << domain << " step=" << i;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const std::uint64_t domain : {4u, 40u, 3000u}) {
+      run(std::uint32_t{}, seed, domain);
+      run(std::uint64_t{}, seed, domain);
+    }
+  }
+}
+
+// Tables nested as values, re-capped on every touch as the report
+// builders do; the outer table evicts whole inner tables.
+TEST(BoundedTableTest, NestedSlabTablesMatchReferenceTables) {
+  using Inner = BoundedTable<std::uint32_t, std::uint64_t>;
+  using InnerRef = ReferenceTable<std::uint32_t, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    RandomTableOps<std::uint32_t> outer_keys{util::Rng(seed), 24};
+    RandomTableOps<std::uint32_t> inner_keys{util::Rng(seed ^ 0xabcdu), 50};
+    const std::size_t outer_cap = 1 + seed % 6;
+    const std::size_t inner_cap = seed % 3 == 0 ? 0 : 4 + seed;
+    BoundedTable<std::uint32_t, Inner> got(outer_cap);
+    ReferenceTable<std::uint32_t, InnerRef> want(outer_cap);
+    const auto feed = [&](auto& g, auto& w, int steps) {
+      for (int i = 0; i < steps; ++i) {
+        const std::uint32_t k = outer_keys.key();
+        auto& gi = g.touch(k);
+        auto& wi = w.touch(k);
+        gi.set_cap(inner_cap);
+        wi.set_cap(inner_cap);
+        inner_keys.step(gi, wi);
+      }
+    };
+    const auto fold = [inner_cap](auto& ours, const auto& theirs) {
+      ours.set_cap(inner_cap);
+      ours.merge(theirs,
+                 [](std::uint64_t& a, const std::uint64_t& b) { a += b; });
+    };
+    for (int round = 0; round < 20; ++round) {
+      feed(got, want, 150);
+      ASSERT_TRUE(same_value(got, want))
+          << "seed=" << seed << " round=" << round;
+      BoundedTable<std::uint32_t, Inner> got_other(outer_cap + 2);
+      ReferenceTable<std::uint32_t, InnerRef> want_other(outer_cap + 2);
+      feed(got_other, want_other, 60);
+      got.merge(got_other, fold);
+      want.merge(want_other, fold);
+      ASSERT_TRUE(same_value(got, want))
+          << "seed=" << seed << " round=" << round << " merged";
+      const std::size_t recap = round % 4 == 3 ? 0 : 1 + (round + seed) % 7;
+      got.set_cap(recap);
+      want.set_cap(recap);
+      ASSERT_TRUE(same_value(got, want))
+          << "seed=" << seed << " round=" << round << " recapped";
+    }
+  }
 }
 
 TEST(BoundedTableTest, MergeFoldsValuesAndAccumulatesEvictions) {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -335,6 +337,256 @@ TEST(QuantileSketch, MergeGroupingsAllStayWithinCombinedBounds) {
 TEST(QuantileSketch, MergeRejectsMismatchedK) {
   QuantileSketch a(64), b(128);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+/// The compactor QuantileSketch replaced, kept as its reference: add()
+/// inserts one sample at a time and scans every level after each, and
+/// compact() std::sort-s the level it compacts.
+class ReferenceSketch {
+ public:
+  explicit ReferenceSketch(std::size_t k) : k_(std::max<std::size_t>(k, 8)) {
+    if (k_ % 2 != 0) ++k_;
+    levels_.emplace_back();
+    parity_.push_back(0);
+  }
+
+  void add(double x, std::uint64_t weight = 1) {
+    for (std::uint64_t i = 0; i < weight; ++i) {
+      levels_[0].push_back(x);
+      ++count_;
+      for (std::size_t l = 0; l < levels_.size(); ++l) {
+        if (levels_[l].size() >= k_) compact(l);
+      }
+    }
+  }
+
+  void merge(const ReferenceSketch& other) {
+    count_ += other.count_;
+    error_bound_ += other.error_bound_;
+    for (std::size_t l = 0; l < other.levels_.size(); ++l) {
+      if (l >= levels_.size()) {
+        levels_.emplace_back();
+        parity_.push_back(0);
+      }
+      levels_[l].insert(levels_[l].end(), other.levels_[l].begin(),
+                        other.levels_[l].end());
+    }
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+      while (levels_[l].size() >= k_) compact(l);
+    }
+  }
+
+  std::uint64_t count() const { return count_; }
+  std::uint64_t rank_error_bound() const { return error_bound_; }
+
+  std::size_t retained() const {
+    std::size_t n = 0;
+    for (const auto& level : levels_) n += level.size();
+    return n;
+  }
+
+  double quantile(double q) const {
+    if (count_ == 0) return 0.0;
+    if (error_bound_ == 0) return util::quantile(levels_[0], q);
+    q = std::clamp(q, 0.0, 1.0);
+    std::vector<std::pair<double, std::uint64_t>> items;
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+      for (const double x : levels_[l]) {
+        items.emplace_back(x, std::uint64_t{1} << l);
+      }
+    }
+    std::sort(items.begin(), items.end());
+    const double pos = q * static_cast<double>(count_ - 1);
+    std::uint64_t cum = 0;
+    for (const auto& [x, w] : items) {
+      if (static_cast<double>(cum + w) > pos) return x;
+      cum += w;
+    }
+    return items.back().first;
+  }
+
+  std::uint64_t rank(double x) const {
+    std::uint64_t r = 0;
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+      for (const double v : levels_[l]) {
+        if (v <= x) r += std::uint64_t{1} << l;
+      }
+    }
+    return r;
+  }
+
+ private:
+  void compact(std::size_t level) {
+    std::sort(levels_[level].begin(), levels_[level].end());
+    const std::size_t pairs = levels_[level].size() / 2;
+    if (pairs == 0) return;
+    if (level + 1 >= levels_.size()) {
+      levels_.emplace_back();
+      parity_.push_back(0);
+    }
+    auto& buf = levels_[level];
+    auto& up = levels_[level + 1];
+    const std::size_t offset = parity_[level];
+    parity_[level] ^= 1;
+    for (std::size_t i = 0; i < pairs; ++i) up.push_back(buf[2 * i + offset]);
+    if (buf.size() % 2 != 0) {
+      buf[0] = buf.back();
+      buf.resize(1);
+    } else {
+      buf.clear();
+    }
+    error_bound_ += std::uint64_t{1} << level;
+  }
+
+  std::size_t k_;
+  std::uint64_t count_ = 0;
+  std::uint64_t error_bound_ = 0;
+  std::vector<std::vector<double>> levels_;
+  std::vector<std::uint8_t> parity_;
+};
+
+/// Every observable of the sketch equals the reference's. Values compare
+/// with ==, so which of -0.0 and +0.0 a sort put first cannot matter.
+void expect_same_as_reference(const QuantileSketch& got,
+                              const ReferenceSketch& want,
+                              std::vector<double> probes,
+                              const std::string& what) {
+  ASSERT_EQ(got.count(), want.count()) << what;
+  ASSERT_EQ(got.retained(), want.retained()) << what;
+  ASSERT_EQ(got.rank_error_bound(), want.rank_error_bound()) << what;
+  for (int i = 0; i <= 100; ++i) {
+    const double q = i / 100.0;
+    ASSERT_EQ(got.quantile(q), want.quantile(q)) << what << " q=" << q;
+  }
+  std::sort(probes.begin(), probes.end());
+  probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+  for (const double x : probes) {
+    ASSERT_EQ(got.rank(x), want.rank(x)) << what << " x=" << x;
+  }
+}
+
+/// A weighted sample stream; each element is one add(value, weight).
+using WeightedStream = std::vector<std::pair<double, std::uint64_t>>;
+
+std::vector<double> values_of(const WeightedStream& s) {
+  std::vector<double> out;
+  for (const auto& [x, w] : s) out.push_back(x);
+  return out;
+}
+
+/// Few distinct values (both zeros among them) in runs of weight 1..16,
+/// so single weighted adds straddle every level-0 fill for small k.
+WeightedStream duplicate_heavy(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  WeightedStream s;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t v = rng.uniform_u32(0, 24);
+    const double x = v == 0 ? -0.0 : static_cast<double>(v) * 7.5 - 7.5;
+    s.emplace_back(x, 1 + rng.index(16));
+  }
+  return s;
+}
+
+WeightedStream unique_stream(const char* order, std::size_t n) {
+  std::vector<double> xs(n);
+  for (std::size_t i = 0; i < n; ++i) xs[i] = static_cast<double>(i) * 0.5;
+  const std::string o = order;
+  if (o == "descending") std::reverse(xs.begin(), xs.end());
+  if (o == "sawtooth") {
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[i] = static_cast<double>(i % 2 == 0 ? i / 2 : n - 1 - i / 2);
+    }
+  }
+  if (o == "shuffled") {
+    Rng rng(20170205);
+    for (std::size_t i = n - 1; i > 0; --i) {
+      std::swap(xs[i], xs[rng.index(i + 1)]);
+    }
+  }
+  WeightedStream s;
+  for (const double x : xs) s.emplace_back(x, 1);
+  return s;
+}
+
+constexpr std::size_t kReferenceKs[] = {8, 10, 64, 256};
+
+// The run-aware compactor must reproduce the one-sample-per-insert
+// compactor exactly, including mid-stream, where weighted adds have
+// split runs across level-0 fills.
+TEST(QuantileSketch, RunAwareCompactorMatchesReferenceOnWeightedStreams) {
+  for (const std::size_t k : kReferenceKs) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const auto stream = duplicate_heavy(seed * 101 + k, 6000);
+      QuantileSketch got(k);
+      ReferenceSketch want(k);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        got.add(stream[i].first, stream[i].second);
+        want.add(stream[i].first, stream[i].second);
+        if (i % 499 == 0 || i + 1 == stream.size()) {
+          expect_same_as_reference(got, want, values_of(stream),
+                                   "k=" + std::to_string(k) +
+                                       " seed=" + std::to_string(seed) +
+                                       " i=" + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantileSketch, RunAwareCompactorMatchesReferenceOnUniqueStreams) {
+  for (const std::size_t k : kReferenceKs) {
+    for (const char* order :
+         {"shuffled", "ascending", "descending", "sawtooth"}) {
+      const auto stream = unique_stream(order, 20000);
+      QuantileSketch got(k);
+      ReferenceSketch want(k);
+      for (const auto& [x, w] : stream) {
+        got.add(x, w);
+        want.add(x, w);
+      }
+      expect_same_as_reference(got, want, values_of(stream),
+                               "k=" + std::to_string(k) + " " + order);
+    }
+  }
+}
+
+// Merges leave odd stragglers on any level and unsorted level-0 content;
+// adds after a merge must then compact exactly as the reference does.
+TEST(QuantileSketch, RunAwareCompactorMatchesReferenceAcrossMerges) {
+  for (const std::size_t k : kReferenceKs) {
+    QuantileSketch got(k);
+    ReferenceSketch want(k);
+    std::vector<double> probes;
+    Rng rng(k);
+    for (std::size_t part = 0; part < 9; ++part) {
+      // Odd, part-dependent lengths so levels end at odd sizes.
+      const auto stream =
+          part % 3 == 2 ? unique_stream("shuffled", 37 * k / 8 + 2 * part + 1)
+                        : duplicate_heavy(part * 7 + k, 5 * k + 2 * part + 1);
+      QuantileSketch got_part(k);
+      ReferenceSketch want_part(k);
+      for (const auto& [x, w] : stream) {
+        got_part.add(x, w);
+        want_part.add(x, w);
+      }
+      const auto values = values_of(stream);
+      probes.insert(probes.end(), values.begin(), values.end());
+      got.merge(got_part);
+      want.merge(want_part);
+      const std::string what =
+          "k=" + std::to_string(k) + " part=" + std::to_string(part);
+      expect_same_as_reference(got, want, probes, what + " merged");
+      // Keep adding into the merged sketch.
+      for (int i = 0; i < 5; ++i) {
+        const double x = static_cast<double>(rng.uniform_u32(0, 50));
+        const std::uint64_t w = 1 + rng.index(16);
+        got.add(x, w);
+        want.add(x, w);
+        probes.push_back(x);
+      }
+      expect_same_as_reference(got, want, probes, what + " added");
+    }
+  }
 }
 
 TEST(QuantileSketch, RetainedMemoryStaysBounded) {
