@@ -49,10 +49,11 @@ void print_reproduction() {
             << "router-sourced: " << on_diagonal << "\n";
 
   const auto excluded = classify::members_to_exclude(stats);
-  const auto before = classify::aggregate_classes(w.classifier(),
-                                                  w.trace().flows, w.labels());
-  const auto after = classify::aggregate_classes(
-      w.classifier(), w.trace().flows, w.labels(), excluded);
+  const std::size_t spaces = w.classifier().space_count();
+  const auto before =
+      classify::aggregate_classes(spaces, w.trace().flows, w.labels());
+  const auto after = classify::aggregate_classes(spaces, w.trace().flows,
+                                                 w.labels(), excluded);
   const auto mem = [&](const classify::Aggregate& a) {
     return static_cast<double>(
                a.totals[idx][static_cast<int>(classify::TrafficClass::kInvalid)]

@@ -828,8 +828,9 @@ void BM_AggregateClassesParallel(benchmark::State& state) {
   const auto& w = world();
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto agg = classify::aggregate_classes(w.classifier(), w.trace().flows,
-                                           w.labels(), {}, pool);
+    auto agg = classify::aggregate_classes(w.classifier().space_count(),
+                                           w.trace().flows, w.labels(), {},
+                                           pool);
     benchmark::DoNotOptimize(agg);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

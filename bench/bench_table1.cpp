@@ -25,8 +25,8 @@ BENCHMARK(BM_ClassifyTrace)->Unit(benchmark::kMillisecond);
 void BM_AggregateClasses(benchmark::State& state) {
   const auto& w = world();
   for (auto _ : state) {
-    auto agg = classify::aggregate_classes(w.classifier(), w.trace().flows,
-                                           w.labels());
+    auto agg = classify::aggregate_classes(w.classifier().space_count(),
+                                           w.trace().flows, w.labels());
     benchmark::DoNotOptimize(agg);
   }
 }
@@ -38,8 +38,8 @@ void print_reproduction() {
       "Bogon 525 members/0.02% pkts; Unrouted 378/0.02%; Invalid FULL "
       "393/0.03%; Invalid NAIVE 611/1.29%; Invalid CC 602/0.3%");
   const auto& w = world();
-  const auto agg =
-      classify::aggregate_classes(w.classifier(), w.trace().flows, w.labels());
+  const auto agg = classify::aggregate_classes(
+      w.classifier().space_count(), w.trace().flows, w.labels());
   std::cout << analysis::format_table1(analysis::table1_columns(
                    agg, w.trace().scale(), w.ixp().member_count()))
             << "\n";

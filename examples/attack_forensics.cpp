@@ -9,6 +9,7 @@
 
 #include "analysis/attack_patterns.hpp"
 #include "analysis/incidents.hpp"
+#include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
 #include "scenario/scenario.hpp"
 #include "util/format.hpp"
@@ -78,13 +79,15 @@ int main(int argc, char** argv) {
             << analysis::format_incidents(incidents, 8);
 
   // Online detection: what a live deployment at the fabric would have
-  // alerted on, single pass over the same four weeks.
+  // alerted on, single pass over the same four weeks, on the plane
+  // compiled from the scenario's classifier.
   classify::StreamingParams sp;
   sp.min_spoofed_packets = 30;
   sp.min_share = 0.02;
+  const auto plane = classify::FlatClassifier::compile(world->classifier());
   classify::StreamingDetector detector(
-      world->classifier(),
-      scenario::Scenario::space_index(inference::Method::kFullConeOrg), sp);
+      plane, scenario::Scenario::space_index(inference::Method::kFullConeOrg),
+      sp);
   const auto alerts = detector.run(flows);
   std::cout << "\n== Live detection ==\n  " << alerts.size()
             << " member alerts over the window; first five:\n";

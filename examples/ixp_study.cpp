@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
       scenario::Scenario::space_index(inference::Method::kFullCone);
 
   // --- Table 1 -------------------------------------------------------------
-  const auto agg = classify::aggregate_classes(world->classifier(), flows,
-                                               world->labels());
+  const auto agg = classify::aggregate_classes(
+      world->classifier().space_count(), flows, world->labels());
   std::cout << "== Table 1: class contributions ==\n"
             << analysis::format_table1(analysis::table1_columns(
                    agg, world->trace().scale(), world->ixp().member_count()))

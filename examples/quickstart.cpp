@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   const auto world = scenario::build_scenario(params);
 
   const auto agg = classify::aggregate_classes(
-      world->classifier(), world->trace().flows, world->labels());
+      world->classifier().space_count(), world->trace().flows,
+      world->labels());
   const auto columns = analysis::table1_columns(
       agg, world->trace().scale(), world->ixp().member_count());
 

@@ -130,16 +130,18 @@ int main(int argc, char** argv) {
                 : "DIGEST MISMATCH")
             << ")\n";
 
-  // Detector checkpoint/resume: run A straight through; run B checkpoints
-  // at mid-stream, a fresh detector restores the checkpoint and finishes
-  // the second half. Alerts and health must agree bit-for-bit.
+  // Detector checkpoint/resume on the cached plane: run A straight
+  // through; run B checkpoints at mid-stream, a fresh detector restores
+  // the checkpoint and finishes the second half. Alerts and health must
+  // agree bit-for-bit.
   const std::size_t full_idx =
       scenario::Scenario::space_index(inference::Method::kFullConeOrg);
   classify::StreamingParams sp;
   sp.min_spoofed_packets = 30;
   sp.min_share = 0.02;
   const std::span<const net::FlowRecord> flows(original);
-  classify::StreamingDetector straight(world->classifier(), full_idx, sp);
+  const classify::FlatClassifier& plane = second.plane;
+  classify::StreamingDetector straight(plane, full_idx, sp);
   const auto uninterrupted = straight.run(flows);
 
   const std::size_t half = flows.size() / 2;
@@ -149,11 +151,11 @@ int main(int argc, char** argv) {
   };
   const std::string ckpt = (dir / "detector.ckpt").string();
   {
-    classify::StreamingDetector before(world->classifier(), full_idx, sp);
+    classify::StreamingDetector before(plane, full_idx, sp);
     for (std::size_t i = 0; i < half; ++i) before.ingest(flows[i], collect);
     before.save(ckpt);  // "process dies" here
   }
-  classify::StreamingDetector after(world->classifier(), full_idx, sp);
+  classify::StreamingDetector after(plane, full_idx, sp);
   after.restore(ckpt);
   for (std::size_t i = half; i < flows.size(); ++i) after.ingest(flows[i], collect);
   after.flush(collect);

@@ -42,20 +42,6 @@ std::string class_name(TrafficClass c) {
   return "?";
 }
 
-std::string engine_name(Engine e) {
-  switch (e) {
-    case Engine::kTrie: return "trie";
-    case Engine::kFlat: return "flat";
-  }
-  return "?";
-}
-
-std::optional<Engine> parse_engine(std::string_view name) {
-  if (name == "trie") return Engine::kTrie;
-  if (name == "flat") return Engine::kFlat;
-  return std::nullopt;
-}
-
 Classifier::Classifier(const bgp::RoutingTable& table,
                        std::vector<inference::ValidSpace> spaces)
     : Classifier(table, share_all(std::move(spaces))) {}
@@ -174,18 +160,6 @@ void Classifier::classify_batch(const net::FlowBatch& batch,
   }
   classify_lanes(*this, batch.src(), batch.member_in(), 0, batch.size(),
                  out.data());
-}
-
-void Classifier::classify_batch(const net::FlowBatch& batch,
-                                std::span<Label> out,
-                                util::ThreadPool& pool) const {
-  if (out.size() != batch.size()) {
-    throw std::invalid_argument("classify_batch: label span size mismatch");
-  }
-  Label* labels = out.data();
-  pool.parallel_for(0, batch.size(), [&](std::size_t b, std::size_t e) {
-    classify_lanes(*this, batch.src(), batch.member_in(), b, e, labels);
-  });
 }
 
 std::vector<Label> Classifier::classify_batch(const net::FlowBatch& batch) const {

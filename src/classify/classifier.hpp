@@ -7,9 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bgp/routing_table.hpp"
@@ -39,26 +37,16 @@ inline constexpr int kNumClasses = 4;
 /// Display name matching the paper ("Bogon", "Unrouted", ...).
 std::string class_name(TrafficClass c);
 
-/// The two interchangeable classification engines: the pointer-chasing
-/// trie/interval engine and the compiled flat plane (FlatClassifier).
-/// Both produce bit-identical labels; the flat engine trades a one-off
-/// compile step and ~64 MiB of tables for O(1) per-flow lookups.
-enum class Engine : std::uint8_t {
-  kTrie = 0,  ///< bogon trie + routed trie + per-member interval sets
-  kFlat = 1,  ///< DIR-24-8 base-class table + prefix-id bitsets
-};
-
-/// "trie" / "flat".
-std::string engine_name(Engine e);
-
-/// Inverse of engine_name; nullopt on anything else.
-std::optional<Engine> parse_engine(std::string_view name);
-
 /// Compact per-flow label: 2 bits per configured valid space.
 using Label = std::uint16_t;
 
 /// Classifies sources against the bogon list, the routed table and a set
 /// of per-member valid spaces (one per inference method under study).
+///
+/// This is the reference implementation of Fig 3, not a runtime engine:
+/// every production path classifies through a FlatClassifier compiled
+/// from it. It is the compile input (and the PlaneCache digest source)
+/// and the oracle the differential tests pin the plane against.
 ///
 /// The valid spaces are held by shared_ptr<const>: constructing a
 /// Classifier from already-shared spaces is O(1) per space (no deep copy
@@ -106,10 +94,6 @@ class Classifier {
   /// views per distinct ASN. out.size() must equal batch.size(); labels
   /// are element-wise identical to calling classify_all per record.
   void classify_batch(const net::FlowBatch& batch, std::span<Label> out) const;
-
-  /// Parallel batch variant (contiguous deterministic chunks).
-  void classify_batch(const net::FlowBatch& batch, std::span<Label> out,
-                      util::ThreadPool& pool) const;
 
   std::vector<Label> classify_batch(const net::FlowBatch& batch) const;
 

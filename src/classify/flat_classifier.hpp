@@ -52,8 +52,8 @@ class PlaneCache;
 
 namespace spoofscope::classify {
 
-/// The flat engine. Construct via compile(); answers the same queries as
-/// Classifier with identical results.
+/// The runtime classification engine. Construct via compile(); answers
+/// the same queries as Classifier with identical results.
 class FlatClassifier {
  public:
   /// Pre-resolved member handle: the single hash lookup, done once.
@@ -434,8 +434,8 @@ class FlatClassifier {
   std::vector<std::uint16_t> records_scratch_;
 };
 
-/// Trace classification on the flat engine; element-wise identical to the
-/// trie-engine classify_trace.
+/// Trace classification through the plane; element-wise identical to the
+/// trie oracle's classify_trace.
 std::vector<Label> classify_trace(const FlatClassifier& classifier,
                                   std::span<const net::FlowRecord> flows,
                                   SimdKernel kernel = SimdKernel::kAuto);

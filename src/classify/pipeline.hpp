@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "classify/classifier.hpp"
-#include "classify/flat_classifier.hpp"
 #include "net/flow_batch.hpp"
 #include "net/trace.hpp"
 
@@ -63,8 +62,8 @@ class AggregateBuilder {
   std::vector<std::array<std::unordered_set<Asn>, kNumClasses>> members_;
 };
 
-/// Aggregates labels over flows. Engine-agnostic: labels already carry
-/// the per-space classes, so only the space count is needed.
+/// Aggregates labels over flows. Labels already carry the per-space
+/// classes, so only the space count is needed.
 /// `exclude_members` drops flows injected by those members (the Sec 5.2
 /// router-stray exclusion).
 Aggregate aggregate_classes(std::size_t space_count,
@@ -82,40 +81,5 @@ Aggregate aggregate_classes(std::size_t space_count,
                             std::span<const Label> labels,
                             const std::unordered_set<Asn>& exclude_members,
                             util::ThreadPool& pool);
-
-/// Convenience overloads taking either engine for the space count.
-inline Aggregate aggregate_classes(
-    const Classifier& classifier, std::span<const net::FlowRecord> flows,
-    std::span<const Label> labels,
-    const std::unordered_set<Asn>& exclude_members = {}) {
-  return aggregate_classes(classifier.space_count(), flows, labels,
-                           exclude_members);
-}
-
-inline Aggregate aggregate_classes(const Classifier& classifier,
-                                   std::span<const net::FlowRecord> flows,
-                                   std::span<const Label> labels,
-                                   const std::unordered_set<Asn>& exclude_members,
-                                   util::ThreadPool& pool) {
-  return aggregate_classes(classifier.space_count(), flows, labels,
-                           exclude_members, pool);
-}
-
-inline Aggregate aggregate_classes(
-    const FlatClassifier& classifier, std::span<const net::FlowRecord> flows,
-    std::span<const Label> labels,
-    const std::unordered_set<Asn>& exclude_members = {}) {
-  return aggregate_classes(classifier.space_count(), flows, labels,
-                           exclude_members);
-}
-
-inline Aggregate aggregate_classes(const FlatClassifier& classifier,
-                                   std::span<const net::FlowRecord> flows,
-                                   std::span<const Label> labels,
-                                   const std::unordered_set<Asn>& exclude_members,
-                                   util::ThreadPool& pool) {
-  return aggregate_classes(classifier.space_count(), flows, labels,
-                           exclude_members, pool);
-}
 
 }  // namespace spoofscope::classify

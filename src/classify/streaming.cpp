@@ -8,32 +8,24 @@
 
 namespace spoofscope::classify {
 
-StreamingDetector::StreamingDetector(const Classifier& classifier,
+StreamingDetector::StreamingDetector(const FlatClassifier& plane,
                                      std::size_t space_idx,
                                      StreamingParams params)
-    : classifier_(&classifier), space_idx_(space_idx), params_(params) {}
-
-StreamingDetector::StreamingDetector(const FlatClassifier& classifier,
-                                     std::size_t space_idx,
-                                     StreamingParams params)
-    : flat_(&classifier), space_idx_(space_idx), params_(params) {}
+    : plane_(&plane), space_idx_(space_idx), params_(params) {}
 
 TrafficClass StreamingDetector::classify_one(
     const net::FlowRecord& flow) const {
-  return flat_ ? flat_->classify(flow.src, flow.member_in, space_idx_)
-               : classifier_->classify(flow.src, flow.member_in, space_idx_);
+  return plane_->classify(flow.src, flow.member_in, space_idx_);
 }
 
 void StreamingDetector::rebind(const FlatClassifier& plane) {
-  flat_ = &plane;
-  classifier_ = nullptr;
+  plane_ = &plane;
   for (auto& p : pending_) p.cls = classify_one(p.flow);
   last_plane_epoch_ = plane.epoch();
 }
 
 void StreamingDetector::sync_plane_epoch() {
-  if (flat_ == nullptr) return;
-  const std::uint64_t epoch = flat_->epoch();
+  const std::uint64_t epoch = plane_->epoch();
   if (epoch == last_plane_epoch_) return;
   for (auto& p : pending_) p.cls = classify_one(p.flow);
   last_plane_epoch_ = epoch;
@@ -82,18 +74,12 @@ void StreamingDetector::ingest_classified(const net::FlowRecord& flow,
 
 void StreamingDetector::ingest_batch(const net::FlowBatch& batch,
                                      const AlertFn& on_alert) {
-  if (flat_ == nullptr) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ingest(batch.record(i), on_alert);
-    }
-    return;
-  }
-  // Flat engine: classify the whole batch through the SIMD kernel, then
-  // ingest in lane order with the classes precomputed. Classification is
-  // a pure per-flow function, so alerts and health counters stay
-  // identical to per-record ingest.
+  // Classify the whole batch through the SIMD kernel, then ingest in
+  // lane order with the classes precomputed. Classification is a pure
+  // per-flow function, so alerts and health counters stay identical to
+  // per-record ingest.
   batch_labels_.resize(batch.size());
-  flat_->classify_batch(batch, batch_labels_, params_.simd);
+  plane_->classify_batch(batch, batch_labels_, params_.simd);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ingest_classified(batch.record(i),
                       Classifier::unpack(batch_labels_[i], space_idx_),

@@ -91,10 +91,10 @@ struct StreamingParams {
   /// health().sample_evictions.
   std::size_t max_window_samples = 0;
 
-  /// Batch-classification kernel for the flat engine (ingest_batch
-  /// classifies whole batches through it; the kernels are proven
-  /// bit-identical, so — like the engine choice — this is excluded from
-  /// config_hash() and checkpoints stay portable across kernels).
+  /// Batch-classification kernel (ingest_batch classifies whole batches
+  /// through it; the kernels are proven bit-identical, so this is
+  /// excluded from config_hash() and checkpoints stay portable across
+  /// kernels).
   SimdKernel simd = SimdKernel::kAuto;
 };
 
@@ -138,14 +138,9 @@ class StreamingDetector {
  public:
   using AlertFn = std::function<void(const SpoofingAlert&)>;
 
-  /// `classifier` must outlive the detector; `space_idx` selects the
-  /// inference method (typically FULL+org).
-  StreamingDetector(const Classifier& classifier, std::size_t space_idx,
-                    StreamingParams params = {});
-
-  /// Flat-engine variant: identical alerts (the engines are proven
-  /// bit-identical), O(1) per-flow classification cost.
-  StreamingDetector(const FlatClassifier& classifier, std::size_t space_idx,
+  /// `plane` must outlive the detector (or be replaced via rebind());
+  /// `space_idx` selects the inference method (typically FULL+org).
+  StreamingDetector(const FlatClassifier& plane, std::size_t space_idx,
                     StreamingParams params = {});
 
   /// Processes one flow; invokes `on_alert` zero or more times (buffered
@@ -168,9 +163,7 @@ class StreamingDetector {
   /// rule sync_plane_epoch() applies to in-place patches), and the
   /// epoch baseline is taken from the new object. The caller owns the
   /// lifetime of `plane` and must not call this concurrently with
-  /// ingest. Rebinding a trie-engine detector switches it to the flat
-  /// engine; the engines are proven bit-identical, and config_hash()
-  /// deliberately excludes the engine, so checkpoints stay valid.
+  /// ingest.
   void rebind(const FlatClassifier& plane);
 
   /// Convenience: run over a whole trace (including flush), collecting
@@ -185,9 +178,10 @@ class StreamingDetector {
 
   /// 64-bit FNV-1a over the detection configuration (StreamingParams +
   /// space index). Checkpoints embed it and restore() refuses a
-  /// snapshot taken under a different configuration. The engine is
-  /// deliberately excluded: trie and flat are proven bit-identical, so
-  /// checkpoints are portable across engines.
+  /// snapshot taken under a different configuration. The plane is
+  /// excluded, so a checkpoint restores onto a recompiled or cached
+  /// plane; plane patches are replayed from the update cursor
+  /// (DetectorCheckpointExtra).
   std::uint64_t config_hash() const;
 
   /// Crash-safe checkpoint: atomically persists the complete detection
@@ -278,7 +272,7 @@ class StreamingDetector {
     }
   };
 
-  /// Per-flow classification on whichever engine is configured.
+  /// Per-flow classification against the current plane.
   TrafficClass classify_one(const net::FlowRecord& flow) const;
   /// ingest() with the class already resolved (the batch path classifies
   /// up front through the SIMD kernels).
@@ -293,16 +287,15 @@ class StreamingDetector {
   void evict_idle_member();
   /// Keeps the idle-eviction index in sync with a member's activity.
   void touch_member(Asn member, MemberWindow& w, std::uint32_t ts);
-  /// Back to the freshly-constructed state (config and engine kept).
+  /// Back to the freshly-constructed state (config and plane kept).
   void reset_state();
-  /// Reclassifies buffered flows when the flat plane's epoch moved
+  /// Reclassifies buffered flows when the plane's epoch moved
   /// (apply_updates() patched it while flows sat in the reorder buffer):
   /// a flow's class is resolved against the plane in force when it
   /// *leaves* the buffer, matching what classify-at-release would do.
   void sync_plane_epoch();
 
-  const Classifier* classifier_ = nullptr;   // exactly one engine is set
-  const FlatClassifier* flat_ = nullptr;
+  const FlatClassifier* plane_;
   std::size_t space_idx_;
   StreamingParams params_;
   std::unordered_map<Asn, MemberWindow> windows_;
@@ -321,7 +314,7 @@ class StreamingDetector {
   bool released_any_ = false;         ///< last_released_ts_ is meaningful
   std::uint64_t processed_ = 0;
   DetectorHealth health_;
-  std::vector<Label> batch_labels_;  ///< ingest_batch scratch (flat engine)
+  std::vector<Label> batch_labels_;  ///< ingest_batch scratch
   std::uint64_t last_plane_epoch_ = 0;  ///< plane epoch pending_ was classified under
   /// Delta baseline: members whose window changed / that were evicted
   /// since the last clear_dirty(). Maintained unconditionally (a few

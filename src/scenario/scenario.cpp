@@ -176,20 +176,11 @@ Scenario::Scenario(const ScenarioParams& params)
       workload_(traffic::generate_workload(topology_, ixp_, whois_,
                                            params.workload,
                                            params.seed ^ 0x7aff1c)) {
-  if (params_.engine == classify::Engine::kFlat) {
-    flat_ = std::make_unique<classify::FlatClassifier>(
-        classify::FlatClassifier::compile(classifier_, pool_));
-    labels_ = classify::classify_trace(*flat_, workload_.trace.flows, pool_,
-                                       params_.simd);
-  } else {
-    labels_ = classify::classify_trace(classifier_, workload_.trace.flows,
-                                       pool_);
-  }
+  labels_ = classify::classify_trace(classifier_, workload_.trace.flows, pool_);
   util::log_info() << "scenario ready: " << topology_.as_count() << " ASes, "
                    << ixp_.member_count() << " members, "
                    << table_.prefixes().size() << " routed prefixes, "
-                   << workload_.trace.flows.size() << " sampled flows ("
-                   << classify::engine_name(params_.engine) << " engine)";
+                   << workload_.trace.flows.size() << " sampled flows";
 }
 
 std::vector<analysis::MemberClassCounts> Scenario::member_counts(

@@ -11,7 +11,6 @@
 #include "analysis/member_stats.hpp"
 #include "bgp/collector.hpp"
 #include "classify/classifier.hpp"
-#include "classify/flat_classifier.hpp"
 #include "classify/pipeline.hpp"
 #include "data/ark.hpp"
 #include "data/as2org.hpp"
@@ -44,16 +43,6 @@ struct ScenarioParams {
   /// classification: 0 = hardware concurrency, 1 = exact sequential
   /// execution (the default; results are identical either way).
   std::size_t threads = 1;
-
-  /// Classification engine for the scenario's trace labels: the trie
-  /// engine (default) or the compiled flat plane. Labels are identical
-  /// for both; flat trades a one-off compile for O(1) per-flow lookups.
-  classify::Engine engine = classify::Engine::kTrie;
-
-  /// Batch kernel for flat-engine classification (the --simd knob).
-  /// Kernels are proven bit-identical, so this changes throughput only;
-  /// ignored under the trie engine.
-  classify::SimdKernel simd = classify::SimdKernel::kAuto;
 
   /// Laptop-quick configuration for tests and examples.
   static ScenarioParams small();
@@ -94,9 +83,8 @@ class Scenario {
   classify::Classifier& classifier() { return classifier_; }
   const classify::Classifier& classifier() const { return classifier_; }
 
-  /// The compiled flat plane when params.engine == kFlat (it produced
-  /// labels()); nullptr under the trie engine.
-  const classify::FlatClassifier* flat_classifier() const { return flat_.get(); }
+  /// Per-flow labels of trace() (labels()[i] belongs to flows[i]),
+  /// computed by the trie oracle's classify_trace.
   const std::vector<classify::Label>& labels() const { return labels_; }
   std::vector<classify::Label>& mutable_labels() { return labels_; }
 
@@ -121,7 +109,6 @@ class Scenario {
   std::vector<data::SpooferRecord> spoofer_;
   inference::ValidSpaceFactory factory_;
   classify::Classifier classifier_;
-  std::unique_ptr<classify::FlatClassifier> flat_;
   traffic::Workload workload_;
   std::vector<classify::Label> labels_;
 };

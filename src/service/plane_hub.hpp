@@ -27,11 +27,8 @@ namespace spoofscope::service {
 
 class PlaneHub {
  public:
-  PlaneHub() = default;
   explicit PlaneHub(std::shared_ptr<classify::FlatClassifier> plane)
-      : plane_(std::move(plane)), generation_(plane_ ? 1 : 0) {}
-
-  bool has_plane() const { return plane_ != nullptr; }
+      : plane_(std::move(plane)) {}
 
   /// The current plane (shards hold a copy of this shared_ptr across a
   /// batch, so a wholesale publish never frees a plane under a reader).
@@ -61,7 +58,7 @@ class PlaneHub {
 
  private:
   std::shared_ptr<classify::FlatClassifier> plane_;
-  std::uint64_t generation_ = 0;
+  std::uint64_t generation_ = 1;
 };
 
 }  // namespace spoofscope::service

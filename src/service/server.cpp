@@ -27,11 +27,6 @@ Server::Server(std::shared_ptr<classify::FlatClassifier> plane,
   build_shards();
 }
 
-Server::Server(const classify::Classifier& classifier, ServerConfig cfg)
-    : cfg_(std::move(cfg)), trie_(&classifier), router_(cfg_.shards) {
-  build_shards();
-}
-
 Server::~Server() { stop(); }
 
 void Server::build_shards() {
@@ -53,11 +48,7 @@ void Server::build_shards() {
       scfg.checkpoint_base =
           state::shard_checkpoint_base(cfg_.checkpoint_dir, i, cfg_.shards);
     }
-    if (hub_.has_plane()) {
-      shards_.push_back(std::make_unique<Shard>(hub_.current(), std::move(scfg)));
-    } else {
-      shards_.push_back(std::make_unique<Shard>(*trie_, std::move(scfg)));
-    }
+    shards_.push_back(std::make_unique<Shard>(hub_.current(), std::move(scfg)));
   }
 }
 
@@ -152,9 +143,6 @@ std::vector<classify::SpoofingAlert> Server::merged_alerts() {
 }
 
 ReloadResult Server::reload_updates(const std::string& mrt_path) {
-  if (!hub_.has_plane()) {
-    throw std::runtime_error("reload-updates requires the flat engine");
-  }
   std::ifstream in(mrt_path);
   if (!in) throw std::runtime_error("cannot open updates file: " + mrt_path);
   ReloadResult result;
@@ -200,7 +188,7 @@ void Server::stop() {
 }
 
 std::uint64_t Server::plane_epoch() const {
-  return hub_.has_plane() ? hub_.current()->epoch() : 0;
+  return hub_.current()->epoch();
 }
 
 // --- control socket ---------------------------------------------------

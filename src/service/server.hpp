@@ -71,11 +71,8 @@ struct DrainResult {
 
 class Server {
  public:
-  /// Flat-engine server; the hub takes ownership of the plane.
+  /// The hub takes ownership of the plane.
   Server(std::shared_ptr<classify::FlatClassifier> plane, ServerConfig cfg);
-
-  /// Trie-engine server; `classifier` must outlive the server.
-  Server(const classify::Classifier& classifier, ServerConfig cfg);
 
   ~Server();
 
@@ -108,7 +105,7 @@ class Server {
   std::vector<classify::SpoofingAlert> merged_alerts();
 
   /// Applies an MRT-lite route-churn file to the shared plane in place
-  /// and republishes it to every shard (flat engine only).
+  /// and republishes it to every shard.
   ReloadResult reload_updates(const std::string& mrt_path);
 
   /// Quiesces and cuts a checkpoint on every shard (no-op without a
@@ -131,8 +128,7 @@ class Server {
   std::uint64_t total_alerts_quiesced() const;
 
   ServerConfig cfg_;
-  PlaneHub hub_;                                   // flat engine
-  const classify::Classifier* trie_ = nullptr;     // trie engine
+  PlaneHub hub_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardRouter router_;
   std::vector<net::FlowBatch> lanes_;  ///< routing scratch

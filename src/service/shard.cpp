@@ -18,14 +18,6 @@ Shard::Shard(std::shared_ptr<const classify::FlatClassifier> plane,
   }
 }
 
-Shard::Shard(const classify::Classifier& classifier, ShardConfig cfg)
-    : cfg_(std::move(cfg)),
-      detector_(classifier, cfg_.space_idx, cfg_.params) {
-  if (!cfg_.checkpoint_base.empty()) {
-    chain_.emplace(cfg_.checkpoint_base, cfg_.max_chain);
-  }
-}
-
 Shard::~Shard() { stop(); }
 
 std::uint64_t Shard::resume(util::IngestStats* stats) {
@@ -168,8 +160,7 @@ void Shard::ingest(const net::FlowBatch& batch) {
 }
 
 void Shard::save_checkpoint() {
-  const classify::DetectorCheckpointExtra extra{
-      0, plane_ ? plane_->epoch() : 0};
+  const classify::DetectorCheckpointExtra extra{0, plane_->epoch()};
   chain_->append(detector_, extra);
   last_saved_ = detector_.processed();
 }

@@ -60,13 +60,10 @@ struct ShardConfig {
 
 class Shard {
  public:
-  /// Flat-engine shard. The shared_ptr keeps the plane alive across a
-  /// wholesale republish; the plane object must only be mutated while
-  /// the shard is quiescent.
+  /// The shared_ptr keeps the plane alive across a wholesale
+  /// republish; the plane object must only be mutated while the shard
+  /// is quiescent.
   Shard(std::shared_ptr<const classify::FlatClassifier> plane, ShardConfig cfg);
-
-  /// Trie-engine shard; `classifier` must outlive the shard.
-  Shard(const classify::Classifier& classifier, ShardConfig cfg);
 
   ~Shard();
 
@@ -133,7 +130,7 @@ class Shard {
   void save_checkpoint();
 
   ShardConfig cfg_;
-  std::shared_ptr<const classify::FlatClassifier> plane_;  // flat engine only
+  std::shared_ptr<const classify::FlatClassifier> plane_;
   classify::StreamingDetector detector_;
   std::optional<state::DeltaChain> chain_;
   std::uint64_t skip_records_ = 0;  ///< resume fast-forward remaining

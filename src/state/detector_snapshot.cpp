@@ -257,7 +257,7 @@ void StreamingDetector::reset_state() {
   health_ = {};
   dirty_members_.clear();
   removed_members_.clear();
-  last_plane_epoch_ = flat_ ? flat_->epoch() : 0;
+  last_plane_epoch_ = plane_->epoch();
 }
 
 bool StreamingDetector::restore(const std::string& path,
@@ -355,7 +355,7 @@ bool StreamingDetector::restore(const std::string& path,
     // pending_ classes were just recomputed against the plane as it
     // stands right now; the caller replays update batches after restore
     // and the next ingest resyncs via the epoch check.
-    last_plane_epoch_ = flat_ ? flat_->epoch() : 0;
+    last_plane_epoch_ = plane_->epoch();
     clear_dirty();
     st.ok();
     return true;
@@ -563,7 +563,7 @@ void StreamingDetector::apply_delta(std::span<const std::uint8_t> bytes,
       idle_index_.insert({w.last_seen_ts, member});
     }
   }
-  last_plane_epoch_ = flat_ ? flat_->epoch() : 0;
+  last_plane_epoch_ = plane_->epoch();
   clear_dirty();
   if (extra_out != nullptr) *extra_out = extra;
 }

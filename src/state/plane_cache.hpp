@@ -53,8 +53,7 @@ class PlaneCache {
   /// the entry back. Damaged or stale entry: strict throws
   /// (SnapshotError), skip accounts the ErrorKind in `stats` (when
   /// given), recompiles and overwrites the entry. `pool` (optional)
-  /// parallelizes the compile; the result is engine-identical either
-  /// way.
+  /// parallelizes the compile; the result is bit-identical either way.
   LoadResult load_or_compile(const classify::Classifier& source,
                              util::ThreadPool* pool,
                              util::ErrorPolicy policy = util::ErrorPolicy::kStrict,

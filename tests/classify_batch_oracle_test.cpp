@@ -1,7 +1,8 @@
 // Differential harness for the batched classification plane: for the
 // differential seeds, the SoA batch kernels must reproduce the
-// per-record path bit-identically — labels on both engines across
-// thread counts, aggregates built lane-wise, streaming alerts through
+// per-record path bit-identically — labels from the trie oracle and the
+// flat plane across thread counts, aggregates built lane-wise, streaming
+// alerts through
 // ingest_batch, and the whole file-to-aggregate pipeline through
 // MappedTrace (clean and corrupted). Also pins the striped parallel
 // flat-plane compile to the sequential compile via plane_digest().
@@ -75,9 +76,6 @@ TEST_P(BatchOracleTest, BatchLabelsIdenticalToPerRecordOnBothEngines) {
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
     std::vector<Label> out(batch.size());
-    w->classifier().classify_batch(batch, out, pool);
-    ASSERT_EQ(out, oracle) << "trie threads=" << threads;
-    std::fill(out.begin(), out.end(), Label{0});
     flat.classify_batch(batch, out, pool);
     ASSERT_EQ(out, oracle) << "flat threads=" << threads;
   }
@@ -245,40 +243,30 @@ TEST_P(BatchOracleTest, IngestBatchAlertsAndHealthIdenticalToRun) {
   sp.min_share = 0.01;
   sp.reorder_skew_seconds = 60;
 
-  struct Engine {
-    const char* name;
-    StreamingDetector per_record;
-    StreamingDetector batched;
-  };
-  Engine engines[] = {
-      {"trie", StreamingDetector(w->classifier(), 0, sp),
-       StreamingDetector(w->classifier(), 0, sp)},
-      {"flat", StreamingDetector(flat, 0, sp), StreamingDetector(flat, 0, sp)},
-  };
-  for (auto& e : engines) {
-    const auto expected = e.per_record.run(flows);
-    EXPECT_FALSE(expected.empty()) << e.name;  // thresholds actually fire
+  StreamingDetector per_record(flat, 0, sp);
+  StreamingDetector batched(flat, 0, sp);
+  const auto expected = per_record.run(flows);
+  EXPECT_FALSE(expected.empty());  // thresholds actually fire
 
-    std::vector<SpoofingAlert> got;
-    const auto sink = [&got](const SpoofingAlert& a) { got.push_back(a); };
-    // Uneven batch sizes so alert boundaries land mid-batch.
-    net::FlowBatch batch;
-    std::size_t i = 0;
-    util::Rng rng(GetParam() ^ 0xa1e7);
-    while (i < flows.size()) {
-      const std::size_t n =
-          std::min(flows.size() - i, std::size_t{1} + rng.index(997));
-      batch.clear();
-      for (std::size_t k = 0; k < n; ++k) batch.push_back(flows[i + k]);
-      e.batched.ingest_batch(batch, sink);
-      i += n;
-    }
-    e.batched.flush(sink);
-
-    EXPECT_EQ(got, expected) << e.name;
-    EXPECT_EQ(e.batched.processed(), e.per_record.processed()) << e.name;
-    EXPECT_EQ(e.batched.health(), e.per_record.health()) << e.name;
+  std::vector<SpoofingAlert> got;
+  const auto sink = [&got](const SpoofingAlert& a) { got.push_back(a); };
+  // Uneven batch sizes so alert boundaries land mid-batch.
+  net::FlowBatch batch;
+  std::size_t i = 0;
+  util::Rng rng(GetParam() ^ 0xa1e7);
+  while (i < flows.size()) {
+    const std::size_t n =
+        std::min(flows.size() - i, std::size_t{1} + rng.index(997));
+    batch.clear();
+    for (std::size_t k = 0; k < n; ++k) batch.push_back(flows[i + k]);
+    batched.ingest_batch(batch, sink);
+    i += n;
   }
+  batched.flush(sink);
+
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(batched.processed(), per_record.processed());
+  EXPECT_EQ(batched.health(), per_record.health());
 }
 
 TEST_P(BatchOracleTest, FileToAggregatePipelineMatchesPerRecordPath) {

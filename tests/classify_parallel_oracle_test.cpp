@@ -75,21 +75,22 @@ TEST_P(ParallelOracleTest, AggregateTotalsMatchSequentialExactly) {
   const auto& flows = w->trace().flows;
   const auto& labels = w->labels();
 
-  const auto seq = aggregate_classes(w->classifier(), flows, labels);
+  const std::size_t spaces = w->classifier().space_count();
+  const auto seq = aggregate_classes(spaces, flows, labels);
   // Exercise the Sec 5.2 exclusion path as well: drop two members.
   std::unordered_set<Asn> exclude{w->ixp().members().front().asn,
                                   w->ixp().members().back().asn};
   const auto seq_excl =
-      aggregate_classes(w->classifier(), flows, labels, exclude);
+      aggregate_classes(spaces, flows, labels, exclude);
 
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
     expect_same_cells(
-        seq, aggregate_classes(w->classifier(), flows, labels, {}, pool),
+        seq, aggregate_classes(spaces, flows, labels, {}, pool),
         threads);
     expect_same_cells(
         seq_excl,
-        aggregate_classes(w->classifier(), flows, labels, exclude, pool),
+        aggregate_classes(spaces, flows, labels, exclude, pool),
         threads);
   }
 }

@@ -9,35 +9,14 @@
 #include <algorithm>
 #include <vector>
 
-#include "net/prefix.hpp"
+#include "detector_fixture.hpp"
 #include "util/rng.hpp"
 
 namespace spoofscope::classify {
 namespace {
 
 using net::Ipv4Addr;
-using net::pfx;
-
-/// Routing view with 50.0/16 valid for member 1 (same shape as the
-/// in-order streaming test).
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
+using Fixture = testing::DetectorFixture;
 
 net::FlowRecord flow(Ipv4Addr src, std::uint32_t ts, std::uint32_t pkts = 1,
                      Asn member = 1) {
@@ -78,8 +57,8 @@ TEST(StreamingDegraded, ReorderWithinSkewMatchesSortedRun) {
   }
   ASSERT_NE(shuffled, sorted);
 
-  StreamingDetector on_sorted(*fx.classifier, 0, params);
-  StreamingDetector on_shuffled(*fx.classifier, 0, params);
+  StreamingDetector on_sorted(fx.plane, 0, params);
+  StreamingDetector on_shuffled(fx.plane, 0, params);
   const auto a = on_sorted.run(sorted);
   const auto b = on_shuffled.run(shuffled);
   EXPECT_EQ(a, b);
@@ -95,7 +74,7 @@ TEST(StreamingDegraded, FlowLaterThanSkewIsDroppedAndCounted) {
   Fixture fx;
   StreamingParams params;
   params.reorder_skew_seconds = 10;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   const auto sink = [](const SpoofingAlert&) {};
   for (std::uint32_t ts = 0; ts <= 100; ++ts) {
     detector.ingest(flow(valid_src(), ts), sink);
@@ -117,7 +96,7 @@ TEST(StreamingDegraded, RegressionIsCountedNotFoldedIntoWindow) {
   StreamingParams params;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
 
@@ -141,7 +120,7 @@ TEST(StreamingDegraded, ReorderBufferCapForcesEarlyRelease) {
   StreamingParams params;
   params.reorder_skew_seconds = 1000000;  // nothing matures naturally
   params.max_reorder_records = 16;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   const auto sink = [](const SpoofingAlert&) {};
   for (std::uint32_t ts = 0; ts < 100; ++ts) {
     detector.ingest(flow(valid_src(), ts), sink);
@@ -158,7 +137,7 @@ TEST(StreamingDegraded, MemberCapEvictsLeastRecentlyActive) {
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
   params.max_members = 2;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
 
@@ -182,7 +161,7 @@ TEST(StreamingDegraded, MemberEvictionTieBreaksToSmallestAsn) {
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
   params.max_members = 2;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
 
@@ -204,7 +183,7 @@ TEST(StreamingDegraded, SampleCapBoundsWindowDepth) {
   StreamingParams params;
   params.window_seconds = 1000000;  // nothing ages out naturally
   params.max_window_samples = 64;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   const auto sink = [](const SpoofingAlert&) {};
   for (std::uint32_t ts = 0; ts < 10000; ++ts) {
     detector.ingest(flow(spoofed_src(), ts), sink);
@@ -222,7 +201,7 @@ TEST(StreamingDegraded, PathologicalMemberScanStaysBounded) {
   params.max_members = 1000;
   params.max_window_samples = 8;
   const auto run_once = [&] {
-    StreamingDetector detector(*fx.classifier, 0, params);
+    StreamingDetector detector(fx.plane, 0, params);
     const auto sink = [](const SpoofingAlert&) {};
     for (std::uint32_t i = 0; i < 1000000; ++i) {
       detector.ingest(flow(spoofed_src(), i / 10, 1, 10 + i), sink);
@@ -242,7 +221,7 @@ TEST(StreamingDegraded, FlushDrainsBufferedAlerts) {
   params.min_spoofed_packets = 5;
   params.min_share = 0.01;
   params.reorder_skew_seconds = 100;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
   for (std::uint32_t ts = 0; ts < 10; ++ts) {
@@ -264,7 +243,7 @@ TEST(StreamingDegraded, DefaultParamsPreserveHistoricalBehaviour) {
   StreamingParams params;
   params.min_spoofed_packets = 20;
   params.min_share = 0.1;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (std::uint32_t i = 0; i < 1000; ++i) {
     flows.push_back(flow(i % 3 == 0 ? spoofed_src() : valid_src(), i, 2));

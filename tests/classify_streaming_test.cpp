@@ -2,34 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "net/prefix.hpp"
+#include "detector_fixture.hpp"
 #include "scenario/scenario.hpp"
 
 namespace spoofscope::classify {
 namespace {
 
 using net::Ipv4Addr;
-using net::pfx;
-
-/// Routing view with 50.0/16 valid for member 1.
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
+using Fixture = testing::DetectorFixture;
 
 net::FlowRecord flow(Ipv4Addr src, std::uint32_t ts, std::uint32_t pkts = 1) {
   net::FlowRecord f;
@@ -44,7 +24,7 @@ net::FlowRecord flow(Ipv4Addr src, std::uint32_t ts, std::uint32_t pkts = 1) {
 
 TEST(Streaming, NoAlertOnCleanTraffic) {
   Fixture fx;
-  StreamingDetector detector(*fx.classifier, 0);
+  StreamingDetector detector(fx.plane, 0);
   std::vector<SpoofingAlert> alerts;
   for (int i = 0; i < 1000; ++i) {
     detector.ingest(flow(Ipv4Addr::from_octets(50, 0, 1, 1), i * 10, 10),
@@ -59,7 +39,7 @@ TEST(Streaming, AlertsOnSpoofedBurst) {
   StreamingParams params;
   params.min_spoofed_packets = 20;
   params.min_share = 0.1;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
 
   std::vector<net::FlowRecord> flows;
   // Background valid traffic...
@@ -86,7 +66,7 @@ TEST(Streaming, CooldownSuppressesRepeatAlerts) {
   params.min_spoofed_packets = 5;
   params.min_share = 0.01;
   params.cooldown_seconds = 100000;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (int i = 0; i < 500; ++i) {
     flows.push_back(flow(Ipv4Addr::from_octets(99, 0, 0, 1), i * 10, 1));
@@ -101,7 +81,7 @@ TEST(Streaming, WindowEvictionForgetsOldSpoofing) {
   params.window_seconds = 100;
   params.min_spoofed_packets = 30;
   params.min_share = 0.5;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   // 20 spoofed packets early, 20 late — never 30 within one window.
   for (int i = 0; i < 20; ++i) {
@@ -121,7 +101,7 @@ TEST(Streaming, SampleExactlyAtWindowBoundaryStillCounts) {
   params.window_seconds = 100;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
   // 20 spoofed packets at ts=0: below threshold on their own.
@@ -142,7 +122,7 @@ TEST(Streaming, SampleOneSecondPastWindowIsEvicted) {
   params.window_seconds = 100;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
   detector.ingest(flow(Ipv4Addr::from_octets(99, 0, 0, 1), 0, 20), sink);
@@ -157,7 +137,7 @@ TEST(Streaming, ReAlertsAfterCooldownExpires) {
   params.min_spoofed_packets = 5;
   params.min_share = 0.01;
   params.cooldown_seconds = 1000;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (std::uint32_t ts = 0; ts < 2100; ts += 10) {
     flows.push_back(flow(Ipv4Addr::from_octets(99, 0, 0, 1), ts, 1));
@@ -181,7 +161,7 @@ TEST(Streaming, FullySpoofedMemberAlertsAtThreshold) {
   StreamingParams params;
   params.min_spoofed_packets = 5;
   params.min_share = 0.05;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (std::uint32_t ts = 0; ts < 10; ++ts) {
     flows.push_back(flow(Ipv4Addr::from_octets(99, 0, 0, 1), ts, 1));
@@ -201,9 +181,10 @@ TEST(Streaming, DetectsAttacksInScenario) {
   StreamingParams sp;
   sp.min_spoofed_packets = 30;
   sp.min_share = 0.02;
+  const auto plane = FlatClassifier::compile(world->classifier());
   StreamingDetector detector(
-      world->classifier(),
-      scenario::Scenario::space_index(inference::Method::kFullConeOrg), sp);
+      plane, scenario::Scenario::space_index(inference::Method::kFullConeOrg),
+      sp);
   const auto alerts = detector.run(world->trace().flows);
   // The workload contains flood/amplification bursts; some members must
   // trip the detector, but not the majority (it is not a false-alarm

@@ -161,7 +161,7 @@ TEST(Aggregate, CountsPerClassAndMembers) {
   add(Ipv4Addr::from_octets(20, 0, 0, 2), 2, 5);    // invalid (AS2 unknown)
   add(Ipv4Addr::from_octets(192, 168, 0, 1), 2, 2); // bogon
   const auto labels = classify_trace(c, flows);
-  const auto agg = aggregate_classes(c, flows, labels);
+  const auto agg = aggregate_classes(c.space_count(), flows, labels);
 
   EXPECT_DOUBLE_EQ(agg.total_packets, 22.0);
   const auto& inv = agg.totals[0][static_cast<int>(TrafficClass::kInvalid)];
@@ -183,7 +183,7 @@ TEST(Aggregate, ExclusionDropsMembers) {
   flows[1].member_in = 2;
   flows[1].packets = 7;
   const auto labels = classify_trace(c, flows);
-  const auto agg = aggregate_classes(c, flows, labels, {2});
+  const auto agg = aggregate_classes(c.space_count(), flows, labels, {2});
   EXPECT_DOUBLE_EQ(agg.total_packets, 5.0);
   EXPECT_EQ(agg.totals[0][static_cast<int>(TrafficClass::kInvalid)].members, 1u);
 }

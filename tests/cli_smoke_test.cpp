@@ -1,7 +1,8 @@
 // End-to-end CLI smoke test: drives the real `spoofscope` binary through
-// generate -> classify -> report on a temp directory, on both engines,
-// and checks the robustness surface (flag validation, strict vs skip on
-// a corrupted trace, output-stream failure).
+// generate -> classify -> report -> detect -> serve on a temp directory,
+// pins the outputs to golden digests, and checks the robustness surface
+// (flag validation, strict vs skip on a corrupted trace, output-stream
+// failure).
 //
 // SPOOFSCOPE_CLI_BIN is injected by CMake as the built binary's path.
 #include <gtest/gtest.h>
@@ -12,10 +13,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +52,47 @@ std::string slurp(const fs::path& p) {
   os << in.rdbuf();
   return os.str();
 }
+
+/// FNV-1a-64 of `bytes`: the fingerprint the golden outputs are pinned by.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The lines of `out` starting with any of `prefixes` (`keep` = true) or
+/// with none of them (`keep` = false), each with its newline.
+std::string filter_lines(const std::string& out,
+                         std::initializer_list<const char*> prefixes,
+                         bool keep = true) {
+  std::istringstream lines(out);
+  std::string line;
+  std::string kept;
+  while (std::getline(lines, line)) {
+    const bool match =
+        std::any_of(prefixes.begin(), prefixes.end(),
+                    [&](const char* p) { return line.rfind(p, 0) == 0; });
+    if (match == keep) kept += line + "\n";
+  }
+  return kept;
+}
+
+// Golden FNV-1a-64 digests of the seed-7 world's outputs, recorded with
+// both of the CLI's former engines (the trie Classifier and the compiled
+// plane), which produced exactly these bytes. The plane, now the only
+// runtime engine, must keep producing them: the `...OnBothEngines`
+// cases check that.
+/// classify --labels: the whole per-flow CSV.
+constexpr std::uint64_t kGoldenLabelsCsv = 0x9cbdeab08de8f3aaull;
+/// classify: the four per-class totals lines.
+constexpr std::uint64_t kGoldenClassTotals = 0x405fd0aeb31778daull;
+/// report --rpsl: stdout without the `classified ...` summary line.
+constexpr std::uint64_t kGoldenReportBody = 0x5b948b29649c2a88ull;
+/// detect --window 1800 --skew 60: the alert lines plus the health line.
+constexpr std::uint64_t kGoldenDetect = 0x11d5f0ecd0aa156eull;
 
 /// One generated world shared by every test case (generation dominates
 /// the suite's runtime).
@@ -94,39 +138,37 @@ TEST(CliSmoke, GenerateWritesAllArtifacts) {
 TEST(CliSmoke, ClassifyProducesIdenticalLabelsOnBothEngines) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  const fs::path trie_csv = w.root / "labels-trie.csv";
-  const fs::path flat_csv = w.root / "labels-flat.csv";
+  for (const std::string threads : {"1", "0"}) {
+    const fs::path csv = w.root / ("labels-" + threads + ".csv");
+    const auto r = run_cli("classify --mrt " + w.mrt() + " --trace " +
+                               w.trace() + " --labels " + csv.string() +
+                               " --threads " + threads,
+                           w.log);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("classified"), std::string::npos);
 
-  const auto trie = run_cli("classify --mrt " + w.mrt() + " --trace " +
-                                w.trace() + " --labels " + trie_csv.string(),
-                            w.log);
-  ASSERT_EQ(trie.exit_code, 0) << trie.output;
-  EXPECT_NE(trie.output.find("classified"), std::string::npos);
-
-  const auto flat = run_cli("classify --mrt " + w.mrt() + " --trace " +
-                                w.trace() + " --labels " + flat_csv.string() +
-                                " --engine flat --threads 0",
-                            w.log);
-  ASSERT_EQ(flat.exit_code, 0) << flat.output;
-
-  const std::string a = slurp(trie_csv);
-  const std::string b = slurp(flat_csv);
-  ASSERT_GT(a.size(), 100u);
-  EXPECT_EQ(a.substr(0, 24), "ts,src,dst,member,class\n");
-  EXPECT_EQ(a, b);
+    const std::string labels = slurp(csv);
+    ASSERT_GT(labels.size(), 100u);
+    EXPECT_EQ(labels.substr(0, 24), "ts,src,dst,member,class\n");
+    EXPECT_EQ(fnv1a64(labels), kGoldenLabelsCsv) << "threads=" << threads;
+    EXPECT_EQ(fnv1a64(filter_lines(r.output, {"  Bogon", "  Unrouted",
+                                               "  Invalid", "  Valid"})),
+              kGoldenClassTotals)
+        << r.output;
+  }
 }
 
 TEST(CliSmoke, ReportRunsEndToEndOnBothEngines) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  for (const std::string engine : {"trie", "flat"}) {
-    const auto r = run_cli("report --mrt " + w.mrt() + " --trace " +
-                               w.trace() + " --rpsl " + w.rpsl() +
-                               " --engine " + engine,
-                           w.log);
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("NTP amplification"), std::string::npos) << engine;
-  }
+  const auto r = run_cli("report --mrt " + w.mrt() + " --trace " + w.trace() +
+                             " --rpsl " + w.rpsl(),
+                         w.log);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("NTP amplification"), std::string::npos);
+  EXPECT_EQ(fnv1a64(filter_lines(r.output, {"classified "}, /*keep=*/false)),
+            kGoldenReportBody)
+      << r.output;
 }
 
 TEST(CliSmoke, GarbageThreadsFlagIsRejected) {
@@ -214,50 +256,36 @@ TEST(CliSmoke, DetectEmitsHealthInStatsJson) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
   const fs::path json_path = w.root / "detect-stats.json";
-  for (const std::string engine : {"trie", "flat"}) {
-    const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " +
-                               w.trace() + " --engine " + engine +
-                               " --window 1800 --skew 60 --stats-json " +
-                               json_path.string(),
-                           w.log);
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("detect:"), std::string::npos) << engine;
-    EXPECT_NE(r.output.find("health:"), std::string::npos) << engine;
+  const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " + w.trace() +
+                             " --window 1800 --skew 60 --stats-json " +
+                             json_path.string(),
+                         w.log);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("detect:"), std::string::npos);
+  EXPECT_NE(r.output.find("health:"), std::string::npos);
 
-    const std::string json = slurp(json_path);
-    EXPECT_NE(json.find("\"sources\":["), std::string::npos) << engine;
-    EXPECT_NE(json.find("\"detector\":{"), std::string::npos) << engine;
-    for (const std::string key :
-         {"\"regressions\":", "\"late_drops\":", "\"forced_releases\":",
-          "\"member_evictions\":", "\"sample_evictions\":",
-          "\"reorder_depth\":", "\"max_reorder_depth\":",
-          "\"tracked_members\":", "\"max_window_depth\":"}) {
-      EXPECT_NE(json.find(key), std::string::npos) << engine << " " << key;
-    }
+  const std::string json = slurp(json_path);
+  EXPECT_NE(json.find("\"sources\":["), std::string::npos);
+  EXPECT_NE(json.find("\"detector\":{"), std::string::npos);
+  for (const std::string key :
+       {"\"regressions\":", "\"late_drops\":", "\"forced_releases\":",
+        "\"member_evictions\":", "\"sample_evictions\":",
+        "\"reorder_depth\":", "\"max_reorder_depth\":",
+        "\"tracked_members\":", "\"max_window_depth\":"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }
 
 TEST(CliSmoke, DetectAlertsIdenticalOnBothEngines) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  std::string alerts[2];
-  int i = 0;
-  for (const std::string engine : {"trie", "flat"}) {
-    const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " +
-                               w.trace() + " --engine " + engine +
-                               " --window 1800",
-                           w.log);
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    // Keep only the alert lines: engine name differs in the summary.
-    std::istringstream lines(r.output);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind("alert:", 0) == 0) alerts[i] += line + "\n";
-    }
-    ++i;
-  }
-  EXPECT_FALSE(alerts[0].empty());
-  EXPECT_EQ(alerts[0], alerts[1]);
+  const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " + w.trace() +
+                             " --window 1800 --skew 60",
+                         w.log);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string verdicts = filter_lines(r.output, {"alert:", "health:"});
+  EXPECT_NE(verdicts.find("alert:"), std::string::npos) << r.output;
+  EXPECT_EQ(fnv1a64(verdicts), kGoldenDetect) << r.output;
 }
 
 /// First line of `out` starting with `prefix` (empty if none).
@@ -332,16 +360,31 @@ TEST(CliSmoke, CheckpointEveryRejectsNonPositiveValues) {
   EXPECT_FALSE(fs::exists(ckpt));
 }
 
-TEST(CliSmoke, UpdatesFlagRequiresFlatEngine) {
+TEST(CliSmoke, DetectUpdatesPatchThePlaneAndResumeReplaysThem) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " + w.trace() +
-                             " --updates " + w.mrt(),
-                         w.log);
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("--updates requires --engine flat"),
-            std::string::npos)
-      << r.output;
+  // The route-server feed doubles as a churn stream: its UPDATE lines
+  // patch the plane as the trace plays.
+  const fs::path ckpt = w.root / "updates.ckpt";
+  const std::string base = "detect --mrt " + w.mrt() + " --trace " +
+                           w.trace() + " --window 1800 --updates " + w.mrt() +
+                           " --checkpoint " + ckpt.string();
+  const auto first = run_cli(base + " --checkpoint-every 5000", w.log);
+  ASSERT_EQ(first.exit_code, 0) << first.output;
+  const std::string loaded = line_with(first.output, "updates: ");
+  ASSERT_FALSE(loaded.empty()) << first.output;
+  EXPECT_EQ(loaded.rfind("updates: 0 ", 0), std::string::npos) << loaded;
+  const std::string health = line_with(first.output, "health:");
+  ASSERT_FALSE(health.empty());
+
+  // The checkpoint carries the update cursor: the resumed run replays
+  // the applied updates into a fresh plane and ends in the same state.
+  const auto resumed = run_cli(base + " --resume", w.log);
+  ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+  EXPECT_NE(resumed.output.find("resume: replayed "), std::string::npos)
+      << resumed.output;
+  EXPECT_EQ(count_lines_with(resumed.output, "alert:"), 0) << resumed.output;
+  EXPECT_EQ(line_with(resumed.output, "health:"), health);
 }
 
 TEST(CliSmoke, DeltaCheckpointChainResumesLikeAFullOne) {
@@ -416,8 +459,8 @@ TEST(CliSmoke, PlaneCacheMissThenHitProducesIdenticalLabels) {
   const fs::path miss_csv = w.root / "labels-cache-miss.csv";
   const fs::path hit_csv = w.root / "labels-cache-hit.csv";
   const std::string base = "classify --mrt " + w.mrt() + " --trace " +
-                           w.trace() + " --engine flat --plane-cache " +
-                           cache.string() + " --labels ";
+                           w.trace() + " --plane-cache " + cache.string() +
+                           " --labels ";
 
   const auto miss = run_cli(base + miss_csv.string(), w.log);
   ASSERT_EQ(miss.exit_code, 0) << miss.output;
@@ -430,23 +473,88 @@ TEST(CliSmoke, PlaneCacheMissThenHitProducesIdenticalLabels) {
   EXPECT_NE(hit.output.find("plane-cache: hit"), std::string::npos)
       << hit.output;
 
-  const std::string a = slurp(miss_csv);
-  const std::string b = slurp(hit_csv);
-  ASSERT_GT(a.size(), 100u);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(fnv1a64(slurp(miss_csv)), kGoldenLabelsCsv);
+  EXPECT_EQ(fnv1a64(slurp(hit_csv)), kGoldenLabelsCsv);
 }
 
-TEST(CliSmoke, PlaneCacheRequiresFlatEngine) {
+TEST(CliSmoke, MisspelledFlagIsRejected) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  const auto r = run_cli("classify --mrt " + w.mrt() + " --trace " +
-                             w.trace() + " --plane-cache " +
-                             (w.root / "pc").string(),
+  // A typo must not fall back to the default window silently.
+  const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " + w.trace() +
+                             " --windw 60",
                          w.log);
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--plane-cache requires --engine flat"),
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown flag for detect: --windw"),
             std::string::npos)
       << r.output;
+  EXPECT_EQ(line_with(r.output, "detect:"), "") << r.output;
+}
+
+TEST(CliSmoke, EngineFlagIsRejected) {
+  auto& w = cli_world();
+  ASSERT_TRUE(w.generated);
+  // The compiled plane is the only engine: a leftover --engine is an
+  // error on every command, not a silently ignored knob (nor is
+  // generate's --simd, which never affected its output).
+  const std::string inputs = " --mrt " + w.mrt() + " --trace " + w.trace();
+  for (const std::string cmd : {"classify", "report", "detect"}) {
+    const auto r = run_cli(cmd + inputs + " --engine flat", w.log);
+    EXPECT_EQ(r.exit_code, 2) << cmd << ": " << r.output;
+    EXPECT_NE(r.output.find("unknown flag for " + cmd + ": --engine"),
+              std::string::npos)
+        << r.output;
+  }
+  const auto serve = run_cli("serve" + inputs + " --socket " +
+                                 (w.root / "engine.sock").string() +
+                                 " --engine trie",
+                             w.log);
+  EXPECT_EQ(serve.exit_code, 2) << serve.output;
+  EXPECT_NE(serve.output.find("unknown flag for serve: --engine"),
+            std::string::npos)
+      << serve.output;
+  const fs::path out = w.root / "never-generated";
+  for (const std::string flag : {"--engine trie", "--simd scalar"}) {
+    const auto gen = run_cli("generate --out " + out.string() + " " + flag,
+                             w.log);
+    EXPECT_EQ(gen.exit_code, 2) << gen.output;
+    EXPECT_NE(gen.output.find("unknown flag for generate: " +
+                              flag.substr(0, flag.find(' '))),
+              std::string::npos)
+        << gen.output;
+  }
+  EXPECT_FALSE(fs::exists(out));
+}
+
+TEST(CliSmoke, WindowAndSkewAboveUint32AreRejected) {
+  auto& w = cli_world();
+  ASSERT_TRUE(w.generated);
+  // Both are 32-bit settings: a value past UINT32_MAX must be refused,
+  // not wrapped (4294967296 would run as a 0 s window).
+  const std::string detect = "detect --mrt " + w.mrt() + " --trace " +
+                             w.trace();
+  const std::string serve = "serve --mrt " + w.mrt() + " --trace " +
+                            w.trace() + " --socket " +
+                            (w.root / "wrap.sock").string();
+  for (const std::string& cmd : {detect, serve}) {
+    for (const std::string flag : {"--window", "--skew"}) {
+      for (const std::string value : {"4294967296", "4294967297"}) {
+        const auto r = run_cli(cmd + " " + flag + " " + value, w.log);
+        EXPECT_EQ(r.exit_code, 2) << r.output;
+        EXPECT_NE(r.output.find(flag + " expects an integer in [0, "
+                                       "4294967295], got: '" + value + "'"),
+                  std::string::npos)
+            << r.output;
+      }
+    }
+  }
+  EXPECT_FALSE(fs::exists(w.root / "wrap.sock"));
+  // UINT32_MAX itself is a valid (if very long) window.
+  const auto max = run_cli(detect + " --window 4294967295", w.log);
+  ASSERT_EQ(max.exit_code, 0) << max.output;
+  EXPECT_NE(line_with(max.output, "detect:").find("window 4294967295s"),
+            std::string::npos)
+      << max.output;
 }
 
 TEST(CliSmoke, DetectStrictAbortStillEmitsHealthCheckpointAndStats) {
@@ -632,9 +740,9 @@ TEST(CliSmoke, ServeEndToEndOverControlSocket) {
   const std::string sock = (w.root / "ctl.sock").string();
   const fs::path daemon_log = w.root / "serve.log";
 
-  // One-shot oracle with the same detection knobs and engine.
+  // One-shot oracle with the same detection knobs.
   const auto detect = run_cli("detect --mrt " + w.mrt() + " --trace " +
-                                  w.trace() + " --engine flat --window 1800",
+                                  w.trace() + " --window 1800",
                               w.log);
   ASSERT_EQ(detect.exit_code, 0) << detect.output;
   const std::string want_health = line_with(detect.output, "health:");

@@ -1,9 +1,9 @@
 // Differential robustness suite: corrupt an artifact with a seeded
 // injector, ingest it under ErrorPolicy::kSkip, and prove the result is
 // exactly the clean-run result restricted to the surviving records —
-// labels, aggregates and streaming alerts, on both classification
-// engines, across thread counts. Strict-mode reads of the same corrupted
-// bytes must still throw.
+// labels (from the trie oracle and the compiled plane), aggregates and
+// streaming alerts, across thread counts. Strict-mode reads of the same
+// corrupted bytes must still throw.
 //
 // The reference side of each comparison is derived independently of the
 // skip-mode code path: binary-trace survivors are matched as a
@@ -190,8 +190,9 @@ TEST(RobustnessDifferential, SkipModeLabelsMatchCleanRestriction) {
       expected.reserve(idx->size());
       for (const std::size_t i : *idx) expected.push_back(w.clean_labels[i]);
 
-      // Fresh classification of the survivors on both engines, sequential
-      // and parallel, must equal the clean labels restricted to them.
+      // Fresh classification of the survivors by the oracle and the
+      // plane, sequential and parallel, must equal the clean labels
+      // restricted to them.
       const auto trie_seq =
           classify::classify_trace(w.world->classifier(), got.flows);
       const auto trie_par =
@@ -239,11 +240,17 @@ TEST(RobustnessDifferential, SkipModeAlertsMatchCleanRestriction) {
       for (const std::size_t i : *idx) restricted.push_back(w.trace.flows[i]);
       ASSERT_EQ(restricted, got.flows);
 
-      // Clean restriction through the trie engine vs survivors through
-      // the flat engine: identical alert streams.
-      classify::StreamingDetector trie(w.world->classifier(), space, sp);
-      classify::StreamingDetector flat(*w.flat, space, sp);
-      EXPECT_EQ(trie.run(restricted), flat.run(got.flows));
+      // The class is the detector's only classifier-dependent input: the
+      // plane's labels for the survivors must equal the trie oracle's
+      // clean labels restricted to them...
+      std::vector<classify::Label> expected;
+      for (const std::size_t i : *idx) expected.push_back(w.clean_labels[i]);
+      EXPECT_EQ(classify::classify_trace(*w.flat, got.flows), expected);
+      // ...and then the clean restriction and the survivors raise
+      // identical alert streams.
+      classify::StreamingDetector clean(*w.flat, space, sp);
+      classify::StreamingDetector survivors(*w.flat, space, sp);
+      EXPECT_EQ(clean.run(restricted), survivors.run(got.flows));
     }
   }
 }

@@ -32,7 +32,7 @@ class ScenarioTest : public ::testing::Test {
   }
   static const Scenario& world() { return *world_; }
   static classify::Aggregate aggregate() {
-    return classify::aggregate_classes(world().classifier(),
+    return classify::aggregate_classes(world().classifier().space_count(),
                                        world().trace().flows, world().labels());
   }
 
@@ -238,7 +238,8 @@ TEST_F(ScenarioTest, RouterDominatedMembersExist) {
   // not drastically the Invalid volume (Sec 5.2).
   const auto before = aggregate();
   const auto after = classify::aggregate_classes(
-      world().classifier(), world().trace().flows, world().labels(), excluded);
+      world().classifier().space_count(), world().trace().flows,
+      world().labels(), excluded);
   const auto inv_before =
       before.totals[full_idx][static_cast<int>(TrafficClass::kInvalid)];
   const auto inv_after =

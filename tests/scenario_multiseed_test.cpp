@@ -25,7 +25,8 @@ class MultiSeedTest : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(MultiSeedTest, HeadlineShapesHold) {
   const auto world = build_scenario(params_for(GetParam()));
   const auto agg = classify::aggregate_classes(
-      world->classifier(), world->trace().flows, world->labels());
+      world->classifier().space_count(), world->trace().flows,
+      world->labels());
 
   const auto cell = [&](Method m, TrafficClass c) {
     return agg.totals[static_cast<std::size_t>(m)][static_cast<int>(c)];

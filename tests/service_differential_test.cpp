@@ -1,8 +1,8 @@
 // Shard-routing determinism differential (ISSUE satellite): the sharded
 // resident server must produce BIT-IDENTICAL verdicts to the one-shot
 // StreamingDetector over the same trace — across shard counts {1, 2, 7},
-// seeds, both engines (trie and flat), both SIMD kernel choices, and
-// segmented vs whole-trace submission.
+// seeds, both SIMD kernel choices, and segmented vs whole-trace
+// submission.
 //
 // Why this holds (the decomposition argument DESIGN.md §16 spells out):
 // window accounting is per-member, routing partitions members across
@@ -20,7 +20,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -172,33 +171,27 @@ std::string write_segment(const ScratchDir& dir, const std::string& name,
   return path;
 }
 
-enum class Engine { kTrie, kFlat };
-
-/// Spins up an in-process server, submits the segment files, drains and
-/// collapses the merged view into the oracle's shape.
-RunResult run_server(const Fixture& fx, Engine engine, std::size_t shards,
+/// Spins up an in-process server on a plane compiled from the fixture,
+/// submits the segment files, drains and collapses the merged view into
+/// the oracle's shape.
+RunResult run_server(const Fixture& fx, std::size_t shards,
                      const StreamingParams& params,
                      const std::vector<std::string>& segments) {
   ServerConfig cfg;
   cfg.shards = shards;
   cfg.params = params;
-  std::optional<Server> server;
-  if (engine == Engine::kFlat) {
-    server.emplace(
-        std::make_shared<FlatClassifier>(FlatClassifier::compile(*fx.classifier)),
-        cfg);
-  } else {
-    server.emplace(*fx.classifier, cfg);
-  }
-  server->start();
-  for (const std::string& path : segments) server->submit(path);
-  server->drain();
-  const ServiceStats stats = server->stats();
+  Server server(
+      std::make_shared<FlatClassifier>(FlatClassifier::compile(*fx.classifier)),
+      cfg);
+  server.start();
+  for (const std::string& path : segments) server.submit(path);
+  server.drain();
+  const ServiceStats stats = server.stats();
   RunResult r;
-  r.alerts = server->merged_alerts();
+  r.alerts = server.merged_alerts();
   r.health = stats.merged;
   r.processed = stats.processed;
-  server->stop();
+  server.stop();
   return r;
 }
 
@@ -207,29 +200,29 @@ TEST(ServiceDifferential, ShardedServeIsBitIdenticalToOneShotDetect) {
   ScratchDir dir("spoofscope_serve_diff");
   const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
   const struct {
-    Engine engine;
     SimdKernel simd;
     const char* tag;
   } variants[] = {
-      {Engine::kTrie, SimdKernel::kAuto, "trie"},
-      {Engine::kFlat, SimdKernel::kAuto, "flat/auto"},
-      {Engine::kFlat, SimdKernel::kScalar, "flat/scalar"},
+      {SimdKernel::kAuto, "auto"},
+      {SimdKernel::kScalar, "scalar"},
   };
   for (const std::uint64_t seed : {5u, 6u}) {
     const auto flows = make_stream(seed, 4000, 0);
+    // The plane every server and oracle classifies through must agree
+    // with the trie oracle it was compiled from, flow by flow.
+    ASSERT_EQ(classify::classify_trace(flat, flows),
+              classify::classify_trace(*fx.classifier, flows))
+        << "seed " << seed;
     const std::string trace =
         write_segment(dir, "whole-" + std::to_string(seed) + ".trace", flows);
     for (const auto& v : variants) {
       const auto params = detect_params(0, v.simd);
       const RunResult expect =
-          v.engine == Engine::kFlat
-              ? oracle([&] { return StreamingDetector(flat, 0, params); }, flows)
-              : oracle([&] { return StreamingDetector(*fx.classifier, 0, params); },
-                       flows);
+          oracle([&] { return StreamingDetector(flat, 0, params); }, flows);
       ASSERT_FALSE(expect.alerts.empty())
           << "seed " << seed << " raised no alerts — differential is vacuous";
       for (const std::size_t shards : {1u, 2u, 7u}) {
-        const RunResult got = run_server(fx, v.engine, shards, params, {trace});
+        const RunResult got = run_server(fx, shards, params, {trace});
         EXPECT_EQ(got.alerts, expect.alerts)
             << v.tag << " shards=" << shards << " seed=" << seed;
         EXPECT_EQ(got.health, expect.health)
@@ -256,8 +249,8 @@ TEST(ServiceDifferential, SegmentedSubmitEqualsWholeTrace) {
   segments.push_back(write_segment(
       dir, "seg3.trace", std::span(flows).subspan(cut2)));
   for (const std::size_t shards : {2u, 7u}) {
-    const RunResult one = run_server(fx, Engine::kFlat, shards, params, {whole});
-    const RunResult split = run_server(fx, Engine::kFlat, shards, params, segments);
+    const RunResult one = run_server(fx, shards, params, {whole});
+    const RunResult split = run_server(fx, shards, params, segments);
     EXPECT_EQ(split.alerts, one.alerts) << "shards=" << shards;
     EXPECT_EQ(split.health, one.health) << "shards=" << shards;
     EXPECT_EQ(split.processed, one.processed);
@@ -277,7 +270,7 @@ TEST(ServiceDifferential, SingleShardMatchesOneShotUnderReorderSkew) {
   ASSERT_FALSE(expect.alerts.empty());
   EXPECT_GT(expect.health.late_drops, 0u) << "stream never exercised the skew";
   const std::string trace = write_segment(dir, "jitter.trace", flows);
-  const RunResult got = run_server(fx, Engine::kFlat, 1, params, {trace});
+  const RunResult got = run_server(fx, 1, params, {trace});
   EXPECT_EQ(got.alerts, expect.alerts);
   EXPECT_EQ(got.health, expect.health);
 }
@@ -297,7 +290,7 @@ TEST(ServiceDifferential, ShardingUnderSkewOnInOrderTraceKeepsAlerts) {
   ASSERT_FALSE(expect.alerts.empty());
   const std::string trace = write_segment(dir, "sorted.trace", flows);
   for (const std::size_t shards : {2u, 7u}) {
-    RunResult got = run_server(fx, Engine::kFlat, shards, params, {trace});
+    RunResult got = run_server(fx, shards, params, {trace});
     EXPECT_EQ(got.alerts, expect.alerts) << "shards=" << shards;
     got.health.max_reorder_depth = 0;
     DetectorHealth want = expect.health;
@@ -314,7 +307,7 @@ TEST(ServiceDifferential, InProcessBatchSubmitEqualsFileSubmit) {
   const auto flows = make_stream(5, 4000, 0);
   const auto params = detect_params(0, SimdKernel::kAuto);
   const std::string trace = write_segment(dir, "whole.trace", flows);
-  const RunResult via_file = run_server(fx, Engine::kFlat, 4, params, {trace});
+  const RunResult via_file = run_server(fx, 4, params, {trace});
 
   ServerConfig cfg;
   cfg.shards = 4;

@@ -18,7 +18,7 @@
 
 #include "classify/streaming.hpp"
 #include "corruption.hpp"
-#include "net/prefix.hpp"
+#include "detector_fixture.hpp"
 #include "state/delta_chain.hpp"
 #include "state/snapshot.hpp"
 #include "util/rng.hpp"
@@ -27,69 +27,13 @@ namespace spoofscope::state {
 namespace {
 
 namespace fs = std::filesystem;
-using classify::Classifier;
 using classify::DetectorCheckpointExtra;
 using classify::SpoofingAlert;
 using classify::StreamingDetector;
 using classify::StreamingParams;
-using net::Asn;
-using net::Ipv4Addr;
-using net::pfx;
-
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
-
-StreamingParams pressured_params() {
-  StreamingParams p;
-  p.window_seconds = 300;
-  p.min_spoofed_packets = 20;
-  p.min_share = 0.1;
-  p.cooldown_seconds = 120;
-  p.reorder_skew_seconds = 30;
-  p.max_reorder_records = 64;
-  p.max_members = 2;
-  p.max_window_samples = 50;
-  return p;
-}
-
-std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n) {
-  util::Rng rng(seed);
-  std::vector<net::FlowRecord> flows;
-  flows.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    net::FlowRecord f;
-    const bool via_member3 = rng.chance(0.02);
-    const bool via_member2 = !via_member3 && rng.chance(0.3);
-    const bool spoof = via_member2 || via_member3 || rng.chance(0.35);
-    f.src = spoof ? Ipv4Addr::from_octets(99, 0, 0, static_cast<std::uint8_t>(1 + rng.index(250)))
-                  : Ipv4Addr::from_octets(50, 0, 1, static_cast<std::uint8_t>(1 + rng.index(250)));
-    f.dst = Ipv4Addr::from_octets(60, 0, 0, 1);
-    const std::uint32_t base = static_cast<std::uint32_t>(i / 2);
-    const std::uint32_t jitter = rng.uniform_u32(0, 40);
-    f.ts = base + 40 - jitter;
-    f.packets = 1 + rng.uniform_u32(0, 3);
-    f.bytes = 40ull * f.packets;
-    f.member_in = via_member3 ? 3 : via_member2 ? 2 : 1;
-    flows.push_back(f);
-  }
-  return flows;
-}
+using Fixture = testing::DetectorFixture;
+using testing::make_stream;
+using testing::pressured_params;
 
 class ScratchDir {
  public:
@@ -134,7 +78,7 @@ struct ChainRun {
 
   RunResult uninterrupted(std::span<const net::FlowRecord> flows) const {
     RunResult r;
-    StreamingDetector d(*fx->classifier, 0, params);
+    StreamingDetector d(fx->plane, 0, params);
     r.alerts = d.run(flows);
     r.health = d.health();
     d.save(final_ckpt);
@@ -150,7 +94,7 @@ struct ChainRun {
     std::size_t crash_at = 0;
     {
       DeltaChain chain(base);
-      StreamingDetector before(*fx->classifier, 0, params);
+      StreamingDetector before(fx->plane, 0, params);
       std::size_t next = 0;
       for (std::size_t cut : cuts) {
         for (; next < cut; ++next) before.ingest(flows[next], sink);
@@ -159,7 +103,7 @@ struct ChainRun {
       crash_at = next;
     }  // crash: both detector and chain driver state evaporate
     DeltaChain chain(base);
-    StreamingDetector after(*fx->classifier, 0, params);
+    StreamingDetector after(fx->plane, 0, params);
     const DeltaResume res = chain.resume(after);
     EXPECT_TRUE(res.restored);
     EXPECT_EQ(res.deltas_dropped, 0u);
@@ -224,7 +168,7 @@ std::size_t build_chain(const Fixture& fx, const StreamingParams& params,
                         std::span<const net::FlowRecord> flows,
                         std::span<const std::size_t> cuts) {
   DeltaChain chain(base);
-  StreamingDetector d(*fx.classifier, 0, params);
+  StreamingDetector d(fx.plane, 0, params);
   std::size_t next = 0;
   for (const std::size_t cut : cuts) {
     for (; next < cut; ++next) d.ingest(flows[next], [](const SpoofingAlert&) {});
@@ -251,7 +195,7 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
   util::Rng rng(99);
   spew(d1, testing::flip_bits(good, rng, 3, good.size() / 2));
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   try {
     chain.resume(strict, util::ErrorPolicy::kStrict);
@@ -264,7 +208,7 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
 
   // Skip: truncate at d1 — the detector settles at the base cut (100
   // flows) and both the damaged link and the now-stale d2 are unlinked.
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   util::IngestStats stats;
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip, &stats);
@@ -277,7 +221,7 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
 
   // The truncated chain is immediately appendable again.
   DeltaChain chain3(base);
-  StreamingDetector again(*fx.classifier, 0, pressured_params());
+  StreamingDetector again(fx.plane, 0, pressured_params());
   ASSERT_TRUE(chain3.resume(again).restored);
   EXPECT_FALSE(chain3.append(again, DetectorCheckpointExtra{}))
       << "a healthy base takes a delta link, not a rollover";
@@ -296,7 +240,7 @@ TEST(DeltaChainTest, DamagedBaseNamesFileAndFallsBackFresh) {
   util::Rng rng(7);
   spew(base, testing::flip_bits(good, rng, 3, good.size() / 2));
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   try {
     chain.resume(strict, util::ErrorPolicy::kStrict);
@@ -307,7 +251,7 @@ TEST(DeltaChainTest, DamagedBaseNamesFileAndFallsBackFresh) {
   }
 
   // Skip: unusable base means a fresh start; trailing links are stale.
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_FALSE(res.restored);
@@ -326,7 +270,7 @@ TEST(DeltaChainTest, OrphanedLinksWithoutBase) {
   fs::remove(base);
   ASSERT_TRUE(fs::exists(base + ".d1"));
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   try {
     chain.resume(strict, util::ErrorPolicy::kStrict);
@@ -337,7 +281,7 @@ TEST(DeltaChainTest, OrphanedLinksWithoutBase) {
     EXPECT_NE(msg.find(base), std::string::npos) << msg;
   }
 
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_FALSE(res.restored);
@@ -362,12 +306,12 @@ TEST(DeltaChainTest, ReorderedLinksFailTheChainProof) {
   spew(d1, b2);
   spew(d2, b1);
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   EXPECT_THROW(chain.resume(strict, util::ErrorPolicy::kStrict),
                SnapshotError);
 
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_TRUE(res.restored);
@@ -393,7 +337,7 @@ TEST(DeltaChainTest, StaleLinkFromAnEarlierChainIsRejected) {
   spew(base + ".d1", stale_d1);
 
   // Its parent digest points at the OLD base image: rejected.
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   const DeltaResume res = chain.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_TRUE(res.restored);
@@ -410,7 +354,7 @@ TEST(DeltaChainTest, RolloverCompactsTheChain) {
   const auto params = pressured_params();
 
   DeltaChain chain(base, /*max_chain=*/2);
-  StreamingDetector d(*fx.classifier, 0, params);
+  StreamingDetector d(fx.plane, 0, params);
   std::size_t next = 0;
   const auto advance = [&](std::size_t upto) {
     for (; next < upto; ++next) d.ingest(flows[next], [](const SpoofingAlert&) {});
@@ -431,7 +375,7 @@ TEST(DeltaChainTest, RolloverCompactsTheChain) {
   EXPECT_FALSE(chain.append(d, {}));  // new d1 off the new base
 
   // The compacted chain resumes to the newest cut.
-  StreamingDetector r(*fx.classifier, 0, params);
+  StreamingDetector r(fx.plane, 0, params);
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(r);
   EXPECT_TRUE(res.restored);

@@ -23,6 +23,7 @@
 #include "bgp/message.hpp"
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
+#include "detector_fixture.hpp"
 #include "net/prefix.hpp"
 #include "state/delta_chain.hpp"
 #include "state/plane_cache.hpp"
@@ -34,73 +35,18 @@ namespace spoofscope::state {
 namespace {
 
 namespace fs = std::filesystem;
-using classify::Classifier;
 using classify::DetectorCheckpointExtra;
 using classify::FlatClassifier;
 using classify::SpoofingAlert;
 using classify::StreamingDetector;
 using classify::StreamingParams;
-using net::Asn;
-using net::Ipv4Addr;
 using net::pfx;
+using Fixture = testing::DetectorFixture;
+using testing::make_stream;
+using testing::pressured_params;
 using util::FaultInjector;
 using util::FaultKind;
 using util::InjectedCrash;
-
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
-
-StreamingParams pressured_params() {
-  StreamingParams p;
-  p.window_seconds = 300;
-  p.min_spoofed_packets = 20;
-  p.min_share = 0.1;
-  p.cooldown_seconds = 120;
-  p.reorder_skew_seconds = 30;
-  p.max_reorder_records = 64;
-  p.max_members = 2;
-  p.max_window_samples = 50;
-  return p;
-}
-
-std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n) {
-  util::Rng rng(seed);
-  std::vector<net::FlowRecord> flows;
-  flows.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    net::FlowRecord f;
-    const bool via_member3 = rng.chance(0.02);
-    const bool via_member2 = !via_member3 && rng.chance(0.3);
-    const bool spoof = via_member2 || via_member3 || rng.chance(0.35);
-    f.src = spoof ? Ipv4Addr::from_octets(99, 0, 0, static_cast<std::uint8_t>(1 + rng.index(250)))
-                  : Ipv4Addr::from_octets(50, 0, 1, static_cast<std::uint8_t>(1 + rng.index(250)));
-    f.dst = Ipv4Addr::from_octets(60, 0, 0, 1);
-    const std::uint32_t base = static_cast<std::uint32_t>(i / 2);
-    const std::uint32_t jitter = rng.uniform_u32(0, 40);
-    f.ts = base + 40 - jitter;
-    f.packets = 1 + rng.uniform_u32(0, 3);
-    f.bytes = 40ull * f.packets;
-    f.member_in = via_member3 ? 3 : via_member2 ? 2 : 1;
-    flows.push_back(f);
-  }
-  return flows;
-}
 
 /// Route churn that flips classifications mid-stream: member 1's valid
 /// prefix vanishes and returns, and the spoof source range 99.0/16
@@ -183,7 +129,7 @@ struct Pipeline {
 
   RunResult reference() const {
     RunResult r;
-    FlatClassifier flat = FlatClassifier::compile(*fx->classifier);
+    FlatClassifier flat = FlatClassifier::compile(fx->classifier);
     StreamingDetector d(flat, 0, params);
     const auto sink = [&r](const SpoofingAlert& a) { r.alerts.push_back(a); };
     std::size_t cursor = 0;
@@ -209,7 +155,7 @@ struct Pipeline {
   /// restart replace their first delivery instead of duplicating it.
   void run_attempt(RunResult& r,
                    std::map<std::size_t, std::size_t>& alerts_at_cut) const {
-    FlatClassifier flat = FlatClassifier::compile(*fx->classifier);
+    FlatClassifier flat = FlatClassifier::compile(fx->classifier);
     StreamingDetector d(flat, 0, params);
     DeltaChain chain(base);
     const DeltaResume res = chain.resume(d, util::ErrorPolicy::kSkip);
@@ -343,7 +289,7 @@ TEST(WriteFaults, EveryWriteFaultLeavesTheContractedDiskState) {
   ScratchDir dir("spoofscope_write_faults");
   const std::string ckpt = dir.file("det.ckpt");
   const std::string tmp = ckpt + ".tmp";
-  StreamingDetector d(*fx.classifier, 0, pressured_params());
+  StreamingDetector d(fx.plane, 0, pressured_params());
   const auto flows = make_stream(3, 200);
   for (const auto& f : flows) d.ingest(f, [](const SpoofingAlert&) {});
 
@@ -402,7 +348,7 @@ TEST(WriteFaults, EveryWriteFaultLeavesTheContractedDiskState) {
     EXPECT_THROW(d.save(ckpt), InjectedCrash);
   }
   EXPECT_NE(slurp(ckpt), good) << "rename happened: new bytes are visible";
-  StreamingDetector r(*fx.classifier, 0, pressured_params());
+  StreamingDetector r(fx.plane, 0, pressured_params());
   EXPECT_TRUE(r.restore(ckpt));
   EXPECT_EQ(r.processed(), d.processed());
 }
@@ -413,7 +359,7 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
   Fixture fx;
   ScratchDir dir("spoofscope_read_faults");
   const std::string ckpt = dir.file("det.ckpt");
-  StreamingDetector d(*fx.classifier, 0, pressured_params());
+  StreamingDetector d(fx.plane, 0, pressured_params());
   const auto flows = make_stream(5, 300);
   for (const auto& f : flows) d.ingest(f, [](const SpoofingAlert&) {});
   d.save(ckpt);
@@ -424,7 +370,7 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
       FaultInjector inj;
       inj.arm("detector.restore", 1, kind);
       FaultInjector::Scope scope(inj);
-      StreamingDetector strict(*fx.classifier, 0, pressured_params());
+      StreamingDetector strict(fx.plane, 0, pressured_params());
       try {
         strict.restore(ckpt, util::ErrorPolicy::kStrict, nullptr, nullptr);
         FAIL() << "damaged read must throw in strict mode";
@@ -438,7 +384,7 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
       FaultInjector inj;
       inj.arm("detector.restore", 1, kind);
       FaultInjector::Scope scope(inj);
-      StreamingDetector skip(*fx.classifier, 0, pressured_params());
+      StreamingDetector skip(fx.plane, 0, pressured_params());
       util::IngestStats stats;
       EXPECT_FALSE(
           skip.restore(ckpt, util::ErrorPolicy::kSkip, &stats, nullptr));
@@ -446,7 +392,7 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
     }
   }
   // The file itself was never damaged: a clean restore still works.
-  StreamingDetector clean(*fx.classifier, 0, pressured_params());
+  StreamingDetector clean(fx.plane, 0, pressured_params());
   EXPECT_TRUE(clean.restore(ckpt));
   EXPECT_EQ(clean.processed(), flows.size());
 }
@@ -456,9 +402,9 @@ TEST(ReadFaults, PlaneCacheLoadFaultRecompilesInSkipMode) {
   ScratchDir dir("spoofscope_cache_faults");
   PlaneCache cache(dir.file("plane_cache"));
   const std::uint64_t want =
-      FlatClassifier::compile(*fx.classifier).plane_digest();
+      FlatClassifier::compile(fx.classifier).plane_digest();
   {
-    const auto first = cache.load_or_compile(*fx.classifier, nullptr);
+    const auto first = cache.load_or_compile(fx.classifier, nullptr);
     ASSERT_TRUE(first.stored);
   }
   {
@@ -466,7 +412,7 @@ TEST(ReadFaults, PlaneCacheLoadFaultRecompilesInSkipMode) {
     inj.arm("plane_cache.load", 1, FaultKind::kShortRead);
     FaultInjector::Scope scope(inj);
     // Strict refuses the damaged read...
-    EXPECT_THROW(cache.load_or_compile(*fx.classifier, nullptr,
+    EXPECT_THROW(cache.load_or_compile(fx.classifier, nullptr,
                                        util::ErrorPolicy::kStrict),
                  SnapshotError);
   }
@@ -476,20 +422,20 @@ TEST(ReadFaults, PlaneCacheLoadFaultRecompilesInSkipMode) {
     FaultInjector::Scope scope(inj);
     util::IngestStats stats;
     // ...skip degrades around it: recompile, engine-identical plane.
-    const auto res = cache.load_or_compile(*fx.classifier, nullptr,
+    const auto res = cache.load_or_compile(fx.classifier, nullptr,
                                            util::ErrorPolicy::kSkip, &stats);
     EXPECT_FALSE(res.hit);
     EXPECT_EQ(res.plane.plane_digest(), want);
   }
   // The rewritten entry serves clean hits again.
-  const auto again = cache.load_or_compile(*fx.classifier, nullptr);
+  const auto again = cache.load_or_compile(fx.classifier, nullptr);
   EXPECT_TRUE(again.hit);
   EXPECT_EQ(again.plane.plane_digest(), want);
 }
 
 TEST(ReadFaults, ApplyUpdatesCrashLeavesThePlaneUntouched) {
   Fixture fx;
-  FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
+  FlatClassifier flat = FlatClassifier::compile(fx.classifier);
   const std::uint64_t digest = flat.plane_digest();
   const std::uint64_t epoch = flat.epoch();
   std::vector<bgp::UpdateMessage> batch;

@@ -1,8 +1,8 @@
 // Checkpoint/resume differential: a detector killed at ANY record k and
 // restored from its checkpoint must finish the stream with exactly the
 // alerts and health counters of the uninterrupted run — across seeds,
-// both engines (trie and flat, at several compile thread counts), and
-// degraded-mode pressure (reorder buffer, member and sample caps), so
+// plane compile thread counts, and degraded-mode pressure (reorder
+// buffer, member and sample caps), so
 // the checkpoint has to carry every piece of state that can influence a
 // future decision. Corrupted checkpoints must be rejected (strict) or
 // degraded around into a clean fresh start (skip), never half-loaded.
@@ -19,7 +19,7 @@
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
 #include "corruption.hpp"
-#include "net/prefix.hpp"
+#include "detector_fixture.hpp"
 #include "state/snapshot.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -28,73 +28,9 @@ namespace spoofscope::classify {
 namespace {
 
 namespace fs = std::filesystem;
-using net::Ipv4Addr;
-using net::pfx;
-
-/// Two-member routing view: member 1 owns 50.0/16, member 2 has routed
-/// space but no valid space, so its traffic classifies spoofed and both
-/// members grow windows (exercising the multi-member serialization).
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
-
-/// Degraded-mode pressure on every axis the checkpoint must carry:
-/// reorder buffer with a hard cap, member cap (evictions), sample cap.
-StreamingParams pressured_params() {
-  StreamingParams p;
-  p.window_seconds = 300;
-  p.min_spoofed_packets = 20;
-  p.min_share = 0.1;
-  p.cooldown_seconds = 120;
-  p.reorder_skew_seconds = 30;
-  p.max_reorder_records = 64;
-  p.max_members = 2;
-  p.max_window_samples = 50;
-  return p;
-}
-
-/// Jittered two-member mixed stream: timestamps wander within (and
-/// occasionally beyond) the reorder skew, so checkpoints land with a
-/// populated reorder buffer and some late drops.
-std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n) {
-  util::Rng rng(seed);
-  std::vector<net::FlowRecord> flows;
-  flows.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    net::FlowRecord f;
-    // A third, rare member occasionally pushes past max_members=2 and
-    // forces LRU evictions without starving the main windows.
-    const bool via_member3 = rng.chance(0.02);
-    const bool via_member2 = !via_member3 && rng.chance(0.3);
-    const bool spoof = via_member2 || via_member3 || rng.chance(0.35);
-    f.src = spoof ? Ipv4Addr::from_octets(99, 0, 0, static_cast<std::uint8_t>(1 + rng.index(250)))
-                  : Ipv4Addr::from_octets(50, 0, 1, static_cast<std::uint8_t>(1 + rng.index(250)));
-    f.dst = Ipv4Addr::from_octets(60, 0, 0, 1);
-    const std::uint32_t base = static_cast<std::uint32_t>(i / 2);
-    const std::uint32_t jitter = rng.uniform_u32(0, 40);  // can exceed skew
-    f.ts = base + 40 - jitter;
-    f.packets = 1 + rng.uniform_u32(0, 3);
-    f.bytes = 40ull * f.packets;
-    f.member_in = via_member3 ? 3 : via_member2 ? 2 : 1;
-    flows.push_back(f);
-  }
-  return flows;
-}
+using Fixture = testing::DetectorFixture;
+using testing::make_stream;
+using testing::pressured_params;
 
 struct RunResult {
   std::vector<SpoofingAlert> alerts;
@@ -153,25 +89,6 @@ class ScratchDir {
   fs::path path_;
 };
 
-TEST(StateResume, TrieEngineResumesBitIdenticallyAtEveryCut) {
-  Fixture fx;
-  ScratchDir dir("spoofscope_resume_trie");
-  const auto params = pressured_params();
-  const auto make = [&] { return StreamingDetector(*fx.classifier, 0, params); };
-  for (const std::uint64_t seed : {11u, 22u, 33u}) {
-    const auto flows = make_stream(seed, 1200);
-    const RunResult straight = uninterrupted(make, flows);
-    ASSERT_FALSE(straight.alerts.empty()) << "seed " << seed << " raised no alerts";
-    EXPECT_GT(straight.health.member_evictions, 0u);
-    for (const std::size_t k : cut_points(flows.size())) {
-      const RunResult resumed =
-          interrupted_at(make, flows, k, dir.file("det.ckpt"));
-      EXPECT_EQ(resumed.alerts, straight.alerts) << "seed " << seed << " k=" << k;
-      EXPECT_EQ(resumed.health, straight.health) << "seed " << seed << " k=" << k;
-    }
-  }
-}
-
 TEST(StateResume, FlatEngineResumesAcrossCompileThreadCounts) {
   Fixture fx;
   ScratchDir dir("spoofscope_resume_flat");
@@ -179,12 +96,14 @@ TEST(StateResume, FlatEngineResumesAcrossCompileThreadCounts) {
   const std::size_t hw = std::max<std::size_t>(2, util::ThreadPool(0).thread_count());
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
     util::ThreadPool pool(threads);
-    const FlatClassifier flat = FlatClassifier::compile(*fx.classifier, pool);
+    const FlatClassifier flat = FlatClassifier::compile(fx.classifier, pool);
     const auto make = [&] { return StreamingDetector(flat, 0, params); };
-    for (const std::uint64_t seed : {11u, 22u}) {
+    for (const std::uint64_t seed : {11u, 22u, 33u}) {
       const auto flows = make_stream(seed, 1200);
       const RunResult straight = uninterrupted(make, flows);
-      ASSERT_FALSE(straight.alerts.empty());
+      ASSERT_FALSE(straight.alerts.empty())
+          << "seed " << seed << " raised no alerts";
+      EXPECT_GT(straight.health.member_evictions, 0u) << "seed " << seed;
       for (const std::size_t k : cut_points(flows.size())) {
         const RunResult resumed =
             interrupted_at(make, flows, k, dir.file("det.ckpt"));
@@ -197,46 +116,19 @@ TEST(StateResume, FlatEngineResumesAcrossCompileThreadCounts) {
   }
 }
 
-TEST(StateResume, CheckpointsArePortableAcrossEngines) {
-  Fixture fx;
-  ScratchDir dir("spoofscope_resume_cross");
-  const auto params = pressured_params();
-  const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
-  const auto flows = make_stream(11, 1200);
-  const auto make_trie = [&] { return StreamingDetector(*fx.classifier, 0, params); };
-  const RunResult straight = uninterrupted(make_trie, flows);
-  const std::size_t k = flows.size() / 2;
-
-  // Save from the trie engine, resume on the flat engine (and back).
-  RunResult cross;
-  const auto sink = [&cross](const SpoofingAlert& a) { cross.alerts.push_back(a); };
-  {
-    StreamingDetector before(*fx.classifier, 0, params);
-    for (std::size_t i = 0; i < k; ++i) before.ingest(flows[i], sink);
-    before.save(dir.file("trie.ckpt"));
-  }
-  StreamingDetector after(flat, 0, params);
-  ASSERT_TRUE(after.restore(dir.file("trie.ckpt")));
-  for (std::size_t i = k; i < flows.size(); ++i) after.ingest(flows[i], sink);
-  after.flush(sink);
-  cross.health = after.health();
-  EXPECT_EQ(cross.alerts, straight.alerts);
-  EXPECT_EQ(cross.health, straight.health);
-}
-
 TEST(StateResume, ConfigMismatchRefusesTheCheckpoint) {
   Fixture fx;
   ScratchDir dir("spoofscope_resume_cfg");
   const auto flows = make_stream(11, 400);
   const std::string ckpt = dir.file("det.ckpt");
   {
-    StreamingDetector d(*fx.classifier, 0, pressured_params());
+    StreamingDetector d(fx.plane, 0, pressured_params());
     for (const auto& f : flows) d.ingest(f, [](const SpoofingAlert&) {});
     d.save(ckpt);
   }
   StreamingParams other = pressured_params();
   other.min_share = 0.2;  // different detection semantics
-  StreamingDetector d(*fx.classifier, 0, other);
+  StreamingDetector d(fx.plane, 0, other);
   try {
     d.restore(ckpt);
     FAIL() << "config mismatch did not throw in strict mode";
@@ -251,7 +143,7 @@ TEST(StateResume, ConfigMismatchRefusesTheCheckpoint) {
 
 TEST(StateResume, MissingCheckpointThrowsStrictSkipsClean) {
   Fixture fx;
-  StreamingDetector d(*fx.classifier, 0, pressured_params());
+  StreamingDetector d(fx.plane, 0, pressured_params());
   EXPECT_THROW(d.restore("/nonexistent/dir/none.ckpt"), std::runtime_error);
   util::IngestStats st;
   EXPECT_FALSE(d.restore("/nonexistent/dir/none.ckpt",
@@ -263,7 +155,7 @@ TEST(StateResume, CorruptedCheckpointsAreNeverSilentlyWrong) {
   Fixture fx;
   ScratchDir dir("spoofscope_resume_fuzz");
   const auto params = pressured_params();
-  const auto make = [&] { return StreamingDetector(*fx.classifier, 0, params); };
+  const auto make = [&] { return StreamingDetector(fx.plane, 0, params); };
   const auto flows = make_stream(22, 800);
   const RunResult straight = uninterrupted(make, flows);
 

@@ -2,11 +2,12 @@
 # Full verification sweep:
 #   1. tier-1: default build + complete ctest suite
 #   2. ThreadSanitizer build, running the concurrency-sensitive suites
-#      (the parallel engine oracles including the flat/trie and batch
-#      differentials, the thread pool, the streaming detector and the
-#      corruption differential suite, which classifies on a shared pool,
-#      the state suites, which resume/compile across thread counts, and
-#      the streaming-analysis oracle, which shards reports across pools)
+#      (the parallel classification oracles including the plane-vs-trie
+#      and batch differentials, the thread pool, the streaming detector
+#      and the corruption differential suite, which classifies on a
+#      shared pool, the state suites, which resume/compile across thread
+#      counts, and the streaming-analysis oracle, which shards reports
+#      across pools)
 #   3. AddressSanitizer build, same suites plus the trie/interval code,
 #      the byte-level corruption/resync and batch-decode paths, the
 #      snapshot container + checkpoint/plane-cache fuzz suites, and the
@@ -26,7 +27,13 @@
 #      session, ending in a clean shutdown (the service suites — shard
 #      differential, rolling restart, control units — also run under
 #      TSan and ASan in stages 2 and 3)
-#   7. fault injection: the crash/churn differential suite re-runs under
+#   7. internet-scale generate: the chunk-parallel generator end to end
+#      through the CLI under TSan and ASan
+#   8. sanitized CLI: classify --labels, report, and a delta-checkpointed
+#      detect followed by its --resume, run by the ASan and UBSan builds
+#      of the CLI on a seed-7 world; every run must exit 0 with output
+#      byte-identical to the tier-1 binary's
+#   9. fault injection: the crash/churn differential suite re-runs under
 #      all three sanitizer builds with a widened injector seed sweep
 #      (SPOOFSCOPE_FAULT_SEEDS), and the plane-churn fuzz runs its full
 #      1000-step sweep (SPOOFSCOPE_CHURN_STEPS) against the fresh-compile
@@ -103,7 +110,7 @@ TSAN_SUITES=(
   service_restart_test
 )
 
-echo "=== ThreadSanitizer: parallel + flat/trie differential suites ==="
+echo "=== ThreadSanitizer: parallel + differential suites ==="
 cmake -S "${REPO_ROOT}" -B "${REPO_ROOT}/build-tsan" \
   -DSPOOFSCOPE_SANITIZE=thread >/dev/null
 cmake --build "${REPO_ROOT}/build-tsan" -j "${JOBS}" --target "${TSAN_SUITES[@]}"
@@ -256,6 +263,45 @@ for tree in build-tsan build-asan; do
     --scale-factor 16 --threads 4 --seed 7 --out "${GEN_OUT}"
   rm -rf "${GEN_OUT}"
 done
+
+echo "=== sanitized CLI: classify, report, detect + resume under ASan + UBSan ==="
+# The production commands run by the sanitizer builds of the CLI. Output
+# paths are relative to a per-tree directory so every printed line —
+# including "labels written to" and "resume: restored ... from" — must
+# match the tier-1 binary's byte for byte; the labels CSV too.
+CLI_OUT="$(mktemp -d "${TMPDIR:-/tmp}/spoofscope-check-cli.XXXXXX")"
+"${REPO_ROOT}/build/tools/spoofscope" generate --seed 7 --out "${CLI_OUT}/world"
+cli_runs() {
+  local bin="${REPO_ROOT}/$1/tools/spoofscope" out="${CLI_OUT}/$1"
+  local inputs=(--mrt "${CLI_OUT}/world/route-server.mrt"
+                --trace "${CLI_OUT}/world/ixp.trace")
+  local detect=(detect "${inputs[@]}" --window 1800 --skew 60
+                --checkpoint detect.ckpt --checkpoint-every 5000
+                --checkpoint-delta)
+  mkdir -p "${out}"
+  (
+    cd "${out}"
+    "${bin}" classify "${inputs[@]}" --labels labels.csv > classify.txt 2>&1
+    "${bin}" report "${inputs[@]}" --rpsl "${CLI_OUT}/world/registry.rpsl" \
+      > report.txt 2>&1
+    "${bin}" "${detect[@]}" > detect.txt 2>&1
+    "${bin}" "${detect[@]}" --resume > resume.txt 2>&1
+  )
+}
+cli_runs build
+for tree in build-asan build-ubsan; do
+  cmake --build "${REPO_ROOT}/${tree}" -j "${JOBS}" --target spoofscope_cli
+  echo "--- ${tree}/tools/spoofscope classify, report, detect, detect --resume"
+  cli_runs "${tree}"
+  for f in classify.txt labels.csv report.txt detect.txt resume.txt; do
+    if ! cmp -s "${CLI_OUT}/build/${f}" "${CLI_OUT}/${tree}/${f}"; then
+      echo "FAIL sanitized CLI: ${tree} ${f} differs from the tier-1 output"
+      diff "${CLI_OUT}/build/${f}" "${CLI_OUT}/${tree}/${f}" | head -20
+      exit 1
+    fi
+  done
+done
+rm -rf "${CLI_OUT}"
 
 echo "=== fault injection: widened seed sweep across all sanitizers ==="
 FAULT_SEEDS="1 2 3 4 5 6 7 8"

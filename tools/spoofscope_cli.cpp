@@ -3,7 +3,8 @@
 // Operates purely on files, so it works on real captured data just as on
 // simulated artifacts:
 //
-//   spoofscope generate --out DIR [--seed N] [--paper]
+//   spoofscope generate --out DIR [--seed N] [--threads N]
+//              [--scale small|ixp|internet] [--scale-factor N] [--paper]
 //       Simulate a world and write its artifacts: topology.txt,
 //       ixp.trace (binary flows), route-server.mrt and collector MRT
 //       feeds, registry.rpsl.
@@ -11,12 +12,15 @@
 //   spoofscope classify --mrt FILE[,FILE...] --trace FILE
 //              [--rpsl FILE] [--method METHOD] [--labels OUT.csv]
 //       Build the routing view from MRT-lite feeds, infer per-member
-//       valid space, classify every flow (Fig 3) and print Table-1-style
-//       totals. METHOD is one of: naive, cc, cc+org, full, full+org
-//       (default full+org). --rpsl whitelists provider-assigned ranges
-//       and documented links before classification (Sec 4.4).
+//       valid space, compile it into the flat classification plane
+//       (classify::FlatClassifier), classify every flow (Fig 3) and
+//       print Table-1-style totals. METHOD is one of: naive, cc,
+//       cc+org, full, full+org (default full+org). --rpsl whitelists
+//       provider-assigned ranges and documented links before
+//       classification (Sec 4.4).
 //
 //   spoofscope report --mrt FILE[,FILE...] --trace FILE [--rpsl FILE]
+//              [--method METHOD] [--labels OUT.csv]
 //       Full study output: Table-1-style totals, Venn, filtering
 //       strategies, per-member share quantiles, traffic characteristics,
 //       port mix, attack patterns and incidents. Computed in the same
@@ -34,9 +38,9 @@
 //       state (crash-safe atomic snapshot) every N processed flows and
 //       at end of stream; --resume restores it first and skips the
 //       already-processed records, so a killed run continues with
-//       bit-identical alerts and health. --updates (flat engine) plays
-//       an MRT-lite announce/withdraw stream into the compiled plane as
-//       the trace advances — route churn patches the plane in place
+//       bit-identical alerts and health. --updates plays an MRT-lite
+//       announce/withdraw stream into the compiled plane as the trace
+//       advances — route churn patches the plane in place
 //       (FlatClassifier::apply_updates) instead of recompiling, and
 //       checkpoints record the update cursor so a resumed run replays
 //       the plane to the exact cut. --checkpoint-delta chains small
@@ -62,15 +66,16 @@
 // (net::FlowBatch), so classify never materializes the whole trace in
 // memory and never copies record bytes. --stats-json PATH writes the
 // per-source IngestStats (and, for detect, the DetectorHealth) as JSON
-// for monitoring pipelines. Under --engine flat, --plane-cache DIR
-// serves the compiled classification plane from a digest-validated
-// mmap'd snapshot when one matches the routing view and valid spaces,
-// compiling (and storing) only on a miss.
+// for monitoring pipelines. --plane-cache DIR serves the compiled
+// classification plane from a digest-validated mmap'd snapshot when one
+// matches the routing view and valid spaces, compiling (and storing)
+// only on a miss. Every command rejects flags it does not read.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -84,6 +89,7 @@
 #include "analysis/streaming.hpp"
 #include "bgp/mrt_lite.hpp"
 #include "bgp/simulator.hpp"
+#include "classify/flat_classifier.hpp"
 #include "classify/pipeline.hpp"
 #include "classify/streaming.hpp"
 #include "data/rpsl.hpp"
@@ -117,23 +123,24 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "usage:\n"
       "  spoofscope generate --out DIR [--seed N] [--threads N]\n"
       "                      [--scale small|ixp|internet] [--scale-factor N]\n"
-      "                      [--engine trie|flat] [--simd auto|avx2|neon|scalar]\n"
+      "                      [--paper]\n"
       "  spoofscope classify --mrt FILES --trace FILE [--rpsl FILE]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--labels OUT.csv] [--threads N]\n"
-      "                      [--engine trie|flat] [--plane-cache DIR]\n"
+      "                      [--plane-cache DIR]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--on-error strict|skip] [--stats-json PATH]\n"
       "  spoofscope report   --mrt FILES --trace FILE [--rpsl FILE]\n"
-      "                      [--threads N] [--engine trie|flat]\n"
+      "                      [--method naive|cc|cc+org|full|full+org]\n"
+      "                      [--labels OUT.csv] [--threads N]\n"
       "                      [--plane-cache DIR]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--on-error strict|skip] [--stats-json PATH]\n"
       "  spoofscope detect   --mrt FILES --trace FILE [--rpsl FILE]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--window SECONDS] [--skew SECONDS]\n"
-      "                      [--threads N] [--engine trie|flat]\n"
-      "                      [--plane-cache DIR] [--updates FILE]\n"
+      "                      [--threads N] [--plane-cache DIR]\n"
+      "                      [--updates FILE]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--checkpoint PATH] [--checkpoint-every N]\n"
       "                      [--checkpoint-delta] [--resume]\n"
@@ -142,12 +149,16 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "                      [--rpsl FILE] [--shards N]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--window SECONDS] [--skew SECONDS]\n"
-      "                      [--threads N] [--engine trie|flat]\n"
-      "                      [--plane-cache DIR]\n"
+      "                      [--threads N] [--plane-cache DIR]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "                      [--resume] [--on-error strict|skip]\n"
       "\n"
+      "Each command accepts only the flags listed for it; any other flag\n"
+      "is a usage error.\n"
+      "classify, report, detect and serve compile the routing view and\n"
+      "valid spaces into the DIR-24-8 flat classification plane (O(1)\n"
+      "per-flow lookups) before classifying.\n"
       "--threads N runs valid-space construction and classification on N\n"
       "worker threads (0 = hardware concurrency, default 1 = sequential);\n"
       "results are identical for every N.\n"
@@ -157,21 +168,20 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "concurrency and takes minutes of CPU). --scale-factor N divides\n"
       "the AS population by N — e.g. a sanitizer run exercising every\n"
       "chunk-parallel code path at affordable cost.\n"
-      "--engine flat compiles the classifier into the DIR-24-8 flat plane\n"
-      "(O(1) per-flow lookups) before classifying; labels are identical\n"
-      "to the default trie engine.\n"
-      "--simd selects the flat engine's batch kernel (default auto = best\n"
-      "this build + CPU supports). Kernels are bit-identical; the knob\n"
-      "changes throughput only. Requesting a kernel this host cannot run\n"
-      "is an error, not a silent fallback. Ignored under --engine trie.\n"
+      "--simd selects the plane's batch kernel (default auto = best this\n"
+      "build + CPU supports). Kernels are bit-identical; the knob changes\n"
+      "throughput only. Requesting a kernel this host cannot run is an\n"
+      "error, not a silent fallback.\n"
       "--on-error skip quarantines malformed MRT lines, RPSL objects and\n"
       "corrupt trace records instead of aborting, prints an ingest report\n"
       "and analyses the surviving records (default: strict).\n"
       "--stats-json PATH writes per-source ingest statistics (and, for\n"
       "detect, the detector health counters) as JSON.\n"
-      "--plane-cache DIR (flat engine) caches the compiled classification\n"
-      "plane on disk keyed by a digest of the routing view + valid spaces;\n"
-      "hits mmap the plane instead of recompiling.\n"
+      "--plane-cache DIR caches the compiled classification plane on disk\n"
+      "keyed by a digest of the routing view + valid spaces; hits mmap\n"
+      "the plane instead of recompiling.\n"
+      "--window and --skew (detect, serve) take seconds in\n"
+      "[0, 4294967295].\n"
       "--checkpoint PATH (detect) saves the detector state atomically\n"
       "every --checkpoint-every N flows (N > 0; and at end of stream);\n"
       "--resume restores PATH first and skips the already-processed\n"
@@ -182,32 +192,40 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "of rewriting the whole state every interval; each link carries its\n"
       "parent's digest, and --resume replays the chain to the newest\n"
       "consistent cut (strict refuses a broken chain, skip truncates it).\n"
-      "--updates FILE (detect, flat engine) streams MRT-lite UPDATE lines\n"
-      "into the compiled plane as the trace plays: every announce or\n"
-      "withdraw with a timestamp <= the next flow's is patched into the\n"
-      "plane in place before that flow is classified. Checkpoints record\n"
-      "the update cursor, so a resumed run replays the already-applied\n"
-      "updates and continues on a bit-identical plane.\n"
+      "--updates FILE (detect) streams MRT-lite UPDATE lines into the\n"
+      "compiled plane as the trace plays: every announce or withdraw with\n"
+      "a timestamp <= the next flow's is patched into the plane in place\n"
+      "before that flow is classified. Checkpoints record the update\n"
+      "cursor, so a resumed run replays the already-applied updates and\n"
+      "continues on a bit-identical plane.\n"
       "serve runs the detection pipeline as a resident daemon: --shards N\n"
       "(1..4096, default 1) ingest shards each own a StreamingDetector;\n"
       "flows route to shards by member AS, so N does not change the\n"
       "alerts — any shard count reproduces the one-shot detect output.\n"
+      "All shards share one compiled plane, which reload-updates patches\n"
+      "in place.\n"
       "--socket PATH is the Unix-domain control socket (submit TRACE,\n"
       "health, stats-json, alerts, checkpoint, reload-updates MRT, drain,\n"
       "shutdown). --checkpoint-dir DIR keeps one delta-checkpoint chain\n"
       "per shard (shard-<i>-of-<n>.ckpt) every --checkpoint-every flows;\n"
-      "--resume restores the chains on startup for rolling restart.\n"
-      "serve defaults to --engine flat (the shards share one compiled\n"
-      "plane; reload-updates requires it).\n";
+      "--resume restores the chains on startup for rolling restart.\n";
   std::exit(error.empty() ? 0 : 2);
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
-  std::map<std::string, std::string> flags;
+using Flags = std::map<std::string, std::string>;
+
+/// Parses `--key value` pairs (and the valueless switches). Only the
+/// flags in `known` — the ones the command reads — are accepted: any
+/// other flag is a usage error naming it, instead of being stored and
+/// silently ignored.
+Flags parse_flags(int argc, char** argv, int from, const std::string& cmd,
+                  const std::set<std::string>& known) {
+  Flags flags;
   for (int i = from; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) usage("unexpected argument: " + key);
     key = key.substr(2);
+    if (!known.count(key)) usage("unknown flag for " + cmd + ": --" + key);
     if (key == "paper" || key == "resume" || key == "checkpoint-delta") {
       flags[key] = "1";
     } else if (i + 1 < argc) {
@@ -221,8 +239,8 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) 
 
 /// Strictly parsed non-negative integer flag; anything else (garbage,
 /// negative, trailing junk) is a usage error rather than a silent 0.
-std::uint64_t u64_flag(const std::map<std::string, std::string>& flags,
-                       const std::string& key, std::uint64_t fallback) {
+std::uint64_t u64_flag(const Flags& flags, const std::string& key,
+                       std::uint64_t fallback) {
   if (!flags.count(key)) return fallback;
   std::uint64_t value = 0;
   if (!util::parse_u64(flags.at(key), value)) {
@@ -232,18 +250,23 @@ std::uint64_t u64_flag(const std::map<std::string, std::string>& flags,
   return value;
 }
 
-std::size_t threads_from(const std::map<std::string, std::string>& flags) {
+/// u64_flag for 32-bit settings: a value above UINT32_MAX is a usage
+/// error, not a silent wrap-around.
+std::uint32_t u32_flag(const Flags& flags, const std::string& key,
+                       std::uint32_t fallback) {
+  const std::uint64_t value = u64_flag(flags, key, fallback);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    usage("--" + key + " expects an integer in [0, 4294967295], got: '" +
+          flags.at(key) + "'");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+std::size_t threads_from(const Flags& flags) {
   return static_cast<std::size_t>(u64_flag(flags, "threads", 1));
 }
 
-classify::Engine engine_from(const std::map<std::string, std::string>& flags) {
-  if (!flags.count("engine")) return classify::Engine::kTrie;
-  const auto engine = classify::parse_engine(flags.at("engine"));
-  if (!engine) usage("unknown engine: " + flags.at("engine"));
-  return *engine;
-}
-
-classify::SimdKernel simd_from(const std::map<std::string, std::string>& flags) {
+classify::SimdKernel simd_from(const Flags& flags) {
   if (!flags.count("simd")) return classify::SimdKernel::kAuto;
   const auto kernel = classify::parse_simd_kernel(flags.at("simd"));
   if (!kernel) usage("unknown simd kernel: " + flags.at("simd"));
@@ -253,7 +276,7 @@ classify::SimdKernel simd_from(const std::map<std::string, std::string>& flags) 
   return *kernel;
 }
 
-util::ErrorPolicy policy_from(const std::map<std::string, std::string>& flags) {
+util::ErrorPolicy policy_from(const Flags& flags) {
   if (!flags.count("on-error")) return util::ErrorPolicy::kStrict;
   const auto& name = flags.at("on-error");
   if (name == "strict") return util::ErrorPolicy::kStrict;
@@ -343,7 +366,7 @@ struct RoutingInputs {
   std::optional<data::WhoisRegistry> whois;
 };
 
-RoutingInputs load_routing(const std::map<std::string, std::string>& flags,
+RoutingInputs load_routing(const Flags& flags,
                            util::ErrorPolicy policy, SourceStats& sources) {
   if (!flags.count("mrt")) usage("--mrt is required");
 
@@ -371,7 +394,7 @@ RoutingInputs load_routing(const std::map<std::string, std::string>& flags,
   return inputs;
 }
 
-int cmd_generate(const std::map<std::string, std::string>& flags) {
+int cmd_generate(const Flags& flags) {
   if (!flags.count("out")) usage("--out is required");
   const std::string dir = flags.at("out");
   std::filesystem::create_directories(dir);
@@ -401,8 +424,6 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
   }
   params.seed = u64_flag(flags, "seed", params.seed);
   if (flags.count("threads")) params.threads = threads_from(flags);
-  params.engine = engine_from(flags);
-  params.simd = simd_from(flags);
   const auto world = scenario::build_scenario(params);
 
   {
@@ -475,38 +496,36 @@ std::vector<net::Asn> scan_members(const net::MappedTrace& trace,
   return {members.begin(), members.end()};
 }
 
-/// Everything classify/report/detect share: the routing view (which the
-/// classifier points into — keep them together), the injecting members,
-/// the classifier with the RPSL whitelist applied and, under --engine
-/// flat, the compiled plane.
+/// Everything classify/report/detect/serve share: the routing view
+/// (which the plane points into — keep them together), the injecting
+/// members, and the plane compiled from the valid spaces with the RPSL
+/// whitelist applied.
 struct ClassifyContext {
   RoutingInputs routing;
   std::vector<net::Asn> members;
   inference::Method method = inference::Method::kFullConeOrg;
-  classify::Engine engine = classify::Engine::kTrie;
-  std::unique_ptr<classify::Classifier> classifier;
-  std::optional<classify::FlatClassifier> flat;
+  std::shared_ptr<classify::FlatClassifier> plane;
 };
 
-void build_context(const std::map<std::string, std::string>& flags,
+void build_context(const Flags& flags,
                    util::ErrorPolicy policy, const net::MappedTrace& trace,
                    util::ThreadPool& pool, SourceStats& sources,
                    ClassifyContext& ctx) {
   ctx.routing = load_routing(flags, policy, sources);
   ctx.method = method_from(
       flags.count("method") ? flags.at("method") : std::string("full+org"));
-  ctx.engine = engine_from(flags);
   ctx.members = scan_members(trace, policy);
 
+  // The trie Classifier is only the compile input: the plane shares its
+  // valid spaces and points at the routing view, not at it.
   inference::ValidSpaceFactory factory(ctx.routing.table, asgraph::OrgMap{});
   std::vector<inference::ValidSpace> spaces;
   spaces.push_back(factory.build(ctx.method, ctx.members, pool));
-  ctx.classifier = std::make_unique<classify::Classifier>(ctx.routing.table,
-                                                          std::move(spaces));
+  classify::Classifier classifier(ctx.routing.table, std::move(spaces));
 
   // RPSL whitelist (Sec 4.4) applied up front.
   if (ctx.routing.whois) {
-    auto& space = ctx.classifier->mutable_space(0);
+    auto& space = classifier.mutable_space(0);
     for (const net::Asn m : ctx.members) {
       std::vector<net::Prefix> extra =
           ctx.routing.whois->provider_assigned_of(m);
@@ -516,36 +535,32 @@ void build_context(const std::map<std::string, std::string>& flags,
     }
   }
 
-  // The flat plane is compiled after the RPSL whitelist so the
-  // extend()ed spaces are baked in. With --plane-cache the compile is
-  // replaced by a digest-validated mmap load whenever a matching
-  // snapshot exists (a stale or damaged entry recompiles under skip,
-  // throws under strict).
-  if (flags.count("plane-cache") && ctx.engine != classify::Engine::kFlat) {
-    usage("--plane-cache requires --engine flat");
-  }
-  if (ctx.engine == classify::Engine::kFlat) {
-    if (flags.count("plane-cache")) {
-      state::PlaneCache cache(flags.at("plane-cache"));
-      util::IngestStats cache_stats;
-      auto loaded = cache.load_or_compile(*ctx.classifier, &pool, policy,
-                                          &cache_stats);
-      std::cout << "plane-cache: "
-                << (loaded.hit ? "hit" : "miss (compiled and stored)") << " "
-                << cache.entry_path(state::classifier_digest(*ctx.classifier))
-                << "\n";
-      if (!cache_stats.clean()) {
-        print_ingest(flags.at("plane-cache"), cache_stats);
-      }
-      sources.emplace_back(flags.at("plane-cache"), cache_stats);
-      ctx.flat.emplace(std::move(loaded.plane));
-    } else {
-      ctx.flat.emplace(classify::FlatClassifier::compile(*ctx.classifier, pool));
+  // The plane is compiled after the RPSL whitelist so the extend()ed
+  // spaces are baked in. With --plane-cache the compile is replaced by a
+  // digest-validated mmap load whenever a matching snapshot exists (a
+  // stale or damaged entry recompiles under skip, throws under strict).
+  if (flags.count("plane-cache")) {
+    state::PlaneCache cache(flags.at("plane-cache"));
+    util::IngestStats cache_stats;
+    auto loaded =
+        cache.load_or_compile(classifier, &pool, policy, &cache_stats);
+    std::cout << "plane-cache: "
+              << (loaded.hit ? "hit" : "miss (compiled and stored)") << " "
+              << cache.entry_path(state::classifier_digest(classifier))
+              << "\n";
+    if (!cache_stats.clean()) {
+      print_ingest(flags.at("plane-cache"), cache_stats);
     }
+    sources.emplace_back(flags.at("plane-cache"), cache_stats);
+    ctx.plane =
+        std::make_shared<classify::FlatClassifier>(std::move(loaded.plane));
+  } else {
+    ctx.plane = std::make_shared<classify::FlatClassifier>(
+        classify::FlatClassifier::compile(classifier, pool));
   }
 }
 
-int cmd_classify(const std::map<std::string, std::string>& flags, bool report) {
+int cmd_classify(const Flags& flags, bool report) {
   if (!flags.count("trace")) usage("--trace is required");
   const auto policy = policy_from(flags);
   const std::string trace_path = flags.at("trace");
@@ -570,23 +585,19 @@ int cmd_classify(const std::map<std::string, std::string>& flags, bool report) {
   // peak RSS is independent of trace length.
   util::IngestStats trace_stats;
   net::MappedTraceReader reader(trace, policy, &trace_stats);
-  classify::AggregateBuilder builder(ctx.classifier->space_count());
+  classify::AggregateBuilder builder(ctx.plane->space_count());
   std::optional<analysis::StreamingReport> streaming;
   if (report) {
     analysis::ReportOptions opts;
     opts.limits = analysis::ReportLimits::production();
-    streaming.emplace(ctx.classifier->space_count(), opts);
+    streaming.emplace(ctx.plane->space_count(), opts);
   }
   net::FlowBatch batch;
   std::vector<classify::Label> labels;
   std::uint64_t flow_count = 0;
   while (reader.next_batch(batch, kChunkFlows) > 0) {
     labels.resize(batch.size());
-    if (ctx.flat) {
-      ctx.flat->classify_batch(batch, labels, pool, simd);
-    } else {
-      ctx.classifier->classify_batch(batch, labels, pool);
-    }
+    ctx.plane->classify_batch(batch, labels, pool, simd);
     if (streaming) {
       streaming->add(batch, labels);
     } else {
@@ -615,8 +626,7 @@ int cmd_classify(const std::map<std::string, std::string>& flags, bool report) {
   std::cout << "classified " << flow_count << " flows from "
             << ctx.members.size() << " members under "
             << inference::method_name(ctx.method) << " (routing view: "
-            << ctx.routing.table.prefixes().size() << " prefixes, "
-            << classify::engine_name(ctx.engine) << " engine)\n\n";
+            << ctx.routing.table.prefixes().size() << " prefixes)\n\n";
   static const char* kClassNames[] = {"Bogon", "Unrouted", "Invalid", "Valid"};
   for (int c = 0; c < classify::kNumClasses; ++c) {
     const auto& cell = agg.totals[0][c];
@@ -647,7 +657,7 @@ int cmd_classify(const std::map<std::string, std::string>& flags, bool report) {
   return 0;
 }
 
-int cmd_detect(const std::map<std::string, std::string>& flags) {
+int cmd_detect(const Flags& flags) {
   if (!flags.count("trace")) usage("--trace is required");
   const auto policy = policy_from(flags);
   const std::string trace_path = flags.at("trace");
@@ -659,14 +669,10 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   build_context(flags, policy, trace, pool, sources, ctx);
 
   classify::StreamingParams params;
-  params.window_seconds =
-      static_cast<std::uint32_t>(u64_flag(flags, "window", params.window_seconds));
-  params.reorder_skew_seconds =
-      static_cast<std::uint32_t>(u64_flag(flags, "skew", 0));
+  params.window_seconds = u32_flag(flags, "window", params.window_seconds);
+  params.reorder_skew_seconds = u32_flag(flags, "skew", 0);
   params.simd = simd_from(flags);
-  classify::StreamingDetector detector =
-      ctx.flat ? classify::StreamingDetector(*ctx.flat, 0, params)
-               : classify::StreamingDetector(*ctx.classifier, 0, params);
+  classify::StreamingDetector detector(*ctx.plane, 0, params);
 
   const std::string ckpt =
       flags.count("checkpoint") ? flags.at("checkpoint") : std::string();
@@ -687,7 +693,6 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   // pure function of (updates, flow timestamps).
   std::vector<bgp::UpdateMessage> updates;
   if (flags.count("updates")) {
-    if (!ctx.flat) usage("--updates requires --engine flat");
     std::ifstream uin(flags.at("updates"));
     if (!uin) usage("cannot open updates file: " + flags.at("updates"));
     util::IngestStats ustats;
@@ -774,7 +779,7 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
               std::to_string(extra.updates_applied) + " of " +
               std::to_string(updates.size()) + " updates)");
         }
-        ctx.flat->apply_updates(
+        ctx.plane->apply_updates(
             std::span<const bgp::UpdateMessage>(updates).first(
                 extra.updates_applied),
             uopts);
@@ -806,15 +811,15 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
       ++ucursor;
     }
     if (ucursor != begin) {
-      ctx.flat->apply_updates(
+      ctx.plane->apply_updates(
           std::span<const bgp::UpdateMessage>(updates).subspan(
               begin, ucursor - begin),
           uopts);
     }
   };
   const auto save_checkpoint = [&] {
-    const classify::DetectorCheckpointExtra extra{
-        ucursor, ctx.flat ? ctx.flat->epoch() : 0};
+    const classify::DetectorCheckpointExtra extra{ucursor,
+                                                  ctx.plane->epoch()};
     if (chain) {
       chain->append(detector, extra);
     } else {
@@ -887,8 +892,7 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
       std::span<const classify::DetectorHealth>(&shard_health, 1));
   std::cout << "detect: " << detector.processed() << " flows from "
             << ctx.members.size() << " members, " << alert_count
-            << " alerts (" << classify::engine_name(ctx.engine)
-            << " engine, window " << params.window_seconds << "s, skew "
+            << " alerts (window " << params.window_seconds << "s, skew "
             << params.reorder_skew_seconds << "s)\n"
             << service::format_health(health) << "\n";
 
@@ -900,13 +904,7 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_serve(const std::map<std::string, std::string>& flags_in) {
-  // serve defaults to the flat engine: the shared compiled plane is the
-  // point of the resident service (and reload-updates requires it).
-  // --engine trie stays available as the oracle configuration.
-  auto flags = flags_in;
-  if (!flags.count("engine")) flags["engine"] = "flat";
-
+int cmd_serve(const Flags& flags) {
   if (!flags.count("trace")) {
     usage("--trace is required (it seeds the member universe the valid "
           "spaces are built for)");
@@ -927,10 +925,9 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
 
   service::ServerConfig scfg;
   scfg.shards = static_cast<std::size_t>(shards);
-  scfg.params.window_seconds = static_cast<std::uint32_t>(
-      u64_flag(flags, "window", scfg.params.window_seconds));
-  scfg.params.reorder_skew_seconds =
-      static_cast<std::uint32_t>(u64_flag(flags, "skew", 0));
+  scfg.params.window_seconds =
+      u32_flag(flags, "window", scfg.params.window_seconds);
+  scfg.params.reorder_skew_seconds = u32_flag(flags, "skew", 0);
   scfg.params.simd = simd_from(flags);
   scfg.policy = policy;
   scfg.pool = &pool;
@@ -948,18 +945,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
     usage("--checkpoint-every/--resume require --checkpoint-dir");
   }
 
-  std::optional<service::Server> server;
-  if (ctx.flat) {
-    // The hub takes the compiled plane by shared_ptr so reload-updates
-    // can patch it in place and republish to every shard.
-    server.emplace(
-        std::make_shared<classify::FlatClassifier>(std::move(*ctx.flat)),
-        scfg);
-  } else {
-    server.emplace(*ctx.classifier, scfg);
-  }
+  // The hub shares the compiled plane so reload-updates can patch it in
+  // place and republish to every shard.
+  service::Server server(std::move(ctx.plane), scfg);
 
-  const auto info = server->start();
+  const auto info = server.start();
   if (scfg.resume) {
     if (info.shards_restored != 0) {
       std::cout << "resume: restored " << info.shards_restored
@@ -972,12 +962,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
   }
   std::cout << "serve: listening on " << flags.at("socket") << " (" << shards
             << " shard" << (shards == 1 ? "" : "s") << ", "
-            << classify::engine_name(ctx.engine) << " engine, "
             << ctx.members.size() << " members, window "
             << scfg.params.window_seconds << "s, skew "
             << scfg.params.reorder_skew_seconds << "s)\n";
   std::cout.flush();  // daemonized callers wait for this line
-  return service::run_control_loop(*server, flags.at("socket"), std::cout);
+  return service::run_control_loop(server, flags.at("socket"), std::cout);
 }
 
 }  // namespace
@@ -985,15 +974,41 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  const auto flags = parse_flags(argc, argv, 2);
+  if (cmd == "help" || cmd == "--help") usage();
+
+  // Every command with the exact set of flags it reads.
+  struct Command {
+    int (*run)(const Flags&);
+    std::set<std::string> flags;
+  };
+  const std::map<std::string, Command> commands = {
+      {"generate",
+       {cmd_generate,
+        {"out", "seed", "threads", "scale", "scale-factor", "paper"}}},
+      {"classify",
+       {[](const Flags& f) { return cmd_classify(f, /*report=*/false); },
+        {"mrt", "trace", "rpsl", "method", "labels", "threads", "plane-cache",
+         "simd", "on-error", "stats-json"}}},
+      {"report",
+       {[](const Flags& f) { return cmd_classify(f, /*report=*/true); },
+        {"mrt", "trace", "rpsl", "method", "labels", "threads", "plane-cache",
+         "simd", "on-error", "stats-json"}}},
+      {"detect",
+       {cmd_detect,
+        {"mrt", "trace", "rpsl", "method", "window", "skew", "threads",
+         "plane-cache", "updates", "simd", "checkpoint", "checkpoint-every",
+         "checkpoint-delta", "resume", "on-error", "stats-json"}}},
+      {"serve",
+       {cmd_serve,
+        {"mrt", "trace", "socket", "rpsl", "shards", "method", "window",
+         "skew", "threads", "plane-cache", "simd", "checkpoint-dir",
+         "checkpoint-every", "resume", "on-error"}}},
+  };
+  const auto it = commands.find(cmd);
+  if (it == commands.end()) usage("unknown command: " + cmd);
+  const Flags flags = parse_flags(argc, argv, 2, cmd, it->second.flags);
   try {
-    if (cmd == "generate") return cmd_generate(flags);
-    if (cmd == "classify") return cmd_classify(flags, /*report=*/false);
-    if (cmd == "report") return cmd_classify(flags, /*report=*/true);
-    if (cmd == "detect") return cmd_detect(flags);
-    if (cmd == "serve") return cmd_serve(flags);
-    if (cmd == "help" || cmd == "--help") usage();
-    usage("unknown command: " + cmd);
+    return it->second.run(flags);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
