@@ -32,6 +32,7 @@
 #include "net/flow_batch.hpp"
 #include "net/mapped_trace.hpp"
 #include "net/trace.hpp"
+#include "net/trace_format.hpp"
 #include "topo/generator.hpp"
 #include "traffic/workload.hpp"
 #include "net/bogon.hpp"
@@ -134,38 +135,6 @@ void BM_FlatClassifyAllMethodsMemberView(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FlatClassifyAllMethodsMemberView);
-
-void BM_FlatClassifyTrace(benchmark::State& state) {
-  const auto& w = world();
-  const auto& flat = flat_world();
-  for (auto _ : state) {
-    auto labels = classify::classify_trace(flat, w.trace().flows);
-    benchmark::DoNotOptimize(labels);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(w.trace().flows.size()));
-}
-BENCHMARK(BM_FlatClassifyTrace)->Unit(benchmark::kMillisecond);
-
-void BM_FlatClassifyTraceParallel(benchmark::State& state) {
-  const auto& w = world();
-  const auto& flat = flat_world();
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto labels = classify::classify_trace(flat, w.trace().flows, pool);
-    benchmark::DoNotOptimize(labels);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(w.trace().flows.size()));
-}
-BENCHMARK(BM_FlatClassifyTraceParallel)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()  // worker-thread time is invisible to cpu_time
-    ->Unit(benchmark::kMillisecond);
 
 void BM_FlatCompile(benchmark::State& state) {
   // The one-off cost the flat engine trades for O(1) lookups.
@@ -446,9 +415,8 @@ const net::FlowBatch& world_batch() {
 
 void BM_FlatClassifyBatch(benchmark::State& state) {
   // The batch kernel alone (batch already decoded), on the auto-selected
-  // SIMD kernel: upper bound of the batched plane, and the number to
-  // compare against BM_FlatClassifyTrace's per-record loop. The
-  // per-kernel comparison lives in BM_FlatClassifyBatchKernel.
+  // SIMD kernel: the classify layer of BM_EndToEndTraceClassification.
+  // The per-kernel comparison lives in BM_FlatClassifyBatchKernel.
   const auto& flat = flat_world();
   const auto& batch = world_batch();
   std::vector<classify::Label> labels(batch.size());
@@ -460,6 +428,46 @@ void BM_FlatClassifyBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_FlatClassifyBatch)->Unit(benchmark::kMillisecond);
+
+/// The mapped bench trace decoded once into the 8192-flow batches
+/// BM_BatchDecode produces, each with its labels (built once per binary).
+struct LabelledBatches {
+  std::vector<net::FlowBatch> batches;
+  std::vector<std::vector<classify::Label>> labels;
+};
+
+const LabelledBatches& world_labelled_batches() {
+  static const LabelledBatches decoded = [] {
+    LabelledBatches d;
+    net::MappedTraceReader reader(mapped_world_trace());
+    net::FlowBatch batch;
+    while (reader.next_batch(batch, 8192) > 0) {
+      d.labels.push_back(flat_world().classify_batch(batch));
+      d.batches.push_back(batch);
+    }
+    return d;
+  }();
+  return decoded;
+}
+
+void BM_AggregateBatch(benchmark::State& state) {
+  // AggregateBuilder::add alone over decoded, classified batches: the
+  // aggregation layer of BM_EndToEndTraceClassification.
+  const auto& d = world_labelled_batches();
+  const std::size_t spaces = world().classifier().space_count();
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    classify::AggregateBuilder builder(spaces);
+    for (std::size_t b = 0; b < d.batches.size(); ++b) {
+      builder.add(d.batches[b], d.labels[b]);
+      records += static_cast<std::int64_t>(d.batches[b].size());
+    }
+    auto agg = builder.build();
+    benchmark::DoNotOptimize(agg);
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_AggregateBatch)->Unit(benchmark::kMillisecond);
 
 void flat_classify_batch_kernel(benchmark::State& state,
                                 classify::SimdKernel kernel) {
@@ -816,27 +824,6 @@ void BM_ClassifyTraceParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(w.trace().flows.size()));
 }
 BENCHMARK(BM_ClassifyTraceParallel)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AggregateClassesParallel(benchmark::State& state) {
-  const auto& w = world();
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto agg = classify::aggregate_classes(w.classifier().space_count(),
-                                           w.trace().flows, w.labels(), {},
-                                           pool);
-    benchmark::DoNotOptimize(agg);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(w.trace().flows.size()));
-}
-BENCHMARK(BM_AggregateClassesParallel)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(2)

@@ -399,11 +399,9 @@ TrafficClass FlatClassifier::classify(net::Ipv4Addr src, const MemberView& view,
   }
 }
 
-template <typename GetSrc, typename GetMember>
-void FlatClassifier::classify_kernel(std::size_t begin, std::size_t end,
-                                     GetSrc&& src_at, GetMember&& member_at,
-                                     Label* out,
-                                     std::size_t prefetch_distance) const {
+void FlatClassifier::kernel_scalar(const std::uint32_t* src, const Asn* member,
+                                   std::size_t n, Label* out,
+                                   std::size_t prefetch_distance) const {
   // Member views are memoized per distinct ASN (unordered_map values are
   // pointer-stable), with a last-member fast path for runs; base-table
   // reads are prefetched a fixed distance ahead so consecutive random
@@ -412,27 +410,19 @@ void FlatClassifier::classify_kernel(std::size_t begin, std::size_t end,
   const std::uint32_t* base = base_view_;
   Asn last_member = net::kNoAsn;
   const MemberView* last_view = nullptr;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (i + prefetch_distance < end && prefetch_distance != 0) {
-      prefetch_ro(base + (src_at(i + prefetch_distance) >> 8));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + prefetch_distance < n && prefetch_distance != 0) {
+      prefetch_ro(base + (src[i + prefetch_distance] >> 8));
     }
-    const Asn member = member_at(i);
-    if (member != last_member || last_view == nullptr) {
-      auto it = views.find(member);
-      if (it == views.end()) it = views.emplace(member, member_view(member)).first;
-      last_member = member;
+    const Asn asn = member[i];
+    if (asn != last_member || last_view == nullptr) {
+      auto it = views.find(asn);
+      if (it == views.end()) it = views.emplace(asn, member_view(asn)).first;
+      last_member = asn;
       last_view = &it->second;
     }
-    out[i] = classify_all(net::Ipv4Addr(src_at(i)), *last_view);
+    out[i] = classify_all(net::Ipv4Addr(src[i]), *last_view);
   }
-}
-
-void FlatClassifier::kernel_scalar(const std::uint32_t* src, const Asn* member,
-                                   std::size_t n, Label* out,
-                                   std::size_t prefetch_distance) const {
-  classify_kernel(
-      0, n, [src](std::size_t i) { return src[i]; },
-      [member](std::size_t i) { return member[i]; }, out, prefetch_distance);
 }
 
 void FlatClassifier::resolve_pending(const std::uint32_t* src,
@@ -535,44 +525,6 @@ std::vector<Label> FlatClassifier::classify_batch(
   return labels;
 }
 
-void FlatClassifier::classify_records(std::span<const net::FlowRecord> flows,
-                                      std::span<Label> out) const {
-  classify_records(flows, out, SimdKernel::kAuto);
-}
-
-void FlatClassifier::classify_records(std::span<const net::FlowRecord> flows,
-                                      std::span<Label> out,
-                                      SimdKernel kernel) const {
-  if (out.size() != flows.size()) {
-    throw std::invalid_argument("classify_records: label span size mismatch");
-  }
-  const SimdKernel resolved = effective_kernel(kernel);
-  if (resolved == SimdKernel::kScalar) {
-    classify_kernel(
-        0, flows.size(),
-        [flows](std::size_t i) { return flows[i].src.value(); },
-        [flows](std::size_t i) { return flows[i].member_in; }, out.data(),
-        kPrefetchDistance);
-    return;
-  }
-  // Vector kernels read SoA lanes: repack the AoS records tile-wise. The
-  // copies are linear streams — a small cost against the gather savings.
-  constexpr std::size_t kPackTile = 4096;
-  thread_local std::vector<std::uint32_t> src_lane;
-  thread_local std::vector<Asn> member_lane;
-  src_lane.resize(kPackTile);
-  member_lane.resize(kPackTile);
-  for (std::size_t t = 0; t < flows.size(); t += kPackTile) {
-    const std::size_t m = std::min(kPackTile, flows.size() - t);
-    for (std::size_t i = 0; i < m; ++i) {
-      src_lane[i] = flows[t + i].src.value();
-      member_lane[i] = flows[t + i].member_in;
-    }
-    run_kernel(resolved, src_lane.data(), member_lane.data(), m,
-               out.data() + t);
-  }
-}
-
 std::uint64_t FlatClassifier::plane_digest() const {
   std::uint64_t h = 14695981039346656037ull;
   h = fnv64(h, base_view_, kBaseEntries * sizeof(std::uint32_t));
@@ -594,20 +546,11 @@ std::uint64_t FlatClassifier::plane_digest() const {
 std::vector<Label> classify_trace(const FlatClassifier& classifier,
                                   std::span<const net::FlowRecord> flows,
                                   SimdKernel kernel) {
+  net::FlowBatch batch;
+  batch.reserve(flows.size());
+  for (const auto& f : flows) batch.push_back(f);
   std::vector<Label> labels(flows.size());
-  classifier.classify_records(flows, labels, kernel);
-  return labels;
-}
-
-std::vector<Label> classify_trace(const FlatClassifier& classifier,
-                                  std::span<const net::FlowRecord> flows,
-                                  util::ThreadPool& pool, SimdKernel kernel) {
-  std::vector<Label> labels(flows.size());
-  Label* out = labels.data();
-  pool.parallel_for(0, flows.size(), [&](std::size_t b, std::size_t e) {
-    classifier.classify_records(flows.subspan(b, e - b),
-                                std::span<Label>(out + b, e - b), kernel);
-  });
+  classifier.classify_batch(batch, labels, kernel);
   return labels;
 }
 

@@ -138,14 +138,6 @@ class FlatClassifier {
 
   std::vector<Label> classify_batch(const net::FlowBatch& batch) const;
 
-  /// Same kernels over AoS records (what classify_trace uses); non-scalar
-  /// kernels pack the src/member lanes tile-wise into SoA scratch.
-  void classify_records(std::span<const net::FlowRecord> flows,
-                        std::span<Label> out) const;
-
-  void classify_records(std::span<const net::FlowRecord> flows,
-                        std::span<Label> out, SimdKernel kernel) const;
-
   /// Tuning hook for the prefetch-distance sweep bench: the portable
   /// scalar kernel with an explicit lookahead instead of the compiled-in
   /// default. Not a dispatch path — labels are identical at any distance.
@@ -292,11 +284,6 @@ class FlatClassifier {
     return view;
   }
 
-  template <typename GetSrc, typename GetMember>
-  void classify_kernel(std::size_t begin, std::size_t end, GetSrc&& src_at,
-                       GetMember&& member_at, Label* out,
-                       std::size_t prefetch_distance) const;
-
   /// Dispatches one contiguous SoA run to the resolved kernel. `kernel`
   /// must be concrete (never kAuto) and usable in this build.
   void run_kernel(SimdKernel kernel, const std::uint32_t* src,
@@ -434,16 +421,11 @@ class FlatClassifier {
   std::vector<std::uint16_t> records_scratch_;
 };
 
-/// Trace classification through the plane; element-wise identical to the
-/// trie oracle's classify_trace.
+/// Trace classification through the plane: packs `flows` into one
+/// FlowBatch and runs classify_batch. Element-wise identical to the trie
+/// oracle's classify_trace.
 std::vector<Label> classify_trace(const FlatClassifier& classifier,
                                   std::span<const net::FlowRecord> flows,
-                                  SimdKernel kernel = SimdKernel::kAuto);
-
-/// Parallel variant (same chunking contract as the trie overload).
-std::vector<Label> classify_trace(const FlatClassifier& classifier,
-                                  std::span<const net::FlowRecord> flows,
-                                  util::ThreadPool& pool,
                                   SimdKernel kernel = SimdKernel::kAuto);
 
 }  // namespace spoofscope::classify

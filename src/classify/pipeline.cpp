@@ -7,27 +7,6 @@ AggregateBuilder::AggregateBuilder(std::size_t space_count) {
   members_.resize(space_count);
 }
 
-void AggregateBuilder::add(std::span<const net::FlowRecord> flows,
-                           std::span<const Label> labels,
-                           const std::unordered_set<Asn>& exclude_members) {
-  const std::size_t space_count = agg_.totals.size();
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto& f = flows[i];
-    if (exclude_members.count(f.member_in)) continue;
-    agg_.total_packets += f.packets;
-    agg_.total_bytes += static_cast<double>(f.bytes);
-    agg_.total_flows += 1;
-    for (std::size_t s = 0; s < space_count; ++s) {
-      const auto c = static_cast<std::size_t>(Classifier::unpack(labels[i], s));
-      auto& cell = agg_.totals[s][c];
-      cell.flows += 1;
-      cell.packets += f.packets;
-      cell.bytes += static_cast<double>(f.bytes);
-      members_[s][c].insert(f.member_in);
-    }
-  }
-}
-
 void AggregateBuilder::add(const net::FlowBatch& batch,
                            std::span<const Label> labels,
                            const std::unordered_set<Asn>& exclude_members) {
@@ -81,40 +60,12 @@ Aggregate aggregate_classes(std::size_t space_count,
                             std::span<const net::FlowRecord> flows,
                             std::span<const Label> labels,
                             const std::unordered_set<Asn>& exclude_members) {
+  net::FlowBatch batch;
+  batch.reserve(flows.size());
+  for (const auto& f : flows) batch.push_back(f);
   AggregateBuilder builder(space_count);
-  builder.add(flows, labels, exclude_members);
+  builder.add(batch, labels, exclude_members);
   return builder.build();
-}
-
-Aggregate aggregate_classes(std::size_t space_count,
-                            std::span<const net::FlowRecord> flows,
-                            std::span<const Label> labels,
-                            const std::unordered_set<Asn>& exclude_members,
-                            util::ThreadPool& pool) {
-  const auto chunks =
-      util::ThreadPool::partition(0, flows.size(), pool.thread_count());
-  if (chunks.size() <= 1) {
-    return aggregate_classes(space_count, flows, labels, exclude_members);
-  }
-
-  std::vector<AggregateBuilder> partials(chunks.size(),
-                                         AggregateBuilder(space_count));
-  // partition() caps the chunk count at pool.thread_count(), so this
-  // outer parallel_for runs exactly one partial per execution lane.
-  pool.parallel_for(0, chunks.size(), [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      partials[c].add(flows.subspan(chunks[c].begin,
-                                    chunks[c].end - chunks[c].begin),
-                      labels.subspan(chunks[c].begin,
-                                     chunks[c].end - chunks[c].begin),
-                      exclude_members);
-    }
-  });
-
-  // Deterministic reduction: fold partials in chunk index order.
-  AggregateBuilder merged = std::move(partials[0]);
-  for (std::size_t c = 1; c < partials.size(); ++c) merged.merge(partials[c]);
-  return merged.build();
 }
 
 }  // namespace spoofscope::classify

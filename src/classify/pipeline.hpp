@@ -31,7 +31,7 @@ struct Aggregate {
   double total_flows = 0;
 };
 
-/// Incremental aggregation: accumulates (flow, label) chunks and
+/// Incremental aggregation: accumulates (flow batch, label) chunks and
 /// materializes the distinct-member counts on demand. This is what lets
 /// the CLI stream a trace chunk-at-a-time with bounded memory instead of
 /// materializing every flow; aggregate_classes is implemented on top.
@@ -39,19 +39,15 @@ class AggregateBuilder {
  public:
   explicit AggregateBuilder(std::size_t space_count);
 
-  /// Accumulates one chunk; labels[i] must belong to flows[i].
-  /// `exclude_members` drops flows injected by those members (the
-  /// Sec 5.2 router-stray exclusion).
-  void add(std::span<const net::FlowRecord> flows, std::span<const Label> labels,
-           const std::unordered_set<Asn>& exclude_members = {});
-
-  /// SoA twin: accumulates a FlowBatch straight from its lanes, with
-  /// totals identical to add() over the gathered records.
+  /// Accumulates one batch straight from its lanes; labels[i] must
+  /// belong to flow i. `exclude_members` drops flows injected by those
+  /// members (the Sec 5.2 router-stray exclusion).
   void add(const net::FlowBatch& batch, std::span<const Label> labels,
            const std::unordered_set<Asn>& exclude_members = {});
 
-  /// Folds another builder's accumulation into this one (used for the
-  /// deterministic chunk-order reduction of the parallel path).
+  /// Folds another builder's accumulation into this one. Totals are
+  /// exact under any chunking: every summed quantity is an
+  /// integral-valued double far below 2^53, and member sets union.
   void merge(const AggregateBuilder& other);
 
   /// Snapshot of the aggregate so far; the builder stays usable.
@@ -62,24 +58,13 @@ class AggregateBuilder {
   std::vector<std::array<std::unordered_set<Asn>, kNumClasses>> members_;
 };
 
-/// Aggregates labels over flows. Labels already carry the per-space
-/// classes, so only the space count is needed.
-/// `exclude_members` drops flows injected by those members (the Sec 5.2
-/// router-stray exclusion).
+/// Aggregates labels over flows: packs them into one FlowBatch for
+/// AggregateBuilder::add. Labels already carry the per-space classes, so
+/// only the space count is needed. `exclude_members` drops flows injected
+/// by those members (the Sec 5.2 router-stray exclusion).
 Aggregate aggregate_classes(std::size_t space_count,
                             std::span<const net::FlowRecord> flows,
                             std::span<const Label> labels,
                             const std::unordered_set<Asn>& exclude_members = {});
-
-/// Parallel variant: per-chunk partial Aggregates are accumulated across
-/// `pool` and merged in fixed chunk order (member sets unioned at merge
-/// time). Totals match the sequential version exactly: every summed
-/// quantity is an integral-valued double far below 2^53, so the
-/// reassociated partial sums are exact.
-Aggregate aggregate_classes(std::size_t space_count,
-                            std::span<const net::FlowRecord> flows,
-                            std::span<const Label> labels,
-                            const std::unordered_set<Asn>& exclude_members,
-                            util::ThreadPool& pool);
 
 }  // namespace spoofscope::classify

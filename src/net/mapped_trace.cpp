@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "net/flow_batch.hpp"
+#include "net/trace_format.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define SPOOFSCOPE_HAVE_MMAP 1
@@ -156,21 +157,20 @@ MappedTraceReader::MappedTraceReader(const MappedTrace& trace,
   meta_.seed = h.seed;
   declared_ = h.declared;
   header_ok_ = true;
-  scanner_ = format::RecordScanner(h, policy_, stats_);
-  rest_ = all.subspan(h.size);
+  rest_ = all.subspan(format::kHeaderSizeV2);
 }
 
-void MappedTraceReader::finish_if_exhausted(std::size_t got, std::size_t want) {
-  if (got >= want || scanner_.done()) {
-    done_ = scanner_.done();
-    return;
-  }
-  // The scanner stopped short of the request with bytes exhausted — the
-  // mapping is the whole file, so this is end of input.
-  const std::size_t tail = rest_.size();
-  rest_ = {};
-  scanner_.finish(tail);  // throws in strict mode if records are owed
+void MappedTraceReader::finish(std::size_t tail) {
+  // End of input with `tail` bytes too short for a record. Strict mode
+  // only gets here with records still owed by the header (the declared
+  // count ends clean streams first), so it is a truncation.
   done_ = true;
+  if (policy_ == util::ErrorPolicy::kStrict) {
+    throw std::runtime_error("read_trace: truncated record");
+  }
+  if (tail != 0 || resyncing_) stats_->skip(util::ErrorKind::kTruncated, tail);
+  // Records lost (or extra ones found) relative to the header.
+  if (delivered_ != declared_) stats_->note(util::ErrorKind::kCountMismatch);
 }
 
 void MappedTraceReader::drop_consumed() {
@@ -183,26 +183,43 @@ void MappedTraceReader::drop_consumed() {
   }
 }
 
-std::optional<FlowRecord> MappedTraceReader::next() {
-  if (done_) return std::nullopt;
-  std::optional<FlowRecord> result;
-  const auto sink = [&result](const std::uint8_t* p) {
-    result = format::decode_record(p);
-  };
-  rest_ = rest_.subspan(scanner_.scan(rest_, 1, sink));
-  finish_if_exhausted(result ? 1 : 0, 1);
-  return result;
-}
-
 std::size_t MappedTraceReader::next_batch(FlowBatch& out,
                                           std::size_t max_records) {
   out.clear();
-  if (done_ || max_records == 0) return 0;
-  const auto sink = [&out](const std::uint8_t* p) {
-    out.push_back(format::decode_record(p));
-  };
-  rest_ = rest_.subspan(scanner_.scan(rest_, max_records, sink));
-  finish_if_exhausted(out.size(), max_records);
+  const bool strict = policy_ == util::ErrorPolicy::kStrict;
+  const std::span<const std::uint8_t> window = rest_;
+  std::size_t off = 0;
+  while (!done_ && out.size() < max_records) {
+    if (strict && delivered_ >= declared_) {
+      done_ = true;  // trailing bytes are ignored
+      break;
+    }
+    if (window.size() - off < format::kRecordSizeV2) {
+      rest_ = {};
+      finish(window.size() - off);
+      return out.size();
+    }
+    const std::uint8_t* p = window.data() + off;
+    if (format::get_u32(p + format::kPayloadSize) ==
+        format::fnv1a32(p, format::kPayloadSize)) {
+      out.push_back(format::decode_record(p));
+      off += format::kRecordSizeV2;
+      ++delivered_;
+      stats_->ok();
+      resyncing_ = false;
+      continue;
+    }
+    if (strict) throw std::runtime_error("read_trace: record checksum mismatch");
+    // Resync: count one quarantined record per damaged region, then
+    // slide the window byte-by-byte until a record validates again.
+    if (!resyncing_) {
+      resyncing_ = true;
+      stats_->skip(util::ErrorKind::kChecksum, 0);
+    }
+    ++off;
+    ++stats_->bytes_dropped;
+  }
+  rest_ = window.subspan(off);
   return out.size();
 }
 

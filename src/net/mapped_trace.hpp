@@ -12,14 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "net/flow.hpp"
 #include "net/trace.hpp"
-#include "net/trace_format.hpp"
 #include "util/error_policy.hpp"
 
 namespace spoofscope::net {
@@ -69,10 +66,16 @@ class MappedTrace {
   std::vector<std::uint8_t> fallback_;
 };
 
-/// Batch reader over a MappedTrace: same header validation, record
-/// scanning, resync and stats accounting as TraceReader (both drive
-/// format::RecordScanner), but the scan window is the whole mapping, so
-/// there is no refill loop and no byte shuffling.
+/// The one trace decoder: validates the header once, then decodes records
+/// straight from the mapping into FlowBatch lanes. The scan window is the
+/// whole file, so running out of bytes is end of input.
+///
+///   - strict: exactly the declared number of records, trailing bytes
+///     ignored; the first malformed byte throws std::runtime_error;
+///   - skip: every record is checked against its FNV-1a checksum; damage
+///     starts a byte-wise resync to the next record that validates, with
+///     one quarantined record counted per damaged region in `stats`, and
+///     a broken header yields an empty record stream.
 class MappedTraceReader {
  public:
   /// Validates the header once. `trace` and `stats` (optional) must
@@ -85,13 +88,10 @@ class MappedTraceReader {
   std::uint64_t declared_count() const { return declared_; }
   bool header_ok() const { return header_ok_; }
 
-  /// Next record, or std::nullopt at end of stream (per-record
-  /// convenience; differential tests pit it against TraceReader::next).
-  std::optional<FlowRecord> next();
-
   /// Clears `out` and refills it with up to `max_records` records
   /// decoded straight from the mapping. Returns records delivered; 0
-  /// means end of stream.
+  /// means end of stream. A strict-mode throw leaves the records decoded
+  /// before the damage in `out`.
   std::size_t next_batch(FlowBatch& out, std::size_t max_records);
 
   /// Releases the physical pages behind every byte this reader has
@@ -105,7 +105,7 @@ class MappedTraceReader {
   const util::IngestStats& stats() const { return *stats_; }
 
  private:
-  void finish_if_exhausted(std::size_t got, std::size_t want);
+  void finish(std::size_t tail);
 
   util::ErrorPolicy policy_;
   const MappedTrace* trace_ = nullptr;
@@ -114,9 +114,10 @@ class MappedTraceReader {
   util::IngestStats* stats_;
   TraceMeta meta_;
   std::uint64_t declared_ = 0;
+  std::uint64_t delivered_ = 0;
   bool header_ok_ = false;
+  bool resyncing_ = false;  ///< inside a damaged region, sliding bytewise
   bool done_ = false;
-  format::RecordScanner scanner_;
   std::span<const std::uint8_t> rest_;  ///< unconsumed record bytes (view)
 };
 

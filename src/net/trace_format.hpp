@@ -1,13 +1,6 @@
-// Internal binary trace format core shared by the istream reader
-// (net::TraceReader) and the mmap-backed reader (net::MappedTraceReader):
-// the on-disk constants, field (de)serializers, header parser and the
-// incremental RecordScanner state machine.
-//
-// Keeping exactly one copy of the scanner is what makes the two readers
-// provably equivalent: both consume contiguous byte windows through the
-// same state transitions, so records delivered, resync behaviour and
-// IngestStats accounting are bit-identical whether the window is a
-// refilled stream buffer or one mapped view of the whole file.
+// Internal binary trace format core shared by the writer (write_trace)
+// and the one reader (net::MappedTraceReader): the on-disk constants,
+// field (de)serializers, record checksum and header parser.
 #pragma once
 
 #include <cstdint>
@@ -22,13 +15,10 @@
 namespace spoofscope::net::format {
 
 inline constexpr std::uint32_t kMagic = 0x53504F46;  // "SPOF"
-inline constexpr std::uint32_t kVersionV1 = 1;       // no checksums
 inline constexpr std::uint32_t kVersionV2 = 2;       // header + per-record FNV-1a
-inline constexpr std::size_t kHeaderBody = 32;       // shared v1/v2 header layout
-inline constexpr std::size_t kHeaderSizeV1 = kHeaderBody;
+inline constexpr std::size_t kHeaderBody = 32;       // header fields before the checksum
 inline constexpr std::size_t kHeaderSizeV2 = kHeaderBody + 4;  // + checksum
-inline constexpr std::size_t kPayloadSize = 36;      // record body (both versions)
-inline constexpr std::size_t kRecordSizeV1 = kPayloadSize;
+inline constexpr std::size_t kPayloadSize = 36;      // record body
 inline constexpr std::size_t kRecordSizeV2 = kPayloadSize + 4;  // + checksum
 
 inline void put_u16(std::uint8_t* p, std::uint16_t v) {
@@ -100,30 +90,6 @@ inline FlowRecord decode_record(const std::uint8_t* p) {
   return f;
 }
 
-/// Heuristic record validator for v1 streams (which carry no checksums):
-/// a candidate 36-byte window is plausible iff its structural invariants
-/// hold — reserved/padding bytes zero, a protocol the vantage point
-/// exports, non-zero packet and byte counts, and a timestamp inside the
-/// header-declared window (skipped when the header declares none). The
-/// writer can never produce an implausible record, so a clean v1 stream
-/// is unaffected; random garbage passes with probability ~2^-26, so the
-/// skip-mode byte slide re-locks onto the true record boundary after
-/// damage instead of swallowing the rest of the stream as one record run.
-inline bool plausible_v1_record(const std::uint8_t* p,
-                                std::uint32_t window_seconds) {
-  if (p[13] != 0 || p[18] != 0 || p[19] != 0) return false;
-  const std::uint8_t proto = p[12];
-  if (proto != static_cast<std::uint8_t>(Proto::kIcmp) &&
-      proto != static_cast<std::uint8_t>(Proto::kTcp) &&
-      proto != static_cast<std::uint8_t>(Proto::kUdp)) {
-    return false;
-  }
-  if (get_u32(p + 20) == 0) return false;  // packets
-  if (get_u64(p + 24) == 0) return false;  // bytes
-  if (window_seconds != 0 && get_u32(p + 0) > window_seconds) return false;
-  return true;
-}
-
 /// Parsed trace header, or the reason it was rejected (raw fields; the
 /// public readers package them into a TraceMeta).
 struct Header {
@@ -131,15 +97,14 @@ struct Header {
   std::uint32_t window_seconds = 0;
   std::uint64_t seed = 0;
   std::uint64_t declared = 0;
-  std::uint32_t version = 0;
-  std::size_t size = 0;  ///< header bytes consumed when ok
   bool ok = false;
 };
 
-/// Parses and validates the v1/v2 header from the first bytes of `data`
-/// (which need not extend past the header). Strict policy throws
-/// std::runtime_error exactly like the historical reader; skip policy
-/// accounts the failure in `stats` and returns ok=false (or, for a v2
+/// Parses and validates the v2 header from the first bytes of `data`
+/// (which need not extend past the header); on success the records start
+/// kHeaderSizeV2 bytes in. Any other version, including the checksumless
+/// v1, is unsupported. Strict policy throws std::runtime_error; skip
+/// policy accounts the failure in `stats` and returns ok=false (or, for a
 /// header-checksum mismatch, notes the damage and proceeds best-effort).
 inline Header parse_header(std::span<const std::uint8_t> data,
                            util::ErrorPolicy policy, util::IngestStats& stats) {
@@ -158,21 +123,17 @@ inline Header parse_header(std::span<const std::uint8_t> data,
     stats.skip(util::ErrorKind::kBadMagic, kHeaderBody);
     return h;
   }
-  h.version = get_u32(data.data() + 4);
-  if (h.version != kVersionV1 && h.version != kVersionV2) {
+  if (get_u32(data.data() + 4) != kVersionV2) {
     if (strict) return fail("unsupported version");
     stats.skip(util::ErrorKind::kBadVersion, kHeaderBody);
     return h;
   }
-  h.size = h.version == kVersionV2 ? kHeaderSizeV2 : kHeaderSizeV1;
-  if (data.size() < h.size) {
+  if (data.size() < kHeaderSizeV2) {
     if (strict) return fail("truncated header");
     stats.skip(util::ErrorKind::kTruncated, data.size());
-    h.size = 0;
     return h;
   }
-  if (h.version == kVersionV2 &&
-      get_u32(data.data() + kHeaderBody) != fnv1a32(data.data(), kHeaderBody)) {
+  if (get_u32(data.data() + kHeaderBody) != fnv1a32(data.data(), kHeaderBody)) {
     if (strict) return fail("header checksum mismatch");
     // Best effort in skip mode: the metadata may be damaged, but the
     // records carry their own checksums, so recovery can proceed.
@@ -185,120 +146,5 @@ inline Header parse_header(std::span<const std::uint8_t> data,
   h.ok = true;
   return h;
 }
-
-/// Incremental record decoder over contiguous byte windows. The caller
-/// owns windowing: a streaming reader refills a buffer and passes its
-/// unconsumed suffix back in; a mapped reader passes one window spanning
-/// the whole file. finish() applies the end-of-input accounting.
-///
-/// Semantics replicate the historical per-record reader exactly:
-///   - strict: declared-count records, first malformed byte throws,
-///     trailing bytes ignored;
-///   - skip: records are validated (v2: checksum; v1: plausibility
-///     heuristic) and damage starts a byte-wise resync, one quarantined
-///     record counted per damaged region.
-class RecordScanner {
- public:
-  RecordScanner() = default;
-  RecordScanner(const Header& header, util::ErrorPolicy policy,
-                util::IngestStats* stats)
-      : window_seconds_(header.window_seconds),
-        declared_(header.declared),
-        version_(header.version),
-        policy_(policy),
-        stats_(stats) {}
-
-  std::size_t record_size() const {
-    return version_ == kVersionV2 ? kRecordSizeV2 : kRecordSizeV1;
-  }
-
-  /// True once the scanner will deliver no further records (strict
-  /// declared count reached, or finish() was called).
-  bool done() const { return done_; }
-
-  std::uint64_t delivered() const { return delivered_; }
-
-  /// Decodes records from `window`, invoking sink(payload) for each valid
-  /// one, until `max_records` are delivered, fewer than record_size()
-  /// bytes remain, or the scanner is done. Returns the bytes consumed
-  /// (valid records plus resync slides); the caller must carry the
-  /// unconsumed suffix into the next call.
-  template <typename Sink>
-  std::size_t scan(std::span<const std::uint8_t> window,
-                   std::size_t max_records, Sink&& sink) {
-    const bool strict = policy_ == util::ErrorPolicy::kStrict;
-    const std::size_t rec = record_size();
-    std::size_t off = 0;
-    std::size_t n = 0;
-    while (n < max_records && !done_) {
-      if (strict && delivered_ >= declared_) {
-        // Strict mode replicates the historical reader: exactly the
-        // declared number of records, trailing bytes ignored.
-        done_ = true;
-        break;
-      }
-      if (window.size() - off < rec) break;  // caller must refill or finish
-      const std::uint8_t* p = window.data() + off;
-      const bool valid =
-          version_ == kVersionV2
-              ? get_u32(p + kPayloadSize) == fnv1a32(p, kPayloadSize)
-              : (strict || plausible_v1_record(p, window_seconds_));
-      if (valid) {
-        sink(p);
-        off += rec;
-        ++delivered_;
-        ++n;
-        stats_->ok();
-        resyncing_ = false;
-        continue;
-      }
-      if (strict) throw std::runtime_error("read_trace: record checksum mismatch");
-      // Resync: count one quarantined record per damaged region, then
-      // slide the window byte-by-byte until a record validates again.
-      if (!resyncing_) {
-        resyncing_ = true;
-        stats_->skip(version_ == kVersionV2 ? util::ErrorKind::kChecksum
-                                            : util::ErrorKind::kParse,
-                     0);
-      }
-      ++off;
-      ++stats_->bytes_dropped;
-    }
-    return off;
-  }
-
-  /// End of input with `tail` unconsumed bytes: applies truncation and
-  /// count-mismatch accounting (strict mode throws if records are owed).
-  void finish(std::size_t tail) {
-    if (done_) return;
-    done_ = true;
-    const bool strict = policy_ == util::ErrorPolicy::kStrict;
-    if (tail == 0 && !resyncing_) {
-      // Record-aligned end of stream. Strict mode only gets here with
-      // records still owed by the header (the declared-count check in
-      // scan() ends clean streams), so it is a truncation.
-      if (strict) throw std::runtime_error("read_trace: truncated record");
-      // Skip mode: flag a count mismatch if records were lost (or
-      // hallucinated) relative to the header.
-      if (delivered_ != declared_) {
-        stats_->note(util::ErrorKind::kCountMismatch);
-      }
-      return;
-    }
-    if (strict) throw std::runtime_error("read_trace: truncated record");
-    stats_->skip(util::ErrorKind::kTruncated, tail);
-    if (delivered_ != declared_) stats_->note(util::ErrorKind::kCountMismatch);
-  }
-
- private:
-  std::uint32_t window_seconds_ = 0;
-  std::uint64_t declared_ = 0;
-  std::uint32_t version_ = 0;
-  util::ErrorPolicy policy_ = util::ErrorPolicy::kStrict;
-  util::IngestStats* stats_ = nullptr;
-  std::uint64_t delivered_ = 0;
-  bool resyncing_ = false;
-  bool done_ = false;
-};
 
 }  // namespace spoofscope::net::format

@@ -746,8 +746,8 @@ TEST_P(StreamingOracleTest, ChunkOrderMergeReductionMatchesSequential) {
 }
 
 // Corruption differential: a skip-mode streaming report over a damaged
-// trace must equal the oracle restricted to the records a per-record
-// skip-mode reader survives; strict mode must refuse the stream.
+// trace must equal the oracle restricted to the records a whole-stream
+// skip-mode read survives; strict mode must refuse the stream.
 TEST_P(StreamingOracleTest, CorruptedSkipModeMatchesSurvivorOracle) {
   auto& w = world(GetParam());
   const std::size_t space_count = w.classifier().space_count();
@@ -765,12 +765,11 @@ TEST_P(StreamingOracleTest, CorruptedSkipModeMatchesSurvivorOracle) {
       testing::splice_garbage(clean, splice_rng, net::format::kHeaderSizeV2),
   };
   for (const auto& bytes : corrupted) {
-    // Reference: per-record skip-mode survivors through the oracle.
+    // Reference: whole-stream skip-mode survivors through the oracle.
     std::istringstream in(bytes, std::ios::binary);
     util::IngestStats ref_stats;
-    net::TraceReader reader(in, util::ErrorPolicy::kSkip, &ref_stats);
-    std::vector<net::FlowRecord> survivors;
-    while (const auto f = reader.next()) survivors.push_back(*f);
+    const auto survivors =
+        net::read_trace(in, util::ErrorPolicy::kSkip, &ref_stats).flows;
     ASSERT_LT(survivors.size(), w.trace().flows.size());  // damage landed
     const auto labels = classify::classify_trace(flat, survivors);
     const auto oracle = oracle_report(survivors, labels, space_count, 0,

@@ -1,11 +1,12 @@
 // Differential harness for the batched classification plane: for the
 // differential seeds, the SoA batch kernels must reproduce the
 // per-record path bit-identically — labels from the trie oracle and the
-// flat plane across thread counts, aggregates built lane-wise, streaming
-// alerts through
-// ingest_batch, and the whole file-to-aggregate pipeline through
-// MappedTrace (clean and corrupted). Also pins the striped parallel
-// flat-plane compile to the sequential compile via plane_digest().
+// flat plane across thread counts, aggregates built lane-wise over
+// uneven batch cuts, streaming alerts through ingest_batch, and the
+// chunked file-to-aggregate pipeline through MappedTrace (clean and
+// corrupted) against a whole-trace read classified by the trie oracle.
+// Also pins the striped parallel flat-plane compile to the sequential
+// compile via plane_digest().
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -207,27 +208,32 @@ TEST_P(BatchOracleTest, AggregateFromBatchIdenticalToAoS) {
   auto params = scenario::ScenarioParams::small();
   params.seed = GetParam();
   const auto w = scenario::build_scenario(params);
-  const auto& flows = w->trace().flows;
-  const auto batch = to_batch(flows);
+  const std::span<const net::FlowRecord> flows = w->trace().flows;
   const auto labels = classify_trace(w->classifier(), flows);
+  const std::size_t spaces = w->classifier().space_count();
 
-  {
-    AggregateBuilder aos(w->classifier().space_count());
-    AggregateBuilder soa(w->classifier().space_count());
-    aos.add(flows, labels);
-    soa.add(batch, labels);
-    expect_same_aggregate(soa.build(), aos.build(), "no exclusions");
-  }
-  {
-    // Exclusions must drop the same flows from both layouts.
-    const std::unordered_set<Asn> exclude = {flows[0].member_in,
-                                             flows[flows.size() / 2].member_in};
-    AggregateBuilder aos(w->classifier().space_count());
-    AggregateBuilder soa(w->classifier().space_count());
-    aos.add(flows, labels, exclude);
-    soa.add(batch, labels, exclude);
-    expect_same_aggregate(soa.build(), aos.build(), "with exclusions");
-  }
+  // Lane-wise adds over uneven batch cuts against the one-call AoS form,
+  // so accumulation across batch boundaries is pinned too.
+  const auto batched = [&](const std::unordered_set<Asn>& exclude) {
+    AggregateBuilder builder(spaces);
+    util::Rng rng(GetParam() ^ 0xa66);
+    for (std::size_t i = 0; i < flows.size();) {
+      const std::size_t n =
+          std::min(flows.size() - i, std::size_t{1} + rng.index(997));
+      builder.add(to_batch(flows.subspan(i, n)),
+                  std::span<const Label>(labels).subspan(i, n), exclude);
+      i += n;
+    }
+    return builder.build();
+  };
+  expect_same_aggregate(batched({}), aggregate_classes(spaces, flows, labels),
+                        "no exclusions");
+  // Exclusions must drop the same flows from both forms.
+  const std::unordered_set<Asn> exclude = {flows[0].member_in,
+                                           flows[flows.size() / 2].member_in};
+  expect_same_aggregate(batched(exclude),
+                        aggregate_classes(spaces, flows, labels, exclude),
+                        "with exclusions");
 }
 
 TEST_P(BatchOracleTest, IngestBatchAlertsAndHealthIdenticalToRun) {
@@ -293,15 +299,14 @@ TEST_P(BatchOracleTest, FileToAggregatePipelineMatchesPerRecordPath) {
       {"corrupted/skip", &corrupted, util::ErrorPolicy::kSkip},
   };
   for (const auto& c : cases) {
-    // Reference: per-record istream decode, per-record classify, AoS add.
+    // Reference: whole-stream decode, the trie oracle per record, and
+    // one aggregate over all survivors.
     std::istringstream in(*c.bytes, std::ios::binary);
     util::IngestStats ref_stats;
-    net::TraceReader reader(in, c.policy, &ref_stats);
-    std::vector<net::FlowRecord> ref_flows;
-    while (const auto f = reader.next()) ref_flows.push_back(*f);
-    const auto ref_labels = classify_trace(flat, ref_flows);
-    AggregateBuilder ref_builder(w->classifier().space_count());
-    ref_builder.add(ref_flows, ref_labels);
+    const auto ref_flows = net::read_trace(in, c.policy, &ref_stats).flows;
+    const auto ref_agg =
+        aggregate_classes(w->classifier().space_count(), ref_flows,
+                          classify_trace(w->classifier(), ref_flows));
 
     // Batch path: mmap-style source, batched decode, batched classify on
     // a pool, lane-wise aggregation.
@@ -323,7 +328,7 @@ TEST_P(BatchOracleTest, FileToAggregatePipelineMatchesPerRecordPath) {
 
     EXPECT_EQ(total, ref_flows.size()) << c.name;
     EXPECT_EQ(batch_stats, ref_stats) << c.name;
-    expect_same_aggregate(builder.build(), ref_builder.build(), c.name);
+    expect_same_aggregate(builder.build(), ref_agg, c.name);
   }
 }
 

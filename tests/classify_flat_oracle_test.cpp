@@ -16,6 +16,7 @@
 #include "classify/flat_classifier.hpp"
 #include "classify/pipeline.hpp"
 #include "classify/streaming.hpp"
+#include "net/flow_batch.hpp"
 #include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -69,9 +70,12 @@ TEST_P(FlatOracleTest, LabelsIdenticalToTrieEngineAcrossThreadCounts) {
           << ") compile_threads=" << compile_threads;
     }
 
+    net::FlowBatch batch;
+    for (const auto& f : flows) batch.push_back(f);
     for (const std::size_t threads : kThreadCounts) {
       util::ThreadPool pool(threads);
-      const auto par = classify_trace(flat, flows, pool);
+      std::vector<Label> par(batch.size());
+      flat.classify_batch(batch, par, pool);
       ASSERT_EQ(par, oracle) << "threads=" << threads;
     }
   }
@@ -113,18 +117,13 @@ TEST_P(FlatOracleTest, AggregatesIncidentsAndStreamingAlertsIdentical) {
 
   const std::size_t spaces = flat.space_count();
   ASSERT_EQ(spaces, w->classifier().space_count());
-  const auto seq = aggregate_classes(spaces, flows, trie_labels);
   std::unordered_set<Asn> exclude{w->ixp().members().front().asn};
-  for (const std::size_t threads : kThreadCounts) {
-    util::ThreadPool pool(threads);
-    expect_same_aggregate(
-        seq, aggregate_classes(spaces, flows, flat_labels, {}, pool),
-        "flat aggregate");
-    expect_same_aggregate(
-        aggregate_classes(spaces, flows, trie_labels, exclude),
-        aggregate_classes(spaces, flows, flat_labels, exclude, pool),
-        "flat aggregate with exclusion");
-  }
+  expect_same_aggregate(aggregate_classes(spaces, flows, trie_labels),
+                        aggregate_classes(spaces, flows, flat_labels),
+                        "flat aggregate");
+  expect_same_aggregate(aggregate_classes(spaces, flows, trie_labels, exclude),
+                        aggregate_classes(spaces, flows, flat_labels, exclude),
+                        "flat aggregate with exclusion");
 
   for (std::size_t s = 0; s < w->classifier().space_count(); ++s) {
     const auto trie_inc = analysis::extract_incidents(flows, trie_labels, s);

@@ -1,16 +1,18 @@
 // Differential harness for the parallel execution layer: for several
 // scenario seeds and thread counts, the parallel classify_trace must
-// produce element-wise identical labels, parallel aggregate_classes must
-// reproduce every (space, class) cell exactly, and the parallel
-// valid-space build must equal the sequential factory output. The
-// sequential single-thread code path is the oracle (cf. the Eumann et
-// al. reproducibility study: classification results are sensitive to
-// implementation details, so parallelism must be proven bit-identical).
+// produce element-wise identical labels, per-chunk AggregateBuilders
+// merged in chunk order must reproduce every (space, class) cell
+// exactly, and the parallel valid-space build must equal the sequential
+// factory output. The sequential single-thread code path is the oracle
+// (cf. the Eumann et al. reproducibility study: classification results
+// are sensitive to implementation details, so parallelism must be
+// proven bit-identical).
 #include <gtest/gtest.h>
 
 #include <unordered_set>
 
 #include "classify/pipeline.hpp"
+#include "net/flow_batch.hpp"
 #include "scenario/scenario.hpp"
 #include "util/thread_pool.hpp"
 
@@ -83,15 +85,34 @@ TEST_P(ParallelOracleTest, AggregateTotalsMatchSequentialExactly) {
   const auto seq_excl =
       aggregate_classes(spaces, flows, labels, exclude);
 
+  // The parallel reduction over AggregateBuilder: one builder per pool
+  // chunk, each fed its chunk as a FlowBatch, merged in chunk order.
+  const auto parallel = [&](util::ThreadPool& pool,
+                            const std::unordered_set<Asn>& excl) {
+    const auto chunks =
+        util::ThreadPool::partition(0, flows.size(), pool.thread_count());
+    std::vector<AggregateBuilder> partials(chunks.size(),
+                                           AggregateBuilder(spaces));
+    pool.parallel_for(0, chunks.size(), [&](std::size_t cb, std::size_t ce) {
+      for (std::size_t c = cb; c < ce; ++c) {
+        const auto [begin, end] = chunks[c];
+        net::FlowBatch batch;
+        for (std::size_t i = begin; i < end; ++i) batch.push_back(flows[i]);
+        partials[c].add(batch,
+                        std::span<const Label>(labels).subspan(begin,
+                                                               end - begin),
+                        excl);
+      }
+    });
+    for (std::size_t c = 1; c < partials.size(); ++c) {
+      partials[0].merge(partials[c]);
+    }
+    return partials[0].build();
+  };
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
-    expect_same_cells(
-        seq, aggregate_classes(spaces, flows, labels, {}, pool),
-        threads);
-    expect_same_cells(
-        seq_excl,
-        aggregate_classes(spaces, flows, labels, exclude, pool),
-        threads);
+    expect_same_cells(seq, parallel(pool, {}), threads);
+    expect_same_cells(seq_excl, parallel(pool, exclude), threads);
   }
 }
 

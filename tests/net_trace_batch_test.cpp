@@ -1,15 +1,16 @@
-// Differential suite for the batched zero-copy ingest path:
+// Suite for the one trace decode path, MappedTraceReader::next_batch:
 //
-//  - TraceReader::next_batch vs TraceReader::next over clean and
-//    corrupted streams, both policies, randomized batch sizes;
-//  - MappedTraceReader (mmap window) vs TraceReader (refilled istream
-//    buffer) — records delivered and IngestStats must be bit-identical
-//    because both drive the same format::RecordScanner;
+//  - golden decode digests: an FNV-1a-64 over (delivered records, every
+//    IngestStats counter, error string) for clean and corrupted streams
+//    under both policies, pinned from the previous decoder so any change
+//    to records delivered, resync behaviour or accounting fails loudly;
+//  - batch-cut invariance: random batch sizes in [1, 400] deliver the
+//    same digest as one whole-trace batch, and a real mmap of the bytes
+//    the same digest as MappedTrace::from_buffer;
 //  - batch-boundary edges: batch size 1, batch larger than the trace,
 //    empty trace, empty file;
-//  - v1 streams (no record checksums): strict round-trip, and the
-//    skip-mode plausibility resync that lets a damaged v1 stream recover
-//    its tail instead of swallowing it.
+//  - v1 streams (no record checksums, no longer supported) are rejected
+//    as an unsupported version, loudly in strict mode, counted in skip.
 #include "net/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,38 +51,48 @@ FlowRecord make_flow(util::Rng& rng) {
   return f;
 }
 
-std::string make_trace_bytes(std::size_t flows, std::uint64_t seed) {
+Trace make_trace(std::size_t flows, std::uint64_t seed) {
   util::Rng rng(seed);
   Trace t;
   t.meta.sampling_rate = 1000;
   t.meta.window_seconds = kFourWeeks;
   t.meta.seed = seed;
   for (std::size_t i = 0; i < flows; ++i) t.flows.push_back(make_flow(rng));
+  return t;
+}
+
+std::string trace_bytes(const Trace& t) {
   std::stringstream ss;
   write_trace(ss, t);
   return ss.str();
 }
 
-/// Hand-built v1 stream (write_trace only emits v2): 32-byte header
-/// without checksum, then bare 36-byte records. Every record the helper
-/// emits satisfies plausible_v1_record by construction (known protocol,
-/// non-zero counts, ts within the declared window).
-std::string make_v1_bytes(const std::vector<FlowRecord>& flows) {
-  std::string out(format::kHeaderSizeV1, '\0');
-  auto* h = reinterpret_cast<std::uint8_t*>(out.data());
-  format::put_u32(h + 0, format::kMagic);
-  format::put_u32(h + 4, format::kVersionV1);
-  format::put_u32(h + 8, 1000);        // sampling_rate
-  format::put_u32(h + 12, kFourWeeks); // window_seconds
-  format::put_u64(h + 16, 42);         // seed
-  format::put_u64(h + 24, flows.size());
-  for (const auto& f : flows) {
-    std::uint8_t rec[format::kRecordSizeV1];
-    format::encode_record(f, rec);
-    out.append(reinterpret_cast<const char*>(rec), sizeof(rec));
-  }
-  return out;
+std::string make_trace_bytes(std::size_t flows, std::uint64_t seed) {
+  return trace_bytes(make_trace(flows, seed));
 }
+
+MappedTrace buffer_of(const std::string& bytes) {
+  return MappedTrace::from_buffer(
+      std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+}
+
+/// Writes `bytes` to a per-process temp file and removes it on scope exit,
+/// so the same bytes can be read through a real mmap.
+class TempTraceFile {
+ public:
+  TempTraceFile(const std::string& tag, const std::string& bytes)
+      : path_(fs::temp_directory_path() /
+              ("spoofscope-" + tag + "-" + std::to_string(::getpid()) +
+               ".trace")) {
+    std::ofstream out(path_, std::ios::binary);
+    out << bytes;
+  }
+  ~TempTraceFile() { fs::remove(path_); }
+  std::string path() const { return path_.string(); }
+
+ private:
+  fs::path path_;
+};
 
 struct ReadResult {
   std::vector<FlowRecord> records;
@@ -88,121 +100,135 @@ struct ReadResult {
   std::string error;  ///< what() of the throw, empty on success
 };
 
-/// The four read paths under differential test.
-enum class Path { kStreamNext, kStreamBatch, kMappedNext, kMappedBatch };
-constexpr Path kPaths[] = {Path::kStreamNext, Path::kStreamBatch,
-                           Path::kMappedNext, Path::kMappedBatch};
+constexpr std::size_t kWholeTrace = std::numeric_limits<std::size_t>::max();
 
-const char* path_name(Path p) {
-  switch (p) {
-    case Path::kStreamNext: return "stream/next";
-    case Path::kStreamBatch: return "stream/batch";
-    case Path::kMappedNext: return "mapped/next";
-    case Path::kMappedBatch: return "mapped/batch";
-  }
-  return "?";
-}
-
-/// Reads the whole stream through one path. Batch paths draw each batch
-/// size from `rng` in [1, 400] so batch boundaries land everywhere,
-/// including mid-resync.
-ReadResult read_all(const std::string& bytes, Path path,
-                    util::ErrorPolicy policy, util::Rng& rng) {
+/// Reads the whole mapping through next_batch. With `rng`, each batch
+/// size is drawn from [1, 400] so batch boundaries land everywhere,
+/// including mid-resync; without, one batch takes the whole trace.
+ReadResult read_all(const MappedTrace& trace, util::ErrorPolicy policy,
+                    util::Rng* rng = nullptr) {
   ReadResult r;
-  const bool batched = path == Path::kStreamBatch || path == Path::kMappedBatch;
-  const auto drain = [&](auto& reader) {
-    FlowBatch batch;
-    if (batched) {
-      try {
-        while (reader.next_batch(batch, 1 + rng.index(400)) > 0) {
-          batch.append_to(r.records);
-        }
-      } catch (...) {
-        // A strict-mode throw mid-batch leaves the records decoded before
-        // the damage in the batch; the per-record path had already handed
-        // them out, so collect them for a like-for-like comparison.
-        batch.append_to(r.records);
-        throw;
-      }
-    } else {
-      while (const auto f = reader.next()) r.records.push_back(*f);
-    }
-  };
+  FlowBatch batch;
   try {
-    if (path == Path::kMappedNext || path == Path::kMappedBatch) {
-      const MappedTrace trace = MappedTrace::from_buffer(
-          std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
-      MappedTraceReader reader(trace, policy, &r.stats);
-      drain(reader);
-    } else {
-      std::istringstream in(bytes, std::ios::binary);
-      TraceReader reader(in, policy, &r.stats);
-      drain(reader);
+    MappedTraceReader reader(trace, policy, &r.stats);
+    while (reader.next_batch(batch, rng ? 1 + rng->index(400) : kWholeTrace) >
+           0) {
+      batch.append_to(r.records);
     }
   } catch (const std::exception& e) {
+    // A strict-mode throw mid-batch leaves the records decoded before
+    // the damage in the batch: they were delivered, so they count.
+    batch.append_to(r.records);
     r.error = e.what();
   }
   return r;
 }
 
-void expect_paths_agree(const std::string& bytes, util::ErrorPolicy policy,
-                        std::uint64_t seed, const std::string& what) {
-  util::Rng ref_rng(seed);
-  const ReadResult ref = read_all(bytes, Path::kStreamNext, policy, ref_rng);
-  for (const Path path : kPaths) {
-    util::Rng rng(seed);
-    const ReadResult got = read_all(bytes, path, policy, rng);
-    ASSERT_EQ(got.error, ref.error) << what << " " << path_name(path);
-    ASSERT_EQ(got.records.size(), ref.records.size())
-        << what << " " << path_name(path);
-    for (std::size_t i = 0; i < ref.records.size(); ++i) {
-      ASSERT_EQ(got.records[i], ref.records[i])
-          << what << " " << path_name(path) << " record " << i;
+ReadResult read_all(const std::string& bytes, util::ErrorPolicy policy,
+                    util::Rng* rng = nullptr) {
+  return read_all(buffer_of(bytes), policy, rng);
+}
+
+/// FNV-1a-64 over everything a read hands back: each delivered record
+/// field by field, every IngestStats counter, and the error string.
+std::uint64_t digest(const ReadResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint8_t>(v >> (8 * i));
+      h *= 1099511628211ull;
     }
-    // Stats only comparable when the read completed (a strict throw
-    // leaves them mid-flight, at an intentionally unspecified point).
-    if (ref.error.empty()) {
-      EXPECT_EQ(got.stats, ref.stats) << what << " " << path_name(path);
-    }
+  };
+  mix(r.records.size());
+  for (const FlowRecord& f : r.records) {
+    mix(f.ts);
+    mix(f.src.value());
+    mix(f.dst.value());
+    mix(static_cast<std::uint8_t>(f.proto));
+    mix(f.sport);
+    mix(f.dport);
+    mix(f.packets);
+    mix(f.bytes);
+    mix(f.member_in);
+    mix(f.member_out);
   }
+  mix(r.stats.records_ok);
+  mix(r.stats.records_skipped);
+  mix(r.stats.bytes_dropped);
+  for (const std::uint64_t e : r.stats.errors) mix(e);
+  mix(r.error.size());
+  for (const char c : r.error) mix(static_cast<std::uint8_t>(c));
+  return h;
+}
+
+/// Pins one input's decode: the whole-trace batch read must hit the
+/// golden digest, and random batch cuts and a real mmap of the same
+/// bytes must reproduce it.
+void expect_decode_digest(const std::string& bytes, util::ErrorPolicy policy,
+                          std::uint64_t seed, std::uint64_t golden,
+                          const std::string& what) {
+  const ReadResult whole = read_all(bytes, policy);
+  EXPECT_EQ(digest(whole), golden)
+      << what << ": " << whole.records.size() << " records, "
+      << whole.stats.summary() << ", error '" << whole.error << "'";
+
+  util::Rng rng(seed);
+  EXPECT_EQ(digest(read_all(bytes, policy, &rng)), digest(whole))
+      << what << " (random batch sizes)";
+
+  const TempTraceFile file("digest", bytes);
+  const MappedTrace mapped(file.path());
+  EXPECT_EQ(digest(read_all(mapped, policy)), digest(whole))
+      << what << " (mmap, mapped=" << mapped.mapped() << ")";
+}
+
+constexpr util::ErrorPolicy kPolicies[] = {util::ErrorPolicy::kStrict,
+                                           util::ErrorPolicy::kSkip};
+
+const char* policy_name(util::ErrorPolicy p) {
+  return p == util::ErrorPolicy::kStrict ? "strict" : "skip";
 }
 
 // ------------------------------------------------------------- clean v2
 
 TEST(TraceBatch, CleanStreamAllPathsAgree) {
-  const std::string bytes = make_trace_bytes(1337, 7);
-  for (const auto policy :
-       {util::ErrorPolicy::kStrict, util::ErrorPolicy::kSkip}) {
-    expect_paths_agree(bytes, policy, 99, "clean");
+  // Golden digests per policy, recorded before the decoder was folded
+  // into the mapped reader.
+  constexpr std::uint64_t kGolden[] = {0x6199ec8f1b4643fdull,
+                                       0x6199ec8f1b4643fdull};
+  const Trace source = make_trace(1337, 7);
+  const std::string bytes = trace_bytes(source);
+  for (std::size_t p = 0; p < 2; ++p) {
+    expect_decode_digest(bytes, kPolicies[p], 99, kGolden[p],
+                         std::string("clean/") + policy_name(kPolicies[p]));
+    // The write_trace round trip is the independent reference.
+    EXPECT_EQ(read_all(bytes, kPolicies[p]).records, source.flows);
   }
 }
 
 TEST(TraceBatch, BatchContentMatchesPerRecordDecode) {
-  const std::string bytes = make_trace_bytes(257, 3);
-  std::istringstream a(bytes, std::ios::binary);
-  std::istringstream b(bytes, std::ios::binary);
-  TraceReader per_record(a);
-  TraceReader batched(b);
+  const Trace source = make_trace(257, 3);
+  const MappedTrace trace = buffer_of(trace_bytes(source));
+  MappedTraceReader reader(trace);
   FlowBatch batch;
-  ASSERT_EQ(batched.next_batch(batch, 257), 257u);
+  ASSERT_EQ(reader.next_batch(batch, 257), 257u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto f = per_record.next();
-    ASSERT_TRUE(f.has_value());
-    // Lane-by-lane against the AoS record: the SoA transposition must
-    // not mix up fields.
-    EXPECT_EQ(batch.ts()[i], f->ts);
-    EXPECT_EQ(batch.src()[i], f->src.value());
-    EXPECT_EQ(batch.dst()[i], f->dst.value());
-    EXPECT_EQ(batch.proto()[i], static_cast<std::uint8_t>(f->proto));
-    EXPECT_EQ(batch.sport()[i], f->sport);
-    EXPECT_EQ(batch.dport()[i], f->dport);
-    EXPECT_EQ(batch.packets()[i], f->packets);
-    EXPECT_EQ(batch.bytes()[i], f->bytes);
-    EXPECT_EQ(batch.member_in()[i], f->member_in);
-    EXPECT_EQ(batch.member_out()[i], f->member_out);
-    EXPECT_EQ(batch.record(i), *f);
+    const FlowRecord& f = source.flows[i];
+    // Lane-by-lane against the written AoS record: the SoA transposition
+    // must not mix up fields.
+    EXPECT_EQ(batch.ts()[i], f.ts);
+    EXPECT_EQ(batch.src()[i], f.src.value());
+    EXPECT_EQ(batch.dst()[i], f.dst.value());
+    EXPECT_EQ(batch.proto()[i], static_cast<std::uint8_t>(f.proto));
+    EXPECT_EQ(batch.sport()[i], f.sport);
+    EXPECT_EQ(batch.dport()[i], f.dport);
+    EXPECT_EQ(batch.packets()[i], f.packets);
+    EXPECT_EQ(batch.bytes()[i], f.bytes);
+    EXPECT_EQ(batch.member_in()[i], f.member_in);
+    EXPECT_EQ(batch.member_out()[i], f.member_out);
+    EXPECT_EQ(batch.record(i), f);
   }
-  EXPECT_FALSE(per_record.next().has_value());
+  EXPECT_EQ(reader.next_batch(batch, 257), 0u);
 }
 
 // -------------------------------------------------------- corruption fuzz
@@ -232,16 +258,35 @@ TEST(TraceBatch, CorruptedStreamFuzzAllPathsAgree) {
          return testing::splice_garbage(b, rng, format::kHeaderSizeV2, 64);
        }},
   };
-  for (const std::uint64_t seed : {11u, 22u, 33u}) {
+  // Golden digests [seed][corruptor][policy], recorded before the
+  // decoder was folded into the mapped reader.
+  constexpr std::uint64_t kGolden[3][4][2] = {
+      {{0xa1cae4da439adc03ull, 0x6a5cfdfd4b992ecaull},
+       {0x8254ba215aa483d7ull, 0x7d7583f03a15dfceull},
+       {0xffc993f0c661fe2aull, 0x55c015c8192145e6ull},
+       {0xca3f62a228a6f5b8ull, 0x27d4e4b6f0cc8ac9ull}},
+      {{0xa1b50efea8aeddaeull, 0xc96ffee6e14318edull},
+       {0x79399681cc6cd8c1ull, 0xa0984b8fd6f6d7f0ull},
+       {0x0a8b8834c367ab36ull, 0x36e587749bab92faull},
+       {0x6ee554503e3639d5ull, 0x7a2fb94b100ac07dull}},
+      {{0xafb94b01a1bbb565ull, 0xb392063c446119a3ull},
+       {0x3507a88dc49be9deull, 0xad4a85e3320f7ba8ull},
+       {0x8132d825a8ef788eull, 0xc251e469058c5b82ull},
+       {0x3507a88dc49be9deull, 0xd430f0b8e7cd0ceeull}},
+  };
+  const std::uint64_t kSeeds[] = {11, 22, 33};
+  for (std::size_t s = 0; s < 3; ++s) {
+    const std::uint64_t seed = kSeeds[s];
     const std::string clean = make_trace_bytes(300, seed);
-    for (const auto& c : kCorruptors) {
+    for (std::size_t c = 0; c < 4; ++c) {
       util::Rng rng(seed * 1000003);
-      const std::string bad = c.fn(clean, rng);
-      for (const auto policy :
-           {util::ErrorPolicy::kStrict, util::ErrorPolicy::kSkip}) {
-        expect_paths_agree(
-            bad, policy, seed ^ 0xbadc0de,
-            std::string(c.name) + " seed=" + std::to_string(seed));
+      const std::string bad = kCorruptors[c].fn(clean, rng);
+      for (std::size_t p = 0; p < 2; ++p) {
+        expect_decode_digest(bad, kPolicies[p], seed ^ 0xbadc0de,
+                             kGolden[s][c][p],
+                             std::string(kCorruptors[c].name) +
+                                 " seed=" + std::to_string(seed) + " " +
+                                 policy_name(kPolicies[p]));
       }
     }
   }
@@ -250,24 +295,21 @@ TEST(TraceBatch, CorruptedStreamFuzzAllPathsAgree) {
 // ------------------------------------------------------------ boundaries
 
 TEST(TraceBatch, BatchSizeOneEqualsPerRecord) {
-  const std::string bytes = make_trace_bytes(64, 5);
-  std::istringstream a(bytes, std::ios::binary);
-  std::istringstream b(bytes, std::ios::binary);
-  TraceReader per_record(a);
-  TraceReader batched(b);
+  const Trace source = make_trace(64, 5);
+  const MappedTrace trace = buffer_of(trace_bytes(source));
+  MappedTraceReader reader(trace);
   FlowBatch batch;
-  while (batched.next_batch(batch, 1) == 1) {
-    const auto f = per_record.next();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(batch.record(0), *f);
+  std::size_t i = 0;
+  while (reader.next_batch(batch, 1) == 1) {
+    ASSERT_LT(i, source.flows.size());
+    EXPECT_EQ(batch.record(0), source.flows[i++]);
   }
-  EXPECT_FALSE(per_record.next().has_value());
+  EXPECT_EQ(i, source.flows.size());
 }
 
 TEST(TraceBatch, BatchLargerThanTraceDeliversEverythingOnce) {
-  const std::string bytes = make_trace_bytes(50, 5);
-  std::istringstream in(bytes, std::ios::binary);
-  TraceReader reader(in);
+  const MappedTrace trace = buffer_of(make_trace_bytes(50, 5));
+  MappedTraceReader reader(trace);
   FlowBatch batch;
   EXPECT_EQ(reader.next_batch(batch, 1u << 20), 50u);
   EXPECT_EQ(batch.size(), 50u);
@@ -278,67 +320,32 @@ TEST(TraceBatch, BatchLargerThanTraceDeliversEverythingOnce) {
 TEST(TraceBatch, EmptyTraceYieldsEmptyBatch) {
   const std::string bytes = make_trace_bytes(0, 5);
   std::istringstream in(bytes, std::ios::binary);
-  TraceReader reader(in);
-  FlowBatch batch;
-  EXPECT_EQ(reader.next_batch(batch, 8), 0u);
+  EXPECT_TRUE(read_trace(in).flows.empty());
 
-  const MappedTrace trace = MappedTrace::from_buffer(
-      std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+  const MappedTrace trace = buffer_of(bytes);
   MappedTraceReader mapped(trace);
+  FlowBatch batch;
   EXPECT_EQ(mapped.next_batch(batch, 8), 0u);
 }
 
 TEST(TraceBatch, EmptyInputSkipModeYieldsNothingStrictThrows) {
   const std::string bytes;
-  util::Rng rng(1);
-  const ReadResult skip =
-      read_all(bytes, Path::kMappedBatch, util::ErrorPolicy::kSkip, rng);
+  const ReadResult skip = read_all(bytes, util::ErrorPolicy::kSkip);
   EXPECT_TRUE(skip.error.empty());
   EXPECT_TRUE(skip.records.empty());
   EXPECT_EQ(skip.stats.errors[static_cast<int>(util::ErrorKind::kTruncated)],
             1u);
-  const ReadResult strict =
-      read_all(bytes, Path::kMappedBatch, util::ErrorPolicy::kStrict, rng);
+  const ReadResult strict = read_all(bytes, util::ErrorPolicy::kStrict);
   EXPECT_NE(strict.error.find("truncated header"), std::string::npos);
-}
-
-TEST(TraceBatch, InterleavedNextAndBatchCoverTheStreamOnce) {
-  const std::string bytes = make_trace_bytes(100, 9);
-  util::Rng ref_rng(0);
-  const auto ref =
-      read_all(bytes, Path::kStreamNext, util::ErrorPolicy::kStrict, ref_rng);
-  std::istringstream in(bytes, std::ios::binary);
-  TraceReader reader(in);
-  std::vector<FlowRecord> got;
-  FlowBatch batch;
-  util::Rng rng(17);
-  while (got.size() < 100) {
-    if (rng.chance(0.5)) {
-      const auto f = reader.next();
-      if (!f) break;
-      got.push_back(*f);
-    } else {
-      if (reader.next_batch(batch, 1 + rng.index(16)) == 0) break;
-      batch.append_to(got);
-    }
-  }
-  EXPECT_EQ(got, ref.records);
 }
 
 // --------------------------------------------------- mmap vs file fallback
 
 TEST(TraceBatch, MappedFileAndFallbackBufferAgree) {
   const std::string bytes = make_trace_bytes(200, 13);
-  const fs::path path =
-      fs::temp_directory_path() /
-      ("spoofscope-batch-" + std::to_string(::getpid()) + ".trace");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << bytes;
-  }
-  const MappedTrace from_file(path.string());
-  const MappedTrace from_buf = MappedTrace::from_buffer(
-      std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+  const TempTraceFile file("batch", bytes);
+  const MappedTrace from_file(file.path());
+  const MappedTrace from_buf = buffer_of(bytes);
   EXPECT_FALSE(from_buf.mapped());
   ASSERT_EQ(from_file.bytes().size(), from_buf.bytes().size());
 
@@ -354,7 +361,6 @@ TEST(TraceBatch, MappedFileAndFallbackBufferAgree) {
       ASSERT_EQ(ba.record(i), bb.record(i));
     }
   }
-  fs::remove(path);
 }
 
 TEST(TraceBatch, DropConsumedPreservesRecordStreamAndStats) {
@@ -363,19 +369,10 @@ TEST(TraceBatch, DropConsumedPreservesRecordStreamAndStats) {
   // and stats as one that never drops, on both the real mapping and
   // the fallback buffer (where drop_consumed is a no-op).
   const std::string bytes = make_trace_bytes(500, 21);
-  const fs::path path =
-      fs::temp_directory_path() /
-      ("spoofscope-drop-" + std::to_string(::getpid()) + ".trace");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << bytes;
-  }
-  util::Rng ref_rng(0);
-  const auto ref =
-      read_all(bytes, Path::kStreamNext, util::ErrorPolicy::kStrict, ref_rng);
-  const MappedTrace from_file(path.string());
-  const MappedTrace from_buf = MappedTrace::from_buffer(
-      std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+  const TempTraceFile file("drop", bytes);
+  const ReadResult ref = read_all(bytes, util::ErrorPolicy::kSkip);
+  const MappedTrace from_file(file.path());
+  const MappedTrace from_buf = buffer_of(bytes);
   for (const MappedTrace* trace : {&from_file, &from_buf}) {
     util::IngestStats stats;
     MappedTraceReader reader(*trace, util::ErrorPolicy::kSkip, &stats);
@@ -389,7 +386,6 @@ TEST(TraceBatch, DropConsumedPreservesRecordStreamAndStats) {
     EXPECT_EQ(got, ref.records) << (trace->mapped() ? "mapped" : "buffer");
     EXPECT_EQ(stats, ref.stats) << (trace->mapped() ? "mapped" : "buffer");
   }
-  fs::remove(path);
 }
 
 TEST(TraceBatch, MappedTraceMissingFileThrows) {
@@ -399,88 +395,49 @@ TEST(TraceBatch, MappedTraceMissingFileThrows) {
 
 // -------------------------------------------------------------- v1 format
 
-TEST(TraceBatchV1, CleanV1StreamAllPathsAgree) {
-  util::Rng rng(21);
-  std::vector<FlowRecord> flows;
-  for (int i = 0; i < 400; ++i) flows.push_back(make_flow(rng));
-  const std::string bytes = make_v1_bytes(flows);
-  for (const auto policy :
-       {util::ErrorPolicy::kStrict, util::ErrorPolicy::kSkip}) {
-    expect_paths_agree(bytes, policy, 4242, "clean-v1");
+TEST(TraceBatch, V1HeaderIsRejectedAsUnsupportedVersion) {
+  // Hand-built v1 stream: the 32-byte header without a checksum, then
+  // bare 36-byte records. write_trace has only ever emitted v2 since the
+  // checksummed format landed, and v1 is no longer read.
+  const std::vector<FlowRecord> flows = make_trace(10, 23).flows;
+  std::string bytes(format::kHeaderBody, '\0');
+  auto* h = reinterpret_cast<std::uint8_t*>(bytes.data());
+  format::put_u32(h + 0, format::kMagic);
+  format::put_u32(h + 4, 1);           // version
+  format::put_u32(h + 8, 1000);        // sampling_rate
+  format::put_u32(h + 12, kFourWeeks); // window_seconds
+  format::put_u64(h + 16, 42);         // seed
+  format::put_u64(h + 24, flows.size());
+  for (const auto& f : flows) {
+    std::uint8_t rec[format::kPayloadSize];
+    format::encode_record(f, rec);
+    bytes.append(reinterpret_cast<const char*>(rec), sizeof(rec));
   }
-  util::Rng read_rng(0);
-  const auto r =
-      read_all(bytes, Path::kMappedBatch, util::ErrorPolicy::kStrict, read_rng);
-  ASSERT_EQ(r.records.size(), flows.size());
-  EXPECT_EQ(r.records, flows);
-}
 
-TEST(TraceBatchV1, ImplausibleRecordIsSkippedAndTailRecovered) {
-  util::Rng rng(22);
-  std::vector<FlowRecord> flows;
-  for (int i = 0; i < 60; ++i) flows.push_back(make_flow(rng));
-  std::string bytes = make_v1_bytes(flows);
-  // Damage record 20's reserved byte: the plausibility validator rejects
-  // it, the resync slides to record 21, and the tail survives.
-  const std::size_t at =
-      format::kHeaderSizeV1 + 20 * format::kRecordSizeV1 + 13;
-  bytes[at] = static_cast<char>(0xff);
-
-  util::Rng read_rng(5);
-  const auto r =
-      read_all(bytes, Path::kMappedBatch, util::ErrorPolicy::kSkip, read_rng);
-  ASSERT_TRUE(r.error.empty());
-  ASSERT_EQ(r.records.size(), flows.size() - 1);
-  for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(r.records[i], flows[i]);
-  for (std::size_t i = 20; i < r.records.size(); ++i) {
-    EXPECT_EQ(r.records[i], flows[i + 1]);
-  }
-  EXPECT_EQ(r.stats.errors[static_cast<int>(util::ErrorKind::kParse)], 1u);
-  EXPECT_EQ(r.stats.records_skipped, 1u);
-  // All read paths agree on the damaged stream too.
-  expect_paths_agree(bytes, util::ErrorPolicy::kSkip, 888, "v1-implausible");
-}
-
-TEST(TraceBatchV1, CorruptedV1FuzzAllPathsAgree) {
-  for (const std::uint64_t seed : {5u, 15u, 25u}) {
-    util::Rng rng(seed);
-    std::vector<FlowRecord> flows;
-    for (int i = 0; i < 200; ++i) flows.push_back(make_flow(rng));
-    const std::string clean = make_v1_bytes(flows);
-    util::Rng corrupt_rng(seed ^ 0x5eed);
-    const std::string kinds[] = {
-        testing::truncate_bytes(clean, corrupt_rng, format::kHeaderSizeV1),
-        testing::splice_garbage(clean, corrupt_rng, format::kHeaderSizeV1, 64),
-        testing::drop_fixed_record(clean, corrupt_rng, format::kHeaderSizeV1,
-                                   format::kRecordSizeV1),
-    };
-    for (const auto& bad : kinds) {
-      for (const auto policy :
-           {util::ErrorPolicy::kStrict, util::ErrorPolicy::kSkip}) {
-        expect_paths_agree(bad, policy, seed * 31,
-                           "v1-fuzz seed=" + std::to_string(seed));
-      }
+  const auto bad_version = [](const util::IngestStats& stats) {
+    return stats.errors[static_cast<int>(util::ErrorKind::kBadVersion)];
+  };
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    try {
+      (void)read_trace(in);
+      ADD_FAILURE() << "read_trace accepted a v1 stream";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "read_trace: unsupported version");
     }
+    std::istringstream skip_in(bytes, std::ios::binary);
+    util::IngestStats stats;
+    EXPECT_TRUE(
+        read_trace(skip_in, util::ErrorPolicy::kSkip, &stats).flows.empty());
+    EXPECT_EQ(bad_version(stats), 1u);
   }
-}
-
-TEST(TraceBatchV1, TruncatedV1TailIsAccountedNotFatalInSkipMode) {
-  util::Rng rng(23);
-  std::vector<FlowRecord> flows;
-  for (int i = 0; i < 30; ++i) flows.push_back(make_flow(rng));
-  std::string bytes = make_v1_bytes(flows);
-  bytes.resize(bytes.size() - 10);  // cut into the last record
-
-  util::Rng read_rng(0);
-  const auto skip =
-      read_all(bytes, Path::kStreamBatch, util::ErrorPolicy::kSkip, read_rng);
-  ASSERT_TRUE(skip.error.empty());
-  EXPECT_EQ(skip.records.size(), flows.size() - 1);
-  EXPECT_EQ(skip.stats.errors[static_cast<int>(util::ErrorKind::kTruncated)],
-            1u);
-  const auto strict =
-      read_all(bytes, Path::kStreamBatch, util::ErrorPolicy::kStrict, read_rng);
-  EXPECT_NE(strict.error.find("truncated record"), std::string::npos);
+  const ReadResult strict = read_all(bytes, util::ErrorPolicy::kStrict);
+  EXPECT_EQ(strict.error, "read_trace: unsupported version");
+  EXPECT_TRUE(strict.records.empty());
+  const ReadResult skip = read_all(bytes, util::ErrorPolicy::kSkip);
+  EXPECT_TRUE(skip.error.empty());
+  EXPECT_TRUE(skip.records.empty());
+  EXPECT_EQ(bad_version(skip.stats), 1u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "classify/streaming.hpp"
 #include "corruption.hpp"
 #include "data/rpsl.hpp"
+#include "net/flow_batch.hpp"
 #include "net/trace.hpp"
 #include "scenario/scenario.hpp"
 #include "util/error_policy.hpp"
@@ -198,19 +199,22 @@ TEST(RobustnessDifferential, SkipModeLabelsMatchCleanRestriction) {
       const auto trie_par =
           classify::classify_trace(w.world->classifier(), got.flows, pool);
       const auto flat_seq = classify::classify_trace(*w.flat, got.flows);
-      const auto flat_par = classify::classify_trace(*w.flat, got.flows, pool);
+      net::FlowBatch batch;
+      for (const auto& f : got.flows) batch.push_back(f);
+      std::vector<classify::Label> flat_par(batch.size());
+      w.flat->classify_batch(batch, flat_par, pool);
       EXPECT_EQ(trie_seq, expected);
       EXPECT_EQ(trie_par, expected);
       EXPECT_EQ(flat_seq, expected);
       EXPECT_EQ(flat_par, expected);
 
       // Aggregates over the survivors equal the aggregate of the
-      // restricted clean run, sequential vs parallel included.
+      // restricted clean run.
       std::vector<net::FlowRecord> restricted;
       restricted.reserve(idx->size());
       for (const std::size_t i : *idx) restricted.push_back(w.trace.flows[i]);
       const auto agg_survivors =
-          classify::aggregate_classes(spaces, got.flows, trie_seq, {}, pool);
+          classify::aggregate_classes(spaces, got.flows, trie_seq);
       const auto agg_clean =
           classify::aggregate_classes(spaces, restricted, expected);
       expect_aggregate_eq(agg_survivors, agg_clean);

@@ -29,10 +29,12 @@
 #      TSan and ASan in stages 2 and 3)
 #   7. internet-scale generate: the chunk-parallel generator end to end
 #      through the CLI under TSan and ASan
-#   8. sanitized CLI: classify --labels, report, and a delta-checkpointed
-#      detect followed by its --resume, run by the ASan and UBSan builds
-#      of the CLI on a seed-7 world; every run must exit 0 with output
-#      byte-identical to the tier-1 binary's
+#   8. sanitized CLI: classify --labels, report, a delta-checkpointed
+#      detect followed by its --resume, classify --on-error skip over a
+#      trace damaged at fixed offsets (the skip-mode resync), and detect
+#      --updates (route churn interleaved with the flows), run by the
+#      ASan and UBSan builds of the CLI on a seed-7 world; every run must
+#      exit 0 with output byte-identical to the tier-1 binary's
 #   9. fault injection: the crash/churn differential suite re-runs under
 #      all three sanitizer builds with a widened injector seed sweep
 #      (SPOOFSCOPE_FAULT_SEEDS), and the plane-churn fuzz runs its full
@@ -264,13 +266,27 @@ for tree in build-tsan build-asan; do
   rm -rf "${GEN_OUT}"
 done
 
-echo "=== sanitized CLI: classify, report, detect + resume under ASan + UBSan ==="
+echo "=== sanitized CLI: classify, report, detect + resume, skip-mode, updates under ASan + UBSan ==="
 # The production commands run by the sanitizer builds of the CLI. Output
 # paths are relative to a per-tree directory so every printed line —
 # including "labels written to" and "resume: restored ... from" — must
 # match the tier-1 binary's byte for byte; the labels CSV too.
 CLI_OUT="$(mktemp -d "${TMPDIR:-/tmp}/spoofscope-check-cli.XXXXXX")"
 "${REPO_ROOT}/build/tools/spoofscope" generate --seed 7 --out "${CLI_OUT}/world"
+# A copy of the trace damaged at fixed offsets: one flipped byte inside
+# each of two records and 13 garbage bytes spliced into a third, so the
+# skip-mode reader quarantines three regions and resyncs after each.
+python3 - "${CLI_OUT}/world/ixp.trace" "${CLI_OUT}/world/damaged.trace" <<'PY'
+import sys
+
+header, record = 36, 40  # trace format v2 sizes
+data = bytearray(open(sys.argv[1], "rb").read())
+for rec, byte in ((100, 5), (2000, 20)):
+    data[header + rec * record + byte] ^= 0x5A
+splice = header + 5000 * record + 7
+data[splice:splice] = bytes(range(0xA0, 0xAD))
+open(sys.argv[2], "wb").write(data)
+PY
 cli_runs() {
   local bin="${REPO_ROOT}/$1/tools/spoofscope" out="${CLI_OUT}/$1"
   local inputs=(--mrt "${CLI_OUT}/world/route-server.mrt"
@@ -286,14 +302,20 @@ cli_runs() {
       > report.txt 2>&1
     "${bin}" "${detect[@]}" > detect.txt 2>&1
     "${bin}" "${detect[@]}" --resume > resume.txt 2>&1
+    "${bin}" classify --mrt "${CLI_OUT}/world/route-server.mrt" \
+      --trace "${CLI_OUT}/world/damaged.trace" --on-error skip \
+      --labels skip-labels.csv > skip.txt 2>&1
+    "${bin}" detect "${inputs[@]}" --window 1800 \
+      --updates "${CLI_OUT}/world/route-server.mrt" > updates.txt 2>&1
   )
 }
 cli_runs build
 for tree in build-asan build-ubsan; do
   cmake --build "${REPO_ROOT}/${tree}" -j "${JOBS}" --target spoofscope_cli
-  echo "--- ${tree}/tools/spoofscope classify, report, detect, detect --resume"
+  echo "--- ${tree}/tools/spoofscope classify, report, detect, detect --resume, classify --on-error skip, detect --updates"
   cli_runs "${tree}"
-  for f in classify.txt labels.csv report.txt detect.txt resume.txt; do
+  for f in classify.txt labels.csv report.txt detect.txt resume.txt \
+           skip.txt skip-labels.csv updates.txt; do
     if ! cmp -s "${CLI_OUT}/build/${f}" "${CLI_OUT}/${tree}/${f}"; then
       echo "FAIL sanitized CLI: ${tree} ${f} differs from the tier-1 output"
       diff "${CLI_OUT}/build/${f}" "${CLI_OUT}/${tree}/${f}" | head -20

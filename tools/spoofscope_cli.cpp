@@ -826,6 +826,28 @@ int cmd_detect(const Flags& flags) {
       detector.save(ckpt, extra);
     }
   };
+  // Ingests one decoded batch: skips what is left of the resume prefix,
+  // then fires due updates and ingests. The main loop and the
+  // strict-abort path both go through here, so they cannot drift.
+  const auto ingest = [&](const net::FlowBatch& b) {
+    std::size_t start = 0;
+    if (skip_records > 0) {
+      start = static_cast<std::size_t>(
+          std::min<std::uint64_t>(skip_records, b.size()));
+      skip_records -= start;
+    }
+    if (start == 0 && ucursor >= updates.size()) {
+      detector.ingest_batch(b, on_alert);
+      return;
+    }
+    // Per-record path: live route churn interleaves with the flows (and
+    // a resume fast-forward may start mid-batch).
+    for (std::size_t i = start; i < b.size(); ++i) {
+      const net::FlowRecord rec = b.record(i);
+      if (ucursor < updates.size()) fire_updates_through(rec.ts);
+      detector.ingest(rec, on_alert);
+    }
+  };
   // An ingest abort (--on-error strict hitting damage) must not swallow
   // the partial detector state: catch it, emit the health line, the
   // checkpoint and the --stats-json report, then rethrow so the exit
@@ -834,23 +856,7 @@ int cmd_detect(const Flags& flags) {
   std::string abort_reason;
   try {
     while (reader.next_batch(batch, kChunkFlows) > 0) {
-      std::size_t start = 0;
-      if (skip_records > 0) {
-        start = static_cast<std::size_t>(
-            std::min<std::uint64_t>(skip_records, batch.size()));
-        skip_records -= start;
-      }
-      if (start == 0 && ucursor >= updates.size()) {
-        detector.ingest_batch(batch, on_alert);
-      } else {
-        // Per-record path: live route churn interleaves with the flows
-        // (and a resume fast-forward may start mid-batch).
-        for (std::size_t i = start; i < batch.size(); ++i) {
-          const net::FlowRecord rec = batch.record(i);
-          if (ucursor < updates.size()) fire_updates_through(rec.ts);
-          detector.ingest(rec, on_alert);
-        }
-      }
+      ingest(batch);
       batch.clear();  // records not yet ingested stay visible to the catch
       reader.drop_consumed();
       if (!ckpt.empty() && ckpt_every != 0 &&
@@ -864,17 +870,7 @@ int cmd_detect(const Flags& flags) {
     // A strict-mode throw mid-batch leaves the records decoded before
     // the damage in the batch; ingest them so the reported state covers
     // everything the reader actually delivered.
-    std::size_t start = 0;
-    if (skip_records > 0) {
-      start = static_cast<std::size_t>(
-          std::min<std::uint64_t>(skip_records, batch.size()));
-      skip_records -= start;
-    }
-    for (std::size_t i = start; i < batch.size(); ++i) {
-      const net::FlowRecord rec = batch.record(i);
-      if (ucursor < updates.size()) fire_updates_through(rec.ts);
-      detector.ingest(rec, on_alert);
-    }
+    ingest(batch);
     aborted = true;
     abort_reason = e.what();
   }
