@@ -386,8 +386,9 @@ BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMillisecond);
 // --- batched data plane ------------------------------------------------------
 
 void BM_BatchDecode(benchmark::State& state) {
-  // mmap-to-FlowBatch decode rate: header validated once, then record
-  // checksum + SoA scatter per flow, lanes reused across chunks.
+  // mmap-to-FlowBatch decode rate: header validated once, then records
+  // checksummed in lockstep groups and each verified group written by
+  // row into the SoA lanes, lanes reused across chunks.
   const auto& trace = mapped_world_trace();
   net::FlowBatch batch;
   std::int64_t records = 0;

@@ -3,6 +3,8 @@
 // class totals — the machinery behind Table 1.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -35,8 +37,17 @@ struct Aggregate {
 /// materializes the distinct-member counts on demand. This is what lets
 /// the CLI stream a trace chunk-at-a-time with bounded memory instead of
 /// materializing every flow; aggregate_classes is implemented on top.
+///
+/// Member presence is a bit matrix: one row per member id below 2^16
+/// (every id a trace record can carry) with one bit per (space, class)
+/// cell, so a flow marks its member with a single OR, merge() is a
+/// word-wise OR and build() counts each cell's set bits. Larger ids,
+/// which reach add() only through aggregate_classes, keep a hash set per
+/// cell.
 class AggregateBuilder {
  public:
+  /// Throws std::invalid_argument on more than 8 spaces (all a Label
+  /// holds).
   explicit AggregateBuilder(std::size_t space_count);
 
   /// Accumulates one batch straight from its lanes; labels[i] must
@@ -54,8 +65,20 @@ class AggregateBuilder {
   Aggregate build() const;
 
  private:
+  /// Member ids below this have a row in rows_.
+  static constexpr Asn kDenseMembers = Asn{1} << 16;
+
+  std::size_t cells() const { return agg_.totals.size() * kNumClasses; }
+
   Aggregate agg_;
-  std::vector<std::array<std::unordered_set<Asn>, kNumClasses>> members_;
+  /// rows_[m]: bit s * kNumClasses + c is set once member m has a flow
+  /// of class c under space s.
+  std::vector<std::uint32_t> rows_;
+  /// Members at or above kDenseMembers, one set per cell.
+  std::vector<std::unordered_set<Asn>> large_;
+  /// row_bits_[h][b]: the row bits of a label whose byte h is b (byte h
+  /// packs the classes of spaces 4h .. 4h+3).
+  std::array<std::array<std::uint32_t, 256>, 2> row_bits_{};
 };
 
 /// Aggregates labels over flows: packs them into one FlowBatch for

@@ -41,6 +41,40 @@ void FlowBatch::push_back(const FlowRecord& f) {
   member_out_.push_back(f.member_out);
 }
 
+FlowBatch::Rows FlowBatch::grow(std::size_t n) {
+  const std::size_t first = size();
+  const std::size_t total = first + n;
+  ts_.resize(total);
+  src_.resize(total);
+  dst_.resize(total);
+  proto_.resize(total);
+  sport_.resize(total);
+  dport_.resize(total);
+  packets_.resize(total);
+  bytes_.resize(total);
+  member_in_.resize(total);
+  member_out_.resize(total);
+  return {ts_.data() + first,      src_.data() + first,
+          dst_.data() + first,     proto_.data() + first,
+          sport_.data() + first,   dport_.data() + first,
+          packets_.data() + first, bytes_.data() + first,
+          member_in_.data() + first, member_out_.data() + first};
+}
+
+void FlowBatch::shrink(std::size_t n) {
+  const std::size_t keep = size() - n;
+  ts_.resize(keep);
+  src_.resize(keep);
+  dst_.resize(keep);
+  proto_.resize(keep);
+  sport_.resize(keep);
+  dport_.resize(keep);
+  packets_.resize(keep);
+  bytes_.resize(keep);
+  member_in_.resize(keep);
+  member_out_.resize(keep);
+}
+
 FlowRecord FlowBatch::record(std::size_t i) const {
   FlowRecord f;
   f.ts = ts_[i];

@@ -7,20 +7,72 @@
 //
 // Batches are refillable: clear() resets the size but keeps every lane's
 // capacity, so a reader looping `next_batch(batch, n)` performs no
-// allocation after the first chunk reaches the high-water mark.
+// allocation after the first chunk reaches the high-water mark. A decoder
+// writes rows in place: grow(n) hands out every lane's pointer to n new
+// rows, left unwritten (no zeroing pass), and shrink() gives back the
+// ones it did not fill.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/flow.hpp"
 
 namespace spoofscope::net {
 
+namespace detail {
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// resizing a lane of trivial values leaves the new elements unwritten.
+/// (The noexcept lets a growing vector relocate in bulk, as it does with
+/// std::allocator.)
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) noexcept(
+      std::is_nothrow_constructible_v<U, Args...>) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using Lane = std::vector<T, UninitAllocator<T>>;
+
+}  // namespace detail
+
 class FlowBatch {
  public:
+  /// Write access to a run of rows, one pointer per lane (see grow()).
+  struct Rows {
+    std::uint32_t* ts;
+    std::uint32_t* src;
+    std::uint32_t* dst;
+    std::uint8_t* proto;
+    std::uint16_t* sport;
+    std::uint16_t* dport;
+    std::uint32_t* packets;
+    std::uint64_t* bytes;
+    Asn* member_in;
+    Asn* member_out;
+  };
+
   /// Number of flows currently in the batch.
   std::size_t size() const { return ts_.size(); }
   bool empty() const { return ts_.empty(); }
@@ -33,6 +85,14 @@ class FlowBatch {
 
   /// Appends one flow, scattering its fields into the lanes.
   void push_back(const FlowRecord& f);
+
+  /// Appends `n` rows whose fields are unspecified until written and
+  /// returns every lane's pointer to the first of them. The pointers
+  /// stay valid until the next call that adds rows or reserves.
+  Rows grow(std::size_t n);
+
+  /// Drops the last `n` rows (n <= size()), keeping lane capacity.
+  void shrink(std::size_t n);
 
   /// Gathers flow `i` back into an AoS record (bit-identical to the
   /// record that was pushed).
@@ -55,16 +115,16 @@ class FlowBatch {
   std::span<const Asn> member_out() const { return member_out_; }
 
  private:
-  std::vector<std::uint32_t> ts_;
-  std::vector<std::uint32_t> src_;
-  std::vector<std::uint32_t> dst_;
-  std::vector<std::uint8_t> proto_;
-  std::vector<std::uint16_t> sport_;
-  std::vector<std::uint16_t> dport_;
-  std::vector<std::uint32_t> packets_;
-  std::vector<std::uint64_t> bytes_;
-  std::vector<Asn> member_in_;
-  std::vector<Asn> member_out_;
+  detail::Lane<std::uint32_t> ts_;
+  detail::Lane<std::uint32_t> src_;
+  detail::Lane<std::uint32_t> dst_;
+  detail::Lane<std::uint8_t> proto_;
+  detail::Lane<std::uint16_t> sport_;
+  detail::Lane<std::uint16_t> dport_;
+  detail::Lane<std::uint32_t> packets_;
+  detail::Lane<std::uint64_t> bytes_;
+  detail::Lane<Asn> member_in_;
+  detail::Lane<Asn> member_out_;
 };
 
 }  // namespace spoofscope::net

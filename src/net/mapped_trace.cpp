@@ -42,6 +42,31 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
   return bytes;
 }
 
+/// Records verified per lockstep group: enough independent FNV-1a chains
+/// to keep the multiplier busy while each waits on its own product.
+constexpr std::size_t kGroup = 8;
+
+/// The per-record check: the payload's FNV-1a against the stored sum.
+bool record_verifies(const std::uint8_t* p) {
+  return format::get_u32(p + format::kPayloadSize) ==
+         format::fnv1a32(p, format::kPayloadSize);
+}
+
+/// How many of the kGroup records starting at `p` verify before the
+/// first that does not (kGroup when all do): the same check as
+/// record_verifies, with the group's checksums computed in lockstep.
+std::size_t verified_prefix(const std::uint8_t* p) {
+  std::uint32_t h[kGroup] = {};
+  format::fnv1a32_lockstep(p, format::kRecordSizeV2, format::kPayloadSize, h);
+  std::size_t k = 0;
+  while (k < kGroup &&
+         h[k] == format::get_u32(p + k * format::kRecordSizeV2 +
+                                 format::kPayloadSize)) {
+    ++k;
+  }
+  return k;
+}
+
 }  // namespace
 
 MappedTrace::MappedTrace(const std::string& path) {
@@ -186,30 +211,69 @@ void MappedTraceReader::drop_consumed() {
 std::size_t MappedTraceReader::next_batch(FlowBatch& out,
                                           std::size_t max_records) {
   out.clear();
+  if (done_) return 0;
   const bool strict = policy_ == util::ErrorPolicy::kStrict;
   const std::span<const std::uint8_t> window = rest_;
+  // Rows are written in place. Every delivered record consumes
+  // kRecordSizeV2 bytes of the window, and strict mode stops at the
+  // declared count, so `room` rows always suffice; the unused ones are
+  // given back before returning or throwing.
+  std::size_t room =
+      std::min(max_records, window.size() / format::kRecordSizeV2);
+  if (strict) {
+    room = static_cast<std::size_t>(
+        std::min<std::uint64_t>(room, declared_ - delivered_));
+  }
+  const FlowBatch::Rows rows = out.grow(room);
+  std::size_t n = 0;
   std::size_t off = 0;
-  while (!done_ && out.size() < max_records) {
+  while (!done_ && n < max_records) {
     if (strict && delivered_ >= declared_) {
       done_ = true;  // trailing bytes are ignored
       break;
     }
-    if (window.size() - off < format::kRecordSizeV2) {
+    const std::size_t left = window.size() - off;
+    if (left < format::kRecordSizeV2) {
       rest_ = {};
-      finish(window.size() - off);
-      return out.size();
+      out.shrink(room - n);
+      finish(left);
+      return n;
     }
     const std::uint8_t* p = window.data() + off;
-    if (format::get_u32(p + format::kPayloadSize) ==
-        format::fnv1a32(p, format::kPayloadSize)) {
-      out.push_back(format::decode_record(p));
+    bool damaged = false;
+    const bool group_fits =
+        !resyncing_ && max_records - n >= kGroup &&
+        left >= kGroup * format::kRecordSizeV2 &&
+        (!strict || declared_ - delivered_ >= kGroup);
+    if (group_fits) {
+      // Fast path: verify a whole group in lockstep and decode its
+      // leading clean records while their bytes are still in L1. A
+      // damaged record ends the run; it takes the per-record handling
+      // below, which the group has already shown it fails.
+      const std::size_t k = verified_prefix(p);
+      for (std::size_t j = 0; j < k; ++j) {
+        format::decode_row(p + j * format::kRecordSizeV2, rows, n + j);
+      }
+      n += k;
+      off += k * format::kRecordSizeV2;
+      delivered_ += k;
+      stats_->records_ok += k;
+      if (k == kGroup) continue;
+      p = window.data() + off;
+      damaged = true;
+    }
+    if (!damaged && record_verifies(p)) {
+      format::decode_row(p, rows, n++);
       off += format::kRecordSizeV2;
       ++delivered_;
       stats_->ok();
       resyncing_ = false;
       continue;
     }
-    if (strict) throw std::runtime_error("read_trace: record checksum mismatch");
+    if (strict) {
+      out.shrink(room - n);
+      throw std::runtime_error("read_trace: record checksum mismatch");
+    }
     // Resync: count one quarantined record per damaged region, then
     // slide the window byte-by-byte until a record validates again.
     if (!resyncing_) {
@@ -219,8 +283,9 @@ std::size_t MappedTraceReader::next_batch(FlowBatch& out,
     ++off;
     ++stats_->bytes_dropped;
   }
+  out.shrink(room - n);
   rest_ = window.subspan(off);
-  return out.size();
+  return n;
 }
 
 }  // namespace spoofscope::net

@@ -3,12 +3,14 @@
 // field (de)serializers, record checksum and header parser.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 
 #include "net/flow.hpp"
+#include "net/flow_batch.hpp"
 #include "net/protocols.hpp"
 #include "util/error_policy.hpp"
 
@@ -56,6 +58,22 @@ inline std::uint32_t fnv1a32(const std::uint8_t* p, std::size_t n) {
   return h;
 }
 
+/// fnv1a32 of the `n` bytes at each of p, p + stride, ..., p + (N-1) *
+/// stride, advanced as N independent chains in lockstep so their
+/// multiplies overlap instead of waiting on each other: h[j] ends equal
+/// to fnv1a32(p + j * stride, n).
+template <std::size_t N>
+inline void fnv1a32_lockstep(const std::uint8_t* p, std::size_t stride,
+                             std::size_t n, std::uint32_t (&h)[N]) {
+  for (std::uint32_t& x : h) x = 2166136261u;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < N; ++j) {
+      h[j] ^= p[j * stride + i];
+      h[j] *= 16777619u;
+    }
+  }
+}
+
 inline void encode_record(const FlowRecord& f, std::uint8_t* p) {
   put_u32(p + 0, f.ts);
   put_u32(p + 4, f.src.value());
@@ -75,19 +93,22 @@ inline void encode_record(const FlowRecord& f, std::uint8_t* p) {
   put_u16(p + 34, static_cast<std::uint16_t>(f.member_out));
 }
 
-inline FlowRecord decode_record(const std::uint8_t* p) {
-  FlowRecord f;
-  f.ts = get_u32(p + 0);
-  f.src = Ipv4Addr(get_u32(p + 4));
-  f.dst = Ipv4Addr(get_u32(p + 8));
-  f.proto = static_cast<Proto>(p[12]);
-  f.sport = get_u16(p + 14);
-  f.dport = get_u16(p + 16);
-  f.packets = get_u32(p + 20);
-  f.bytes = get_u64(p + 24);
-  f.member_in = get_u16(p + 32);
-  f.member_out = get_u16(p + 34);
-  return f;
+/// Decodes one record payload into row `i` of the lanes `rows` hands out
+/// (FlowBatch::grow): the inverse of encode_record, field for field.
+inline void decode_row(const std::uint8_t* p, const FlowBatch::Rows& rows,
+                       std::size_t i) {
+  rows.ts[i] = get_u32(p + 0);
+  rows.src[i] = get_u32(p + 4);
+  rows.dst[i] = get_u32(p + 8);
+  rows.sport[i] = get_u16(p + 14);
+  rows.dport[i] = get_u16(p + 16);
+  rows.packets[i] = get_u32(p + 20);
+  rows.bytes[i] = get_u64(p + 24);
+  rows.member_in[i] = get_u16(p + 32);
+  rows.member_out[i] = get_u16(p + 34);
+  // Last: a byte store may alias anything, so it would otherwise force
+  // the loads after it to wait.
+  rows.proto[i] = p[12];
 }
 
 /// Parsed trace header, or the reason it was rejected (raw fields; the

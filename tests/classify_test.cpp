@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+
 #include "classify/classifier.hpp"
 #include "classify/fp_hunter.hpp"
 #include "classify/pipeline.hpp"
 #include "classify/router_tagger.hpp"
+#include "net/flow_batch.hpp"
 #include "net/prefix.hpp"
 #include "util/rng.hpp"
 
@@ -160,16 +164,72 @@ TEST(Aggregate, CountsPerClassAndMembers) {
   add(Ipv4Addr::from_octets(20, 0, 0, 1), 1, 5);    // invalid
   add(Ipv4Addr::from_octets(20, 0, 0, 2), 2, 5);    // invalid (AS2 unknown)
   add(Ipv4Addr::from_octets(192, 168, 0, 1), 2, 2); // bogon
-  const auto labels = classify_trace(c, flows);
-  const auto agg = aggregate_classes(c.space_count(), flows, labels);
+  {
+    const auto labels = classify_trace(c, flows);
+    const auto agg = aggregate_classes(c.space_count(), flows, labels);
+    EXPECT_DOUBLE_EQ(agg.total_packets, 22.0);
+    const auto& inv = agg.totals[0][static_cast<int>(TrafficClass::kInvalid)];
+    EXPECT_DOUBLE_EQ(inv.packets, 10.0);
+    EXPECT_EQ(inv.members, 2u);
+    const auto& bog = agg.totals[0][static_cast<int>(TrafficClass::kBogon)];
+    EXPECT_EQ(bog.members, 1u);
+    EXPECT_DOUBLE_EQ(bog.bytes, 200.0);
+  }
 
-  EXPECT_DOUBLE_EQ(agg.total_packets, 22.0);
-  const auto& inv = agg.totals[0][static_cast<int>(TrafficClass::kInvalid)];
-  EXPECT_DOUBLE_EQ(inv.packets, 10.0);
-  EXPECT_EQ(inv.members, 2u);
-  const auto& bog = agg.totals[0][static_cast<int>(TrafficClass::kBogon)];
-  EXPECT_EQ(bog.members, 1u);
-  EXPECT_DOUBLE_EQ(bog.bytes, 200.0);
+  // Members on both sides of the dense-id limit (2^16): the last dense
+  // id, the first id past it and one near the top of the u32 range,
+  // repeating within cells so distinct counting matters on both sides.
+  add(Ipv4Addr::from_octets(20, 0, 0, 3), 65535, 3);       // invalid
+  add(Ipv4Addr::from_octets(20, 0, 0, 4), 65536, 4);       // invalid
+  add(Ipv4Addr::from_octets(20, 0, 0, 5), 4200000000, 6);  // invalid
+  add(Ipv4Addr::from_octets(192, 168, 0, 2), 65536, 1);    // bogon
+  add(Ipv4Addr::from_octets(20, 0, 0, 6), 65536, 2);       // invalid
+  add(Ipv4Addr::from_octets(99, 0, 0, 1), 65535, 7);       // unrouted
+  add(Ipv4Addr::from_octets(20, 0, 0, 7), 65535, 1);       // invalid
+  const auto labels = classify_trace(c, flows);
+  struct Want {
+    TrafficClass cls;
+    double flows, packets;
+    std::size_t members;
+  };
+  // Hand-computed; bytes are 100 per packet throughout.
+  const Want want[] = {
+      {TrafficClass::kValid, 1, 10, 1},     // AS1
+      {TrafficClass::kInvalid, 7, 26, 5},   // 1, 2, 65535, 65536, 4200000000
+      {TrafficClass::kBogon, 2, 3, 2},      // 2, 65536
+      {TrafficClass::kUnrouted, 1, 7, 1},   // 65535
+  };
+  const auto expect_hand_computed = [&](const Aggregate& agg,
+                                        const std::string& what) {
+    EXPECT_DOUBLE_EQ(agg.total_flows, 11.0) << what;
+    EXPECT_DOUBLE_EQ(agg.total_packets, 46.0) << what;
+    EXPECT_DOUBLE_EQ(agg.total_bytes, 4600.0) << what;
+    for (const Want& w : want) {
+      const auto& cell = agg.totals[0][static_cast<int>(w.cls)];
+      EXPECT_DOUBLE_EQ(cell.flows, w.flows) << what << " " << class_name(w.cls);
+      EXPECT_DOUBLE_EQ(cell.packets, w.packets)
+          << what << " " << class_name(w.cls);
+      EXPECT_DOUBLE_EQ(cell.bytes, 100 * w.packets)
+          << what << " " << class_name(w.cls);
+      EXPECT_EQ(cell.members, w.members) << what << " " << class_name(w.cls);
+    }
+  };
+  expect_hand_computed(aggregate_classes(c.space_count(), flows, labels),
+                       "one builder");
+
+  // Two builders whose member sets overlap on both sides of the limit
+  // (65535 and 65536 are invalid in each half): merge must union them,
+  // not add their counts.
+  const auto half = [&](std::size_t lo, std::size_t hi) {
+    net::FlowBatch batch;
+    for (std::size_t i = lo; i < hi; ++i) batch.push_back(flows[i]);
+    AggregateBuilder b(c.space_count());
+    b.add(batch, std::span<const Label>(labels).subspan(lo, hi - lo));
+    return b;
+  };
+  AggregateBuilder merged = half(0, 7);
+  merged.merge(half(7, flows.size()));
+  expect_hand_computed(merged.build(), "two merged builders");
 }
 
 TEST(Aggregate, ExclusionDropsMembers) {
@@ -182,10 +242,34 @@ TEST(Aggregate, ExclusionDropsMembers) {
   flows[1].src = Ipv4Addr::from_octets(20, 0, 0, 1);
   flows[1].member_in = 2;
   flows[1].packets = 7;
+  {
+    const auto labels = classify_trace(c, flows);
+    const auto agg = aggregate_classes(c.space_count(), flows, labels, {2});
+    EXPECT_DOUBLE_EQ(agg.total_packets, 5.0);
+    EXPECT_EQ(agg.totals[0][static_cast<int>(TrafficClass::kInvalid)].members,
+              1u);
+  }
+
+  // Excluding one member past the dense-id limit drops its flows and
+  // leaves its neighbours on both sides of the limit counted.
+  for (const Asn member : {Asn{65535}, Asn{65536}, Asn{4200000000}}) {
+    net::FlowRecord f = flows[0];
+    f.member_in = member;
+    f.packets = member == 65535 ? 3 : member == 65536 ? 4 : 6;
+    f.bytes = 10ull * f.packets;
+    flows.push_back(f);
+  }
   const auto labels = classify_trace(c, flows);
-  const auto agg = aggregate_classes(c.space_count(), flows, labels, {2});
-  EXPECT_DOUBLE_EQ(agg.total_packets, 5.0);
-  EXPECT_EQ(agg.totals[0][static_cast<int>(TrafficClass::kInvalid)].members, 1u);
+  const auto agg =
+      aggregate_classes(c.space_count(), flows, labels, {2, 4200000000});
+  EXPECT_DOUBLE_EQ(agg.total_flows, 3.0);
+  EXPECT_DOUBLE_EQ(agg.total_packets, 12.0);  // 5 + 3 + 4
+  EXPECT_DOUBLE_EQ(agg.total_bytes, 70.0);    // 0 + 30 + 40
+  const auto& inv = agg.totals[0][static_cast<int>(TrafficClass::kInvalid)];
+  EXPECT_DOUBLE_EQ(inv.flows, 3.0);
+  EXPECT_DOUBLE_EQ(inv.packets, 12.0);
+  EXPECT_DOUBLE_EQ(inv.bytes, 70.0);
+  EXPECT_EQ(inv.members, 3u);  // 1, 65535, 65536
 }
 
 TEST(RouterTagger, StatsAndExclusion) {

@@ -9,6 +9,10 @@
 //    the same digest as MappedTrace::from_buffer;
 //  - batch-boundary edges: batch size 1, batch larger than the trace,
 //    empty trace, empty file;
+//  - verification-group edges: one damaged record at every position of
+//    the first three lockstep groups, and a declared count ending
+//    mid-group, each read whole and at batch sizes that cut groups;
+//  - FlowBatch::grow/shrink, the in-place row API the decoder writes;
 //  - v1 streams (no record checksums, no longer supported) are rejected
 //    as an unsupported version, loudly in strict mode, counted in skip.
 #include "net/trace.hpp"
@@ -102,17 +106,16 @@ struct ReadResult {
 
 constexpr std::size_t kWholeTrace = std::numeric_limits<std::size_t>::max();
 
-/// Reads the whole mapping through next_batch. With `rng`, each batch
-/// size is drawn from [1, 400] so batch boundaries land everywhere,
-/// including mid-resync; without, one batch takes the whole trace.
-ReadResult read_all(const MappedTrace& trace, util::ErrorPolicy policy,
-                    util::Rng* rng = nullptr) {
+/// Reads the whole mapping through next_batch, asking `next_size` for
+/// each batch's record cap.
+template <typename NextSize>
+ReadResult read_batched(const MappedTrace& trace, util::ErrorPolicy policy,
+                        NextSize next_size) {
   ReadResult r;
   FlowBatch batch;
   try {
     MappedTraceReader reader(trace, policy, &r.stats);
-    while (reader.next_batch(batch, rng ? 1 + rng->index(400) : kWholeTrace) >
-           0) {
+    while (reader.next_batch(batch, next_size()) > 0) {
       batch.append_to(r.records);
     }
   } catch (const std::exception& e) {
@@ -124,9 +127,25 @@ ReadResult read_all(const MappedTrace& trace, util::ErrorPolicy policy,
   return r;
 }
 
+/// With `rng`, each batch size is drawn from [1, 400] so batch
+/// boundaries land everywhere, including mid-resync; without, one batch
+/// takes the whole trace.
+ReadResult read_all(const MappedTrace& trace, util::ErrorPolicy policy,
+                    util::Rng* rng = nullptr) {
+  return read_batched(trace, policy, [rng] {
+    return rng ? 1 + rng->index(400) : kWholeTrace;
+  });
+}
+
 ReadResult read_all(const std::string& bytes, util::ErrorPolicy policy,
                     util::Rng* rng = nullptr) {
   return read_all(buffer_of(bytes), policy, rng);
+}
+
+/// Every batch capped at `batch` records.
+ReadResult read_fixed(const std::string& bytes, util::ErrorPolicy policy,
+                      std::size_t batch) {
+  return read_batched(buffer_of(bytes), policy, [batch] { return batch; });
 }
 
 /// FNV-1a-64 over everything a read hands back: each delivered record
@@ -337,6 +356,115 @@ TEST(TraceBatch, EmptyInputSkipModeYieldsNothingStrictThrows) {
             1u);
   const ReadResult strict = read_all(bytes, util::ErrorPolicy::kStrict);
   EXPECT_NE(strict.error.find("truncated header"), std::string::npos);
+}
+
+// ----------------------------------------------------- verification groups
+
+/// Batch caps for the group-edge tests: the whole trace, one record, and
+/// sizes whose batches end before, inside and just past a group of 8.
+constexpr std::size_t kGroupEdgeBatches[] = {kWholeTrace, 1, 7, 9, 13};
+
+std::string batch_name(std::size_t b) {
+  return b == kWholeTrace ? "whole" : std::to_string(b);
+}
+
+TEST(TraceBatch, DamagedRecordAtEachGroupPosition) {
+  // One flipped byte in record k, for every k across the first three
+  // lockstep verification groups, at a different byte of the record each
+  // time (payload and stored checksum alike). The damage must surface at
+  // exactly record k: strict delivers records [0, k) and throws; skip
+  // loses only record k, as one 40-byte checksum region plus the count
+  // mismatch it causes.
+  const Trace source = make_trace(64, 17);
+  const std::string clean = trace_bytes(source);
+  util::IngestStats want_skip;
+  want_skip.records_ok = 63;
+  want_skip.records_skipped = 1;
+  want_skip.bytes_dropped = format::kRecordSizeV2;
+  want_skip.errors[static_cast<int>(util::ErrorKind::kChecksum)] = 1;
+  want_skip.errors[static_cast<int>(util::ErrorKind::kCountMismatch)] = 1;
+  for (std::size_t k = 0; k < 24; ++k) {
+    std::string bad = clean;
+    const std::size_t at = format::kHeaderSizeV2 + k * format::kRecordSizeV2 +
+                           (k * 7) % format::kRecordSizeV2;
+    bad[at] = static_cast<char>(bad[at] ^ 0x5A);
+    const std::vector<FlowRecord> before(source.flows.begin(),
+                                         source.flows.begin() + k);
+    std::vector<FlowRecord> survivors = source.flows;
+    survivors.erase(survivors.begin() + k);
+    util::IngestStats want_strict;
+    want_strict.records_ok = k;
+    for (const std::size_t b : kGroupEdgeBatches) {
+      const std::string what =
+          "record " + std::to_string(k) + ", batch " + batch_name(b);
+      const ReadResult strict = read_fixed(bad, util::ErrorPolicy::kStrict, b);
+      EXPECT_EQ(strict.error, "read_trace: record checksum mismatch") << what;
+      EXPECT_EQ(strict.records, before) << what;
+      EXPECT_EQ(strict.stats, want_strict) << what;
+      const ReadResult skip = read_fixed(bad, util::ErrorPolicy::kSkip, b);
+      EXPECT_EQ(skip.error, "") << what;
+      EXPECT_EQ(skip.records, survivors) << what;
+      EXPECT_EQ(skip.stats, want_skip) << what << ": " << skip.stats.summary();
+    }
+  }
+}
+
+TEST(TraceBatch, DeclaredCountEndingMidGroup) {
+  // The header declares 20 of the 64 valid records, so the count ends
+  // four records into the third verification group. Strict delivers
+  // exactly the declared records and ignores the valid ones after them;
+  // skip delivers every record that validates and notes the mismatch.
+  const Trace source = make_trace(64, 19);
+  std::string bytes = trace_bytes(source);
+  auto* h = reinterpret_cast<std::uint8_t*>(bytes.data());
+  format::put_u64(h + 24, 20);  // declared record count
+  format::put_u32(h + format::kHeaderBody,
+                  format::fnv1a32(h, format::kHeaderBody));
+  const std::vector<FlowRecord> declared(source.flows.begin(),
+                                         source.flows.begin() + 20);
+  util::IngestStats want_strict;
+  want_strict.records_ok = 20;
+  util::IngestStats want_skip;
+  want_skip.records_ok = 64;
+  want_skip.errors[static_cast<int>(util::ErrorKind::kCountMismatch)] = 1;
+  for (const std::size_t b : kGroupEdgeBatches) {
+    const std::string what = "batch " + batch_name(b);
+    const ReadResult strict = read_fixed(bytes, util::ErrorPolicy::kStrict, b);
+    EXPECT_EQ(strict.error, "") << what;
+    EXPECT_EQ(strict.records, declared) << what;
+    EXPECT_EQ(strict.stats, want_strict) << what;
+    const ReadResult skip = read_fixed(bytes, util::ErrorPolicy::kSkip, b);
+    EXPECT_EQ(skip.error, "") << what;
+    EXPECT_EQ(skip.records, source.flows) << what;
+    EXPECT_EQ(skip.stats, want_skip) << what << ": " << skip.stats.summary();
+  }
+}
+
+TEST(FlowBatch, GrowWritesRowsInPlaceShrinkDropsThem) {
+  const std::vector<FlowRecord> flows = make_trace(3, 29).flows;
+  FlowBatch batch;
+  batch.push_back(flows[0]);
+  const FlowBatch::Rows rows = batch.grow(4);
+  ASSERT_EQ(batch.size(), 5u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const FlowRecord& f = flows[i + 1];
+    rows.ts[i] = f.ts;
+    rows.src[i] = f.src.value();
+    rows.dst[i] = f.dst.value();
+    rows.proto[i] = static_cast<std::uint8_t>(f.proto);
+    rows.sport[i] = f.sport;
+    rows.dport[i] = f.dport;
+    rows.packets[i] = f.packets;
+    rows.bytes[i] = f.bytes;
+    rows.member_in[i] = f.member_in;
+    rows.member_out[i] = f.member_out;
+  }
+  batch.shrink(2);  // the two rows never written
+  std::vector<FlowRecord> got;
+  batch.append_to(got);
+  EXPECT_EQ(got, flows);
+  batch.clear();
+  EXPECT_TRUE(batch.empty());
 }
 
 // --------------------------------------------------- mmap vs file fallback

@@ -1,41 +1,46 @@
 #!/usr/bin/env bash
 # Full verification sweep:
 #   1. tier-1: default build + complete ctest suite
-#   2. ThreadSanitizer build, running the concurrency-sensitive suites
+#   2. Release build (-O3, what perfbench measures; tier-1 is -O2) over
+#      the decode and aggregation suites, so the optimised group-verify
+#      to per-record resync hand-off and the member-presence rows run
+#      on damaged input, not just the clean traces perfbench feeds them
+#   3. ThreadSanitizer build, running the concurrency-sensitive suites
 #      (the parallel classification oracles including the plane-vs-trie
 #      and batch differentials, the thread pool, the streaming detector
 #      and the corruption differential suite, which classifies on a
 #      shared pool, the state suites, which resume/compile across thread
 #      counts, and the streaming-analysis oracle, which shards reports
 #      across pools)
-#   3. AddressSanitizer build, same suites plus the trie/interval code,
+#   4. AddressSanitizer build, same suites plus the trie/interval code,
 #      the byte-level corruption/resync and batch-decode paths, the
 #      snapshot container + checkpoint/plane-cache fuzz suites, and the
 #      bounded-table/quantile-sketch analysis suites (LRU eviction and
 #      compactor reallocation are where lifetime bugs would hide)
-#   4. UndefinedBehaviorSanitizer build over the parser fuzz and
+#   5. UndefinedBehaviorSanitizer build over the parser fuzz and
 #      robustness suites (the code that chews on hostile bytes),
 #      including the mmap/batch reader differential and the snapshot
 #      parser, which reinterprets mapped cache entries, plus the
 #      streaming-analysis oracle (sketch rank arithmetic, ratio
-#      histogram binning and eviction folds over adversarial batches)
-#   5. portable build guard: -DSPOOFSCOPE_DISABLE_SIMD=ON compiles only
+#      histogram binning and eviction folds over adversarial batches),
+#      and the aggregation suites (shifts in the member-presence rows)
+#   6. portable build guard: -DSPOOFSCOPE_DISABLE_SIMD=ON compiles only
 #      the scalar batch kernel — what a target with neither AVX2 nor
 #      NEON gets — and the batch differentials must still pass on it
-#   6. serve smoke: the resident sharded daemon boots on a generated
+#   7. serve smoke: the resident sharded daemon boots on a generated
 #      world and every control verb is driven through a real socket
 #      session, ending in a clean shutdown (the service suites — shard
 #      differential, rolling restart, control units — also run under
-#      TSan and ASan in stages 2 and 3)
-#   7. internet-scale generate: the chunk-parallel generator end to end
+#      TSan and ASan in stages 3 and 4)
+#   8. internet-scale generate: the chunk-parallel generator end to end
 #      through the CLI under TSan and ASan
-#   8. sanitized CLI: classify --labels, report, a delta-checkpointed
+#   9. sanitized CLI: classify --labels, report, a delta-checkpointed
 #      detect followed by its --resume, classify --on-error skip over a
 #      trace damaged at fixed offsets (the skip-mode resync), and detect
 #      --updates (route churn interleaved with the flows), run by the
 #      ASan and UBSan builds of the CLI on a seed-7 world; every run must
 #      exit 0 with output byte-identical to the tier-1 binary's
-#   9. fault injection: the crash/churn differential suite re-runs under
+#  10. fault injection: the crash/churn differential suite re-runs under
 #      all three sanitizer builds with a widened injector seed sweep
 #      (SPOOFSCOPE_FAULT_SEEDS), and the plane-churn fuzz runs its full
 #      1000-step sweep (SPOOFSCOPE_CHURN_STEPS) against the fresh-compile
@@ -88,6 +93,21 @@ echo "=== tier-1: default build + full ctest ==="
 cmake -S "${REPO_ROOT}" -B "${REPO_ROOT}/build" >/dev/null
 cmake --build "${REPO_ROOT}/build" -j "${JOBS}"
 ctest --test-dir "${REPO_ROOT}/build" --output-on-failure -j "${JOBS}"
+
+RELEASE_SUITES=(
+  net_trace_batch_test
+  robustness_differential_test
+  classify_test
+  classify_batch_oracle_test
+  classify_parallel_oracle_test
+)
+
+echo "=== Release (-O3): decode + aggregation suites ==="
+cmake -S "${REPO_ROOT}" -B "${REPO_ROOT}/build-release" \
+  -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "${REPO_ROOT}/build-release" -j "${JOBS}" \
+  --target "${RELEASE_SUITES[@]}"
+run_suite build-release "${RELEASE_SUITES[@]}"
 
 TSAN_SUITES=(
   topo_parallel_determinism_test
@@ -153,6 +173,8 @@ run_suite build-asan "${ASAN_SUITES[@]}"
 UBSAN_SUITES=(
   parser_fuzz_test
   robustness_differential_test
+  classify_test
+  classify_parallel_oracle_test
   classify_batch_oracle_test
   classify_simd_kernel_test
   classify_streaming_degraded_test
