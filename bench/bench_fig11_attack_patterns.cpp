@@ -12,25 +12,19 @@ namespace {
 using namespace spoofscope;
 using bench::world;
 
-void BM_SrcRatioHistogram(benchmark::State& state) {
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
+void BM_AttackPatternsBuilder(benchmark::State& state) {
+  const auto& batch = bench::world_batch();
+  const auto opts = bench::report_options();
   for (auto _ : state) {
-    auto h = analysis::src_per_dst_ratio(w.trace().flows, w.labels(), idx);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_SrcRatioHistogram)->Unit(benchmark::kMillisecond);
-
-void BM_NtpAnalysis(benchmark::State& state) {
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
-  for (auto _ : state) {
-    auto ntp = analysis::analyze_ntp(w.trace().flows, w.labels(), idx);
+    analysis::AttackPatternsBuilder builder(opts.space_idx, opts.limits);
+    builder.add(batch, world().labels());
+    auto ratio = builder.ratio(opts.ratio_min_packets, opts.ratio_bins);
+    auto ntp = builder.ntp(opts.top_victims);
+    benchmark::DoNotOptimize(ratio);
     benchmark::DoNotOptimize(ntp);
   }
 }
-BENCHMARK(BM_NtpAnalysis)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AttackPatternsBuilder)->Unit(benchmark::kMillisecond);
 
 void print_reproduction() {
   bench::print_header(
@@ -40,11 +34,10 @@ void print_reproduction() {
       "emits 91.94% of Invalid NTP (top-5: 97.86%); amplification ~10x in "
       "bytes at ~equal packets; 3,865 of 24,328 amplifiers in ZMap scans");
   const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
+  const auto report = bench::world_report();
 
   // Fig 11a.
-  const auto hist =
-      analysis::src_per_dst_ratio(w.trace().flows, w.labels(), idx, 50);
+  const auto& hist = report.src_ratio;
   static const char* kNames[] = {"Bogon", "Unrouted", "Invalid"};
   std::cout << "Fig 11a — #srcIPs/#pkts histogram per destination (10 bins, "
                "0=selective, 1=random):\n";
@@ -57,7 +50,7 @@ void print_reproduction() {
   }
 
   // Fig 11b + Sec 7 NTP stats.
-  const auto ntp = analysis::analyze_ntp(w.trace().flows, w.labels(), idx);
+  const auto& ntp = report.ntp;
   std::cout << "\nNTP amplification: " << ntp.trigger_packets
             << " trigger pkts, " << ntp.distinct_victims << " victims, "
             << ntp.contributing_members << " members, "
@@ -77,8 +70,7 @@ void print_reproduction() {
   }
 
   // Fig 11c.
-  const auto ts = analysis::amplification_effect(
-      w.trace().flows, w.labels(), idx, w.trace().meta.window_seconds);
+  const auto& ts = report.amplification;
   std::cout << "\nFig 11c — amplification effect over both-direction pairs:\n"
             << "  byte amplification " << util::fixed(ts.amplification_factor(), 1)
             << "x (paper: order of magnitude), packet ratio "

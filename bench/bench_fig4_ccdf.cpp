@@ -11,23 +11,24 @@ namespace {
 using namespace spoofscope;
 using bench::world;
 
-void BM_PerMemberCounts(benchmark::State& state) {
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
+void BM_MemberStatsBuilder(benchmark::State& state) {
+  const auto& batch = bench::world_batch();
+  const auto opts = bench::report_options();
   for (auto _ : state) {
-    auto counts = analysis::per_member_counts(w.trace().flows, w.labels(), idx,
-                                              w.ixp());
+    analysis::MemberStatsBuilder builder(opts.space_idx, opts.ixp);
+    builder.add(batch, world().labels());
+    auto counts = builder.finish();
     benchmark::DoNotOptimize(counts);
   }
 }
-BENCHMARK(BM_PerMemberCounts)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MemberStatsBuilder)->Unit(benchmark::kMillisecond);
 
 void print_reproduction() {
   bench::print_header(
       "Fig 4 (CCDF of per-member class shares)",
       "max Bogon share ~10%, max Unrouted ~9%; a few members near 100% "
       "Invalid");
-  const auto counts = world().member_counts(inference::Method::kFullCone);
+  const auto counts = bench::world_report().member_counts;
 
   static const analysis::TrafficClass kClasses[] = {
       analysis::TrafficClass::kBogon, analysis::TrafficClass::kUnrouted,

@@ -13,22 +13,26 @@ namespace {
 using namespace spoofscope;
 using bench::world;
 
-void BM_VennMembership(benchmark::State& state) {
-  const auto counts = world().member_counts(inference::Method::kFullCone);
+void BM_VennBuilder(benchmark::State& state) {
+  const auto& batch = bench::world_batch();
+  const auto opts = bench::report_options();
   for (auto _ : state) {
-    auto v = analysis::venn_membership(counts);
+    analysis::VennBuilder builder(opts.space_idx);
+    builder.add(batch, world().labels());
+    auto v = builder.finish();
     benchmark::DoNotOptimize(v);
   }
 }
-BENCHMARK(BM_VennMembership);
+BENCHMARK(BM_VennBuilder)->Unit(benchmark::kMillisecond);
 
 void print_reproduction() {
   bench::print_header(
       "Fig 5 (member contribution Venn diagram)",
       "18% clean; 28% contribute to all three; 9.6% Bogon only; 7.6% "
       "Invalid only; 96% of Unrouted members also send Bogon/Invalid");
-  const auto counts = world().member_counts(inference::Method::kFullCone);
-  std::cout << analysis::format_venn(analysis::venn_membership(counts));
+  const auto report = bench::world_report();
+  const auto& counts = report.member_counts;
+  std::cout << analysis::format_venn(report.venn);
 
   // Sec 5.1: strategy deduction and (simulation-only) its precision
   // against the ground-truth egress policies.

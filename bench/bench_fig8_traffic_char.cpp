@@ -11,34 +11,26 @@ namespace {
 using namespace spoofscope;
 using bench::world;
 
-void BM_PacketSizeCdfs(benchmark::State& state) {
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
+void BM_TrafficCharBuilder(benchmark::State& state) {
+  const auto& batch = bench::world_batch();
+  const auto opts = bench::report_options();
   for (auto _ : state) {
-    auto cdfs = analysis::packet_size_cdfs(w.trace().flows, w.labels(), idx);
-    benchmark::DoNotOptimize(cdfs);
+    analysis::TrafficCharBuilder builder(
+        opts.space_idx, opts.window_seconds, opts.bin_seconds,
+        opts.limits.sketch_k, opts.small_packet_threshold);
+    builder.add(batch, world().labels());
+    auto summary = builder.finish();
+    benchmark::DoNotOptimize(summary);
   }
 }
-BENCHMARK(BM_PacketSizeCdfs)->Unit(benchmark::kMillisecond);
-
-void BM_ClassTimeSeries(benchmark::State& state) {
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
-  for (auto _ : state) {
-    auto ts = analysis::class_time_series(w.trace().flows, w.labels(), idx,
-                                          w.trace().meta.window_seconds);
-    benchmark::DoNotOptimize(ts);
-  }
-}
-BENCHMARK(BM_ClassTimeSeries)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrafficCharBuilder)->Unit(benchmark::kMillisecond);
 
 void print_reproduction() {
   bench::print_header(
       "Fig 8 (packet sizes and time-of-day behaviour)",
       "regular traffic bimodal; >80% of spoofed packets < 60 bytes; "
       "regular diurnal, Unrouted/Invalid spiky, Bogon slightly diurnal");
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
+  const auto traffic = bench::world_report().traffic;
 
   static const analysis::TrafficClass kAll[] = {
       analysis::TrafficClass::kBogon, analysis::TrafficClass::kUnrouted,
@@ -47,14 +39,13 @@ void print_reproduction() {
 
   std::cout << "Fig 8a — fraction of packets with mean size < 100B:\n";
   for (int c = 0; c < 4; ++c) {
-    const double f = analysis::small_packet_fraction(
-        w.trace().flows, w.labels(), idx, kAll[c], 100.0);
+    const double f =
+        traffic.small_packet_fraction[static_cast<int>(kAll[c])];
     std::cout << "  " << util::pad_right(kNames[c], 9) << util::percent(f)
               << "\n";
   }
 
-  const auto ts = analysis::class_time_series(w.trace().flows, w.labels(), idx,
-                                              w.trace().meta.window_seconds);
+  const auto& ts = traffic.series;
   std::cout << "\nFig 8b — time series character (hourly bins):\n"
             << "  " << util::pad_right("class", 10)
             << util::pad_left("diurnality", 12)

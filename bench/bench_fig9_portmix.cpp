@@ -12,15 +12,17 @@ namespace {
 using namespace spoofscope;
 using bench::world;
 
-void BM_PortMix(benchmark::State& state) {
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
+void BM_PortMixBuilder(benchmark::State& state) {
+  const auto& batch = bench::world_batch();
+  const auto opts = bench::report_options();
   for (auto _ : state) {
-    auto mix = analysis::port_mix(w.trace().flows, w.labels(), idx);
+    analysis::PortMixBuilder builder(opts.space_idx);
+    builder.add(batch, world().labels());
+    auto mix = builder.finish();
     benchmark::DoNotOptimize(mix);
   }
 }
-BENCHMARK(BM_PortMix)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PortMixBuilder)->Unit(benchmark::kMillisecond);
 
 void print_reproduction() {
   bench::print_header(
@@ -28,9 +30,7 @@ void print_reproduction() {
       ">90% of Invalid UDP packets to DST 123 (NTP); spoofed TCP mostly "
       "DST 80/443; Unrouted UDP shows 27015 (Steam); regular web traffic "
       "symmetric in SRC/DST 80/443");
-  const auto& w = world();
-  const auto idx = scenario::Scenario::space_index(inference::Method::kFullCone);
-  const auto mix = analysis::port_mix(w.trace().flows, w.labels(), idx);
+  const auto mix = bench::world_report().ports;
   std::cout << analysis::format_port_mix(mix);
 
   using analysis::Direction;

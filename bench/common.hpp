@@ -12,7 +12,9 @@
 #include <string>
 #include <string_view>
 
+#include "analysis/streaming.hpp"
 #include "classify/batch_kernels.hpp"
+#include "net/flow_batch.hpp"
 #include "scenario/scenario.hpp"
 
 namespace spoofscope::bench {
@@ -133,6 +135,38 @@ inline const scenario::Scenario& world() {
   static const std::unique_ptr<scenario::Scenario> w =
       scenario::build_scenario(bench_params());
   return *w;
+}
+
+/// How the figure benches report: the Full Cone space, hourly bins over
+/// the trace's window, Fig 11a's 50-packet destination floor, Fig 8a's
+/// 100-byte small-packet threshold and the world's member types.
+inline analysis::ReportOptions report_options() {
+  analysis::ReportOptions opts;
+  opts.space_idx = scenario::Scenario::space_index(inference::Method::kFullCone);
+  opts.window_seconds = world().trace().meta.window_seconds;
+  opts.ratio_min_packets = 50;
+  opts.small_packet_threshold = 100.0;
+  opts.ixp = &world().ixp();
+  return opts;
+}
+
+/// The shared world's full report, the source of every Sec 5-7 figure.
+inline analysis::ReportResult world_report() {
+  return analysis::report_flows(world().classifier().space_count(),
+                                world().trace().flows, world().labels(),
+                                report_options());
+}
+
+/// The shared world's flows packed into one batch, once per binary: the
+/// figure benches time their report builder over it.
+inline const net::FlowBatch& world_batch() {
+  static const net::FlowBatch batch = [] {
+    net::FlowBatch b;
+    b.reserve(world().trace().flows.size());
+    for (const auto& f : world().trace().flows) b.push_back(f);
+    return b;
+  }();
+  return batch;
 }
 
 /// Section header for the reproduction output.

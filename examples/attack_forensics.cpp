@@ -7,8 +7,8 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "analysis/attack_patterns.hpp"
 #include "analysis/incidents.hpp"
+#include "analysis/streaming.hpp"
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
 #include "scenario/scenario.hpp"
@@ -25,9 +25,16 @@ int main(int argc, char** argv) {
   const auto full_idx =
       scenario::Scenario::space_index(inference::Method::kFullCone);
 
+  // Every analysis below comes out of one report pass.
+  analysis::ReportOptions opts;
+  opts.space_idx = full_idx;
+  opts.window_seconds = world->trace().meta.window_seconds;
+  opts.ratio_min_packets = 20;
+  const auto report = analysis::report_flows(
+      world->classifier().space_count(), flows, labels, opts);
+
   // Selective vs random spoofing (Fig 11a).
-  const auto hist = analysis::src_per_dst_ratio(flows, labels, full_idx,
-                                                /*min_sampled_packets=*/20);
+  const auto& hist = report.src_ratio;
   std::cout << "== Fig 11a: #srcIPs/#pkts per destination ==\n";
   static const char* kClassNames[] = {"Bogon", "Unrouted", "Invalid"};
   for (int c = 0; c < 3; ++c) {
@@ -40,7 +47,7 @@ int main(int argc, char** argv) {
   }
 
   // NTP amplification (Fig 11b + Sec 7 stats).
-  const auto ntp = analysis::analyze_ntp(flows, labels, full_idx);
+  const auto& ntp = report.ntp;
   std::cout << "\n== NTP amplification ==\n"
             << "  trigger packets: " << ntp.trigger_packets << " from "
             << ntp.distinct_victims << " victim IPs via "
@@ -63,8 +70,7 @@ int main(int argc, char** argv) {
   }
 
   // Amplification effect (Fig 11c).
-  const auto ts = analysis::amplification_effect(
-      flows, labels, full_idx, world->trace().meta.window_seconds);
+  const auto& ts = report.amplification;
   std::cout << "\n== Fig 11c: amplification effect ==\n"
             << "  byte amplification factor: "
             << util::fixed(ts.amplification_factor(), 1)
@@ -73,10 +79,8 @@ int main(int argc, char** argv) {
             << util::fixed(ts.packet_ratio(), 2) << " (paper: ~similar)\n";
 
   // Incident extraction: the Sec 7 analysis as an operator-facing report.
-  const auto incidents =
-      analysis::extract_incidents(flows, labels, full_idx);
   std::cout << "\n== Incident report ==\n"
-            << analysis::format_incidents(incidents, 8);
+            << analysis::format_incidents(report.incidents, 8);
 
   // Online detection: what a live deployment at the fabric would have
   // alerted on, single pass over the same four weeks, on the plane

@@ -13,12 +13,10 @@
 #include <iostream>
 
 #include "analysis/addr_structure.hpp"
-#include "analysis/attack_patterns.hpp"
 #include "analysis/business.hpp"
 #include "analysis/export.hpp"
-#include "analysis/portmix.hpp"
-#include "analysis/traffic_char.hpp"
 #include "analysis/spoofer_crosscheck.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table1.hpp"
 #include "analysis/venn.hpp"
 #include "classify/fp_hunter.hpp"
@@ -84,10 +82,16 @@ int main(int argc, char** argv) {
             << util::percent(breakdown.tcp) << "\n\n";
 
   // --- Fig 5 / Fig 6 ---------------------------------------------------------
-  const auto counts =
-      analysis::per_member_counts(flows, labels, full_idx, world->ixp());
-  std::cout << "== Fig 5 ==\n"
-            << analysis::format_venn(analysis::venn_membership(counts)) << "\n";
+  // Figs 5, 6, 8, 9 and 11 and Sec 4.5 below all come out of one report
+  // pass over the hunted labels.
+  analysis::ReportOptions opts;
+  opts.space_idx = full_idx;
+  opts.window_seconds = world->trace().meta.window_seconds;
+  opts.ixp = &world->ixp();
+  const auto study = analysis::report_flows(world->classifier().space_count(),
+                                            flows, labels, opts);
+  const auto& counts = study.member_counts;
+  std::cout << "== Fig 5 ==\n" << analysis::format_venn(study.venn) << "\n";
   const auto points = analysis::business_scatter(counts);
   std::cout << "== Fig 6 ==\n"
             << analysis::format_business_summary(
@@ -122,32 +126,26 @@ int main(int argc, char** argv) {
                                         analysis::TrafficClass::kInvalid));
     });
     csv("fig5_venn.csv", [&](std::ostream& o) {
-      analysis::export_venn_csv(o, analysis::venn_membership(counts));
+      analysis::export_venn_csv(o, study.venn);
     });
     csv("fig6_business.csv", [&](std::ostream& o) {
       analysis::export_business_csv(o, points);
     });
     csv("fig8b_timeseries.csv", [&](std::ostream& o) {
-      analysis::export_time_series_csv(
-          o, analysis::class_time_series(flows, labels, full_idx,
-                                         world->trace().meta.window_seconds));
+      analysis::export_time_series_csv(o, study.traffic.series);
     });
     csv("fig9_portmix.csv", [&](std::ostream& o) {
-      analysis::export_port_mix_csv(
-          o, analysis::port_mix(flows, labels, full_idx));
+      analysis::export_port_mix_csv(o, study.ports);
     });
     csv("fig10_addr_structure.csv", [&](std::ostream& o) {
       analysis::export_address_structure_csv(
           o, analysis::address_structure(flows, labels, full_idx));
     });
-    const auto ntp = analysis::analyze_ntp(flows, labels, full_idx);
     csv("fig11b_ntp_victims.csv", [&](std::ostream& o) {
-      analysis::export_ntp_victims_csv(o, ntp.top_victims);
+      analysis::export_ntp_victims_csv(o, study.ntp.top_victims);
     });
     csv("fig11c_amplification.csv", [&](std::ostream& o) {
-      analysis::export_amplification_csv(
-          o, analysis::amplification_effect(flows, labels, full_idx,
-                                            world->trace().meta.window_seconds));
+      analysis::export_amplification_csv(o, study.amplification);
     });
     std::cout << "\nCSV exports written to " << csv_dir << "\n";
   }

@@ -1,129 +1,8 @@
 #include "analysis/attack_patterns.hpp"
 
-#include <algorithm>
-#include <map>
-#include <set>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "net/protocols.hpp"
-#include "util/stats.hpp"
-
 namespace spoofscope::analysis {
-
-SrcRatioHistogram src_per_dst_ratio(std::span<const net::FlowRecord> flows,
-                                    std::span<const Label> labels,
-                                    std::size_t space_idx,
-                                    std::uint32_t min_sampled_packets,
-                                    std::size_t bins) {
-  struct DstInfo {
-    std::uint64_t packets = 0;
-    std::unordered_set<std::uint32_t> sources;
-  };
-  std::array<std::unordered_map<std::uint32_t, DstInfo>, kNumClasses> by_dst;
-
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
-    if (c == static_cast<int>(TrafficClass::kValid)) continue;
-    auto& info = by_dst[c][flows[i].dst.value()];
-    info.packets += flows[i].packets;
-    info.sources.insert(flows[i].src.value());
-  }
-
-  SrcRatioHistogram out;
-  out.bins = bins;
-  for (int c = 0; c < kNumClasses; ++c) {
-    out.fractions[c].assign(bins, 0.0);
-    std::size_t qualifying = 0;
-    for (const auto& [dst, info] : by_dst[c]) {
-      if (info.packets < min_sampled_packets) continue;
-      ++qualifying;
-      const double ratio = static_cast<double>(info.sources.size()) /
-                           static_cast<double>(info.packets);
-      const std::size_t bin = std::min(
-          bins - 1, static_cast<std::size_t>(ratio * static_cast<double>(bins)));
-      out.fractions[c][bin] += 1.0;
-    }
-    out.destinations[c] = qualifying;
-    if (qualifying > 0) {
-      for (auto& f : out.fractions[c]) f /= static_cast<double>(qualifying);
-    }
-  }
-  return out;
-}
-
-NtpAnalysis analyze_ntp(std::span<const net::FlowRecord> flows,
-                        std::span<const Label> labels, std::size_t space_idx,
-                        std::size_t top_victims) {
-  NtpAnalysis out;
-
-  struct VictimAgg {
-    std::uint64_t packets = 0;
-    std::map<std::uint32_t, std::uint64_t> per_amplifier;
-  };
-  std::unordered_map<std::uint32_t, VictimAgg> victims;
-  std::map<Asn, std::uint64_t> member_packets;
-  std::set<std::uint32_t> amplifiers;
-  double invalid_udp = 0, invalid_udp_ntp = 0;
-
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto& f = flows[i];
-    if (classify::Classifier::unpack(labels[i], space_idx) !=
-        TrafficClass::kInvalid) {
-      continue;
-    }
-    if (f.proto != net::Proto::kUdp) continue;
-    invalid_udp += f.packets;
-    if (f.dport != net::ports::kNtp) continue;
-    invalid_udp_ntp += f.packets;
-
-    out.trigger_packets += f.packets;
-    auto& v = victims[f.src.value()];
-    v.packets += f.packets;
-    v.per_amplifier[f.dst.value()] += f.packets;
-    member_packets[f.member_in] += f.packets;
-    amplifiers.insert(f.dst.value());
-  }
-
-  out.distinct_victims = victims.size();
-  out.contributing_members = member_packets.size();
-  out.amplifiers_contacted = amplifiers.size();
-  out.invalid_udp_ntp_share = invalid_udp > 0 ? invalid_udp_ntp / invalid_udp : 0.0;
-
-  if (out.trigger_packets > 0 && !member_packets.empty()) {
-    std::vector<std::uint64_t> per_member;
-    per_member.reserve(member_packets.size());
-    for (const auto& [asn, pkts] : member_packets) per_member.push_back(pkts);
-    std::sort(per_member.rbegin(), per_member.rend());
-    out.top_member_share =
-        static_cast<double>(per_member[0]) / out.trigger_packets;
-    std::uint64_t top5 = 0;
-    for (std::size_t i = 0; i < std::min<std::size_t>(5, per_member.size()); ++i) {
-      top5 += per_member[i];
-    }
-    out.top5_member_share = static_cast<double>(top5) / out.trigger_packets;
-  }
-
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> ranked;
-  for (const auto& [addr, agg] : victims) ranked.emplace_back(agg.packets, addr);
-  std::sort(ranked.rbegin(), ranked.rend());
-  for (std::size_t i = 0; i < std::min(top_victims, ranked.size()); ++i) {
-    const auto& agg = victims.at(ranked[i].second);
-    NtpVictim v;
-    v.victim = net::Ipv4Addr(ranked[i].second);
-    v.trigger_packets = agg.packets;
-    v.amplifiers = agg.per_amplifier.size();
-    for (const auto& [amp, pkts] : agg.per_amplifier) {
-      v.packets_per_amplifier.push_back(pkts);
-    }
-    std::sort(v.packets_per_amplifier.rbegin(), v.packets_per_amplifier.rend());
-    std::vector<double> d(v.packets_per_amplifier.begin(),
-                          v.packets_per_amplifier.end());
-    v.concentration = util::gini(d);
-    out.top_victims.push_back(std::move(v));
-  }
-  return out;
-}
 
 double AmplificationTimeseries::amplification_factor() const {
   double to = 0, from = 0;
@@ -137,58 +16,6 @@ double AmplificationTimeseries::packet_ratio() const {
   for (const double p : packets_to_amplifier) to += p;
   for (const double p : packets_from_amplifier) from += p;
   return to > 0 ? from / to : 0.0;
-}
-
-AmplificationTimeseries amplification_effect(
-    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
-    std::size_t space_idx, std::uint32_t window_seconds,
-    std::uint32_t bin_seconds) {
-  AmplificationTimeseries out;
-  out.bin_seconds = bin_seconds;
-  const std::size_t bins = (window_seconds + bin_seconds - 1) / bin_seconds;
-  out.packets_to_amplifier.assign(bins, 0.0);
-  out.packets_from_amplifier.assign(bins, 0.0);
-  out.bytes_to_amplifier.assign(bins, 0.0);
-  out.bytes_from_amplifier.assign(bins, 0.0);
-
-  // Pass 1: identify (victim, amplifier) pairs for which *both* the
-  // Invalid NTP trigger and the amplifier's response cross the fabric —
-  // the paper isolates exactly these pairs to measure the effect.
-  std::unordered_set<std::uint64_t> trigger_pairs;
-  std::unordered_set<std::uint64_t> response_pairs;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto& f = flows[i];
-    if (f.proto != net::Proto::kUdp) continue;
-    if (f.dport == net::ports::kNtp &&
-        classify::Classifier::unpack(labels[i], space_idx) ==
-            TrafficClass::kInvalid) {
-      trigger_pairs.insert((std::uint64_t(f.src.value()) << 32) | f.dst.value());
-    } else if (f.sport == net::ports::kNtp) {
-      response_pairs.insert((std::uint64_t(f.dst.value()) << 32) | f.src.value());
-    }
-  }
-  std::unordered_set<std::uint64_t> pairs;
-  for (const std::uint64_t p : trigger_pairs) {
-    if (response_pairs.count(p)) pairs.insert(p);
-  }
-
-  // Pass 2: accumulate both directions for pairs seen as triggers.
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto& f = flows[i];
-    if (f.proto != net::Proto::kUdp) continue;
-    const std::size_t bin = std::min<std::size_t>(f.ts / bin_seconds, bins - 1);
-    if (f.dport == net::ports::kNtp &&
-        pairs.count((std::uint64_t(f.src.value()) << 32) | f.dst.value())) {
-      out.packets_to_amplifier[bin] += f.packets;
-      out.bytes_to_amplifier[bin] += static_cast<double>(f.bytes);
-    } else if (f.sport == net::ports::kNtp &&
-               pairs.count((std::uint64_t(f.dst.value()) << 32) |
-                           f.src.value())) {
-      out.packets_from_amplifier[bin] += f.packets;
-      out.bytes_from_amplifier[bin] += static_cast<double>(f.bytes);
-    }
-  }
-  return out;
 }
 
 std::size_t amplifier_scan_overlap(std::span<const net::Ipv4Addr> contacted,

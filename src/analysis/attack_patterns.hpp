@@ -1,5 +1,6 @@
 // Sec 7 / Fig 11: selective vs. random spoofing, NTP amplification
-// strategies and the measured amplification effect.
+// strategies and the measured amplification effect. AttackPatternsBuilder
+// and AmplificationBuilder (analysis/streaming.hpp) compute them.
 #pragma once
 
 #include <array>
@@ -22,12 +23,6 @@ struct SrcRatioHistogram {
   /// Number of qualifying destinations per class.
   std::array<std::size_t, kNumClasses> destinations{};
 };
-
-SrcRatioHistogram src_per_dst_ratio(std::span<const net::FlowRecord> flows,
-                                    std::span<const Label> labels,
-                                    std::size_t space_idx,
-                                    std::uint32_t min_sampled_packets = 50,
-                                    std::size_t bins = 10);
 
 /// One victim of NTP amplification (a source address of Invalid NTP
 /// trigger traffic), with its per-amplifier packet distribution.
@@ -55,10 +50,6 @@ struct NtpAnalysis {
   double invalid_udp_ntp_share = 0;
 };
 
-NtpAnalysis analyze_ntp(std::span<const net::FlowRecord> flows,
-                        std::span<const Label> labels, std::size_t space_idx,
-                        std::size_t top_victims = 10);
-
 /// Fig 11c: trigger vs response volume over time, for (victim, amplifier)
 /// pairs where both directions were observed.
 struct AmplificationTimeseries {
@@ -73,11 +64,6 @@ struct AmplificationTimeseries {
   /// Packet-count symmetry (response pkts / trigger pkts), ~1 for NTP.
   double packet_ratio() const;
 };
-
-AmplificationTimeseries amplification_effect(
-    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
-    std::size_t space_idx, std::uint32_t window_seconds,
-    std::uint32_t bin_seconds = 3600);
 
 /// Sec 7: overlap of the contacted amplifiers with an independent scan
 /// (the ZMap NTP dataset in the paper).

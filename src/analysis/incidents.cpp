@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "net/protocols.hpp"
 #include "util/format.hpp"
 
 namespace spoofscope::analysis {
@@ -17,96 +14,6 @@ std::string incident_kind_name(IncidentKind k) {
     case IncidentKind::kOther: return "other";
   }
   return "?";
-}
-
-namespace {
-
-struct Cluster {
-  std::uint32_t start_ts = ~0u;
-  std::uint32_t end_ts = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  std::unordered_set<std::uint32_t> counterparts;  // srcs or dsts
-  std::unordered_set<Asn> members;
-
-  void add(const net::FlowRecord& f, std::uint32_t counterpart) {
-    start_ts = std::min(start_ts, f.ts);
-    end_ts = std::max(end_ts, f.ts);
-    packets += f.packets;
-    bytes += f.bytes;
-    counterparts.insert(counterpart);
-    members.insert(f.member_in);
-  }
-};
-
-Incident to_incident(IncidentKind kind, net::Ipv4Addr victim, const Cluster& c,
-                     bool counterparts_are_sources) {
-  Incident inc;
-  inc.kind = kind;
-  inc.victim = victim;
-  inc.start_ts = c.start_ts;
-  inc.end_ts = c.end_ts;
-  inc.packets = c.packets;
-  inc.bytes = c.bytes;
-  if (counterparts_are_sources) {
-    inc.distinct_sources = c.counterparts.size();
-  } else {
-    inc.distinct_destinations = c.counterparts.size();
-  }
-  inc.members.assign(c.members.begin(), c.members.end());
-  std::sort(inc.members.begin(), inc.members.end());
-  return inc;
-}
-
-}  // namespace
-
-std::vector<Incident> extract_incidents(std::span<const net::FlowRecord> flows,
-                                        std::span<const Label> labels,
-                                        std::size_t space_idx,
-                                        const IncidentParams& params) {
-  // Flood candidates: flagged flows grouped by destination (counterparts
-  // are the spoofed sources). Amplification candidates: flagged UDP/123
-  // flows grouped by *source* (the reflection victim; counterparts are
-  // the amplifiers).
-  std::unordered_map<std::uint32_t, Cluster> by_dst;
-  std::unordered_map<std::uint32_t, Cluster> by_trigger_src;
-
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto cls = classify::Classifier::unpack(labels[i], space_idx);
-    if (cls == TrafficClass::kValid) continue;
-    const auto& f = flows[i];
-    const bool trigger_shaped =
-        f.proto == net::Proto::kUdp && f.dport == net::ports::kNtp;
-    if (trigger_shaped) {
-      by_trigger_src[f.src.value()].add(f, f.dst.value());
-    } else {
-      by_dst[f.dst.value()].add(f, f.src.value());
-    }
-  }
-
-  std::vector<Incident> out;
-  for (const auto& [dst, c] : by_dst) {
-    if (c.packets < params.min_packets) continue;
-    const double uniqueness =
-        static_cast<double>(c.counterparts.size()) / static_cast<double>(c.packets);
-    const IncidentKind kind = uniqueness >= params.flood_uniqueness
-                                  ? IncidentKind::kRandomSpoofFlood
-                                  : IncidentKind::kOther;
-    out.push_back(to_incident(kind, net::Ipv4Addr(dst), c,
-                              /*counterparts_are_sources=*/true));
-  }
-  for (const auto& [src, c] : by_trigger_src) {
-    if (c.packets < params.min_packets) continue;
-    // Trigger traffic is selective by construction of the grouping (one
-    // spoofed source); classify it as amplification.
-    out.push_back(to_incident(IncidentKind::kAmplification, net::Ipv4Addr(src),
-                              c, /*counterparts_are_sources=*/false));
-  }
-  std::sort(out.begin(), out.end(), [](const Incident& a, const Incident& b) {
-    if (a.packets != b.packets) return a.packets > b.packets;
-    return a.victim.value() < b.victim.value();
-  });
-  return out;
 }
 
 std::string format_incidents(std::span<const Incident> incidents,

@@ -2,6 +2,7 @@
 // flows into discrete events — "victim X received a random-spoof flood
 // from T1 to T2", "victim Y was hit via NTP amplification through N
 // amplifiers" — the report a security team would want from the fabric.
+// IncidentsBuilder (analysis/streaming.hpp) extracts them.
 #pragma once
 
 #include <span>
@@ -53,13 +54,6 @@ struct IncidentParams {
   /// traffic) is selective spoofing.
   double selective_uniqueness = 0.3;
 };
-
-/// Clusters Bogon/Unrouted/Invalid flows (under `space_idx`) into
-/// incidents, sorted by packets descending.
-std::vector<Incident> extract_incidents(std::span<const net::FlowRecord> flows,
-                                        std::span<const Label> labels,
-                                        std::size_t space_idx,
-                                        const IncidentParams& params = {});
 
 /// Human-readable incident report.
 std::string format_incidents(std::span<const Incident> incidents,

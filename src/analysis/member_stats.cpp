@@ -1,30 +1,6 @@
 #include "analysis/member_stats.hpp"
 
-#include <map>
-
 namespace spoofscope::analysis {
-
-std::vector<MemberClassCounts> per_member_counts(
-    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
-    std::size_t space_idx, const ixp::Ixp& ixp) {
-  std::map<Asn, MemberClassCounts> by_member;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto& f = flows[i];
-    auto& mc = by_member[f.member_in];
-    if (mc.member == net::kNoAsn) {
-      mc.member = f.member_in;
-      if (const auto* m = ixp.find(f.member_in)) mc.type = m->type;
-    }
-    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
-    mc.packets[c] += f.packets;
-    mc.bytes[c] += static_cast<double>(f.bytes);
-    mc.flows[c] += 1;
-  }
-  std::vector<MemberClassCounts> out;
-  out.reserve(by_member.size());
-  for (const auto& [asn, mc] : by_member) out.push_back(mc);
-  return out;
-}
 
 std::vector<util::DistPoint> class_share_ccdf(
     std::span<const MemberClassCounts> counts, TrafficClass cls) {

@@ -1,5 +1,6 @@
 // Per-member classification statistics: the basis of Fig 4 (CCDF of class
 // shares), Fig 5 (Venn membership) and Fig 6 (business-type scatter).
+// MemberStatsBuilder (analysis/streaming.hpp) computes them.
 #pragma once
 
 #include <array>
@@ -41,12 +42,6 @@ struct MemberClassCounts {
     return packets[static_cast<int>(c)] > 0;
   }
 };
-
-/// Aggregates counts for every member that injected traffic. Members in
-/// the trace but absent from `ixp` get type kOther.
-std::vector<MemberClassCounts> per_member_counts(
-    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
-    std::size_t space_idx, const ixp::Ixp& ixp);
 
 /// Fig 4: CCDF over members of the per-member share of `cls` packets.
 std::vector<util::DistPoint> class_share_ccdf(

@@ -1,10 +1,7 @@
 #include "analysis/portmix.hpp"
 
-#include <algorithm>
-#include <map>
 #include <sstream>
 
-#include "net/protocols.hpp"
 #include "util/format.hpp"
 
 namespace spoofscope::analysis {
@@ -16,52 +13,6 @@ double PortMix::fraction_of(TrafficClass cls, Transport t, Direction d,
     if (s.port == port) return s.fraction;
   }
   return 0.0;
-}
-
-PortMix port_mix(std::span<const net::FlowRecord> flows,
-                 std::span<const Label> labels, std::size_t space_idx) {
-  // counts[class][transport][direction][port-bucket]
-  std::map<std::uint16_t, double> counts[kNumClasses][2][2];
-  double totals[kNumClasses][2][2] = {};
-
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto& f = flows[i];
-    int transport;
-    if (f.proto == net::Proto::kTcp) {
-      transport = static_cast<int>(Transport::kTcp);
-    } else if (f.proto == net::Proto::kUdp) {
-      transport = static_cast<int>(Transport::kUdp);
-    } else {
-      continue;  // Fig 9 covers TCP/UDP only
-    }
-    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
-    const auto bucket = [](std::uint16_t port) -> std::uint16_t {
-      return net::is_tracked_port(port) ? port : 0;
-    };
-    counts[c][transport][static_cast<int>(Direction::kDst)][bucket(f.dport)] +=
-        f.packets;
-    counts[c][transport][static_cast<int>(Direction::kSrc)][bucket(f.sport)] +=
-        f.packets;
-    totals[c][transport][static_cast<int>(Direction::kDst)] += f.packets;
-    totals[c][transport][static_cast<int>(Direction::kSrc)] += f.packets;
-  }
-
-  PortMix out;
-  for (int c = 0; c < kNumClasses; ++c) {
-    for (int t = 0; t < 2; ++t) {
-      for (int d = 0; d < 2; ++d) {
-        auto& dst = out.shares[c][t][d];
-        const double total = totals[c][t][d];
-        for (const auto& [port, pkts] : counts[c][t][d]) {
-          if (total > 0) dst.push_back({port, pkts / total});
-        }
-        std::sort(dst.begin(), dst.end(), [](const PortShare& a, const PortShare& b) {
-          return a.fraction > b.fraction;
-        });
-      }
-    }
-  }
-  return out;
 }
 
 std::string format_port_mix(const PortMix& mix) {

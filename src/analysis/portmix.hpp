@@ -1,5 +1,6 @@
 // Fig 9: port-based application mix per class, split by transport
-// protocol and by direction (SRC vs DST port).
+// protocol and by direction (SRC vs DST port). PortMixBuilder
+// (analysis/streaming.hpp) computes it.
 #pragma once
 
 #include <array>
@@ -33,9 +34,6 @@ struct PortMix {
   double fraction_of(TrafficClass cls, Transport t, Direction d,
                      std::uint16_t port) const;
 };
-
-PortMix port_mix(std::span<const net::FlowRecord> flows,
-                 std::span<const Label> labels, std::size_t space_idx);
 
 std::string format_port_mix(const PortMix& mix);
 

@@ -23,11 +23,6 @@ void add_series(std::vector<double>& dst, const std::vector<double>& src) {
   for (std::size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
 }
 
-/// Grows `v` so index `bin` is addressable.
-inline void grow_to(std::vector<double>& v, std::size_t bin) {
-  if (bin >= v.size()) v.resize(bin + 1, 0.0);
-}
-
 }  // namespace
 
 ReportLimits ReportLimits::production() {
@@ -264,7 +259,7 @@ void TrafficCharBuilder::add(const net::FlowBatch& batch,
     const double mean = static_cast<double>(bytes[i]) / packets[i];
     total_[c] += packets[i];
     if (mean < small_threshold_) small_[c] += packets[i];
-    // Weight by sampled packets, capped — same rule as packet_size_cdfs.
+    // Weight by sampled packets, capped at 16 per flow.
     sketches_[c].add(mean, std::min(packets[i], 16u));
   }
 }
@@ -453,6 +448,18 @@ AmplificationBuilder::AmplificationBuilder(std::size_t space_idx,
       bin_seconds_(bin_seconds),
       pairs_(max_pairs) {}
 
+AmplificationBuilder::Bin& AmplificationBuilder::PairState::at(
+    std::size_t bin) {
+  if (!bins.empty() && bins.back().bin == bin) return bins.back();
+  auto it = bins.end();
+  if (!bins.empty() && bins.back().bin > bin) {
+    it = std::lower_bound(bins.begin(), bins.end(), bin,
+                          [](const Bin& b, std::size_t x) { return b.bin < x; });
+    if (it->bin == bin) return *it;
+  }
+  return *bins.insert(it, Bin{bin});
+}
+
 std::size_t AmplificationBuilder::bin_of(std::uint32_t ts) const {
   const std::size_t bin = ts / bin_seconds_;
   if (window_seconds_ == 0) return bin;
@@ -475,7 +482,7 @@ void AmplificationBuilder::add(const net::FlowBatch& batch,
     const std::uint64_t fwd = (std::uint64_t(src[i]) << 32) | dst[i];
     const std::uint64_t rev = (std::uint64_t(dst[i]) << 32) | src[i];
 
-    // Pair-qualification evidence (the oracle's pass 1).
+    // Pair-qualification evidence.
     if (dport[i] == net::ports::kNtp &&
         classify::Classifier::unpack(labels[i], space_idx_) ==
             TrafficClass::kInvalid) {
@@ -484,30 +491,24 @@ void AmplificationBuilder::add(const net::FlowBatch& batch,
       pairs_.touch(rev).response = true;
     }
 
-    // Volume lanes (the oracle's pass 2, which is label-agnostic). A
-    // flow with both ports NTP contributes "to" if its forward pair
-    // qualifies, else "from" if its reverse pair does — deferred to
-    // finish() via the dual lanes.
+    // Volume lanes, which are label-agnostic. A flow with both ports
+    // NTP contributes "to" if its forward pair qualifies, else "from"
+    // if its reverse pair does — deferred to finish() via the dual
+    // lanes.
     const std::size_t bin = bin_of(ts[i]);
     if (dport[i] == net::ports::kNtp) {
-      PairState& p = pairs_.touch(fwd);
+      Bin& b = pairs_.touch(fwd).at(bin);
       if (sport[i] == net::ports::kNtp) {
-        grow_to(p.dual_packets, bin);
-        grow_to(p.dual_bytes, bin);
-        p.dual_packets[bin] += packets[i];
-        p.dual_bytes[bin] += static_cast<double>(bytes[i]);
+        b.dual_packets += packets[i];
+        b.dual_bytes += static_cast<double>(bytes[i]);
       } else {
-        grow_to(p.to_packets, bin);
-        grow_to(p.to_bytes, bin);
-        p.to_packets[bin] += packets[i];
-        p.to_bytes[bin] += static_cast<double>(bytes[i]);
+        b.to_packets += packets[i];
+        b.to_bytes += static_cast<double>(bytes[i]);
       }
     } else if (sport[i] == net::ports::kNtp) {
-      PairState& p = pairs_.touch(rev);
-      grow_to(p.from_packets, bin);
-      grow_to(p.from_bytes, bin);
-      p.from_packets[bin] += packets[i];
-      p.from_bytes[bin] += static_cast<double>(bytes[i]);
+      Bin& b = pairs_.touch(rev).at(bin);
+      b.from_packets += packets[i];
+      b.from_bytes += static_cast<double>(bytes[i]);
     }
   }
 }
@@ -516,12 +517,15 @@ void AmplificationBuilder::merge(const AmplificationBuilder& other) {
   pairs_.merge(other.pairs_, [](PairState& ours, const PairState& theirs) {
     ours.trigger = ours.trigger || theirs.trigger;
     ours.response = ours.response || theirs.response;
-    add_series(ours.to_packets, theirs.to_packets);
-    add_series(ours.to_bytes, theirs.to_bytes);
-    add_series(ours.from_packets, theirs.from_packets);
-    add_series(ours.from_bytes, theirs.from_bytes);
-    add_series(ours.dual_packets, theirs.dual_packets);
-    add_series(ours.dual_bytes, theirs.dual_bytes);
+    for (const Bin& t : theirs.bins) {
+      Bin& b = ours.at(t.bin);
+      b.to_packets += t.to_packets;
+      b.to_bytes += t.to_bytes;
+      b.from_packets += t.from_packets;
+      b.from_bytes += t.from_bytes;
+      b.dual_packets += t.dual_packets;
+      b.dual_bytes += t.dual_bytes;
+    }
   });
 }
 
@@ -534,9 +538,7 @@ AmplificationTimeseries AmplificationBuilder::finish() const {
   } else {
     for (const std::uint64_t key : pairs_.sorted_keys()) {
       const PairState& p = *pairs_.find(key);
-      for (const auto* v : {&p.to_packets, &p.from_packets, &p.dual_packets}) {
-        bins = std::max(bins, v->size());
-      }
+      if (!p.bins.empty()) bins = std::max(bins, p.bins.back().bin + 1);
     }
   }
   out.packets_to_amplifier.assign(bins, 0.0);
@@ -548,30 +550,25 @@ AmplificationTimeseries AmplificationBuilder::finish() const {
     const PairState* p = pairs_.find(key);
     return p != nullptr && p->trigger && p->response;
   };
+  // Each output bin sums its pairs in key order, "to" before "dual";
+  // an untouched lane adds +0.0, which changes no bit.
   for (const std::uint64_t key : pairs_.sorted_keys()) {
     const PairState& p = *pairs_.find(key);
     if (qualified(key)) {
-      for (std::size_t b = 0; b < p.to_packets.size(); ++b) {
-        out.packets_to_amplifier[b] += p.to_packets[b];
-        out.bytes_to_amplifier[b] += p.to_bytes[b];
+      for (const Bin& b : p.bins) {
+        out.packets_to_amplifier[b.bin] += b.to_packets;
+        out.bytes_to_amplifier[b.bin] += b.to_bytes;
+        out.packets_from_amplifier[b.bin] += b.from_packets;
+        out.bytes_from_amplifier[b.bin] += b.from_bytes;
+        out.packets_to_amplifier[b.bin] += b.dual_packets;
+        out.bytes_to_amplifier[b.bin] += b.dual_bytes;
       }
-      for (std::size_t b = 0; b < p.from_packets.size(); ++b) {
-        out.packets_from_amplifier[b] += p.from_packets[b];
-        out.bytes_from_amplifier[b] += p.from_bytes[b];
-      }
-      for (std::size_t b = 0; b < p.dual_packets.size(); ++b) {
-        out.packets_to_amplifier[b] += p.dual_packets[b];
-        out.bytes_to_amplifier[b] += p.dual_bytes[b];
-      }
-    } else {
+    } else if (qualified((key << 32) | (key >> 32))) {
       // Dual-port flows stored on an unqualified forward pair fall back
-      // to the reverse ("from") direction, like the oracle's else-if.
-      const std::uint64_t rev = (key << 32) | (key >> 32);
-      if (!p.dual_packets.empty() && qualified(rev)) {
-        for (std::size_t b = 0; b < p.dual_packets.size(); ++b) {
-          out.packets_from_amplifier[b] += p.dual_packets[b];
-          out.bytes_from_amplifier[b] += p.dual_bytes[b];
-        }
+      // to the reverse ("from") direction.
+      for (const Bin& b : p.bins) {
+        out.packets_from_amplifier[b.bin] += b.dual_packets;
+        out.bytes_from_amplifier[b.bin] += b.dual_bytes;
       }
     }
   }
@@ -743,6 +740,18 @@ ReportResult StreamingReport::finish() const {
   r.flows = flows_;
   r.evictions = evictions();
   return r;
+}
+
+ReportResult report_flows(std::size_t space_count,
+                          std::span<const net::FlowRecord> flows,
+                          std::span<const classify::Label> labels,
+                          const ReportOptions& opts) {
+  net::FlowBatch batch;
+  batch.reserve(flows.size());
+  for (const auto& f : flows) batch.push_back(f);
+  StreamingReport report(space_count, opts);
+  report.add(batch, labels);
+  return report.finish();
 }
 
 std::string format_report(const ReportResult& r, std::size_t top_incidents) {

@@ -1,10 +1,12 @@
-// Bounded-memory streaming analysis builders — the report-side twin of
-// classify::AggregateBuilder (DESIGN.md §12). Every analysis the
-// `report` command computes (member stats, Venn, filtering strategies,
-// port mix, traffic characteristics, attack patterns, NTP amplification,
-// incidents, Table 1 aggregates) gains an incremental builder with an
-// `add(batch, labels)` / `finish()` shape, fed straight from
-// net::MappedTrace + net::FlowBatch lanes. State is bounded:
+// Bounded-memory streaming analysis builders (DESIGN.md §12): the one
+// implementation of every Sec 5-7 analysis — member stats, Venn,
+// filtering strategies, port mix, traffic characteristics, attack
+// patterns, NTP amplification, incidents — plus the Table 1 aggregate
+// through classify::AggregateBuilder. Each is an incremental builder
+// with an `add(batch, labels)` / `finish()` shape, fed straight from
+// net::MappedTrace + net::FlowBatch lanes; StreamingReport runs them
+// all, and report_flows() runs it over flows already in memory. State
+// is bounded:
 //
 //  - per-key accumulators (members, destinations, victims, amplifier
 //    sets, incident clusters) live in BoundedTable, which applies the
@@ -13,21 +15,22 @@
 //    evicted, and every eviction is counted;
 //  - distribution summaries (packet-size CDFs) use the mergeable
 //    util::QuantileSketch instead of materialized sample vectors;
-//  - time series bins are fixed by the window length (or grow with the
-//    observed timestamps — O(duration / bin), not O(flows)).
+//  - the global time series bins are fixed by the window length (or
+//    grow with the observed timestamps — O(duration / bin), not
+//    O(flows)); each amplification pair keeps only the bins it touched.
 //
 // Determinism contract: every builder is a pure function of the record
 // sequence it was fed — no hash-order or wall-clock dependence — so
 // results are bit-identical regardless of where batch boundaries fall,
 // and finish() may be called mid-stream (the builder stays usable).
 // With unbounded limits (the default), every exact analysis reproduces
-// the retained in-memory oracle functions bit-identically; sketched
-// quantiles carry a pinned rank-error bound. merge() folds another
-// builder in; because all exact accumulations are order-free integer
-// sums, a chunk-order merge reduction equals the sequential pass
-// bit-identically for everything but the sketches (which stay within
-// their combined error bound). tests/analysis_streaming_oracle_test.cpp
-// pins all of this differentially.
+// the whole-trace reference in tests/analysis_streaming_oracle_test.cpp
+// bit-identically; sketched quantiles carry a pinned rank-error bound.
+// merge() folds another builder in; because all exact accumulations are
+// order-free integer sums, a chunk-order merge reduction equals the
+// sequential pass bit-identically for everything but the sketches
+// (which stay within their combined error bound). That test pins all of
+// this differentially.
 #pragma once
 
 #include <algorithm>
@@ -279,9 +282,10 @@ struct ReportLimits {
 
 // ---------------------------------------------------------------- members
 
-/// Streaming twin of per_member_counts(): per-member class counters
-/// under one inference method. finish() returns members in ascending
-/// ASN order, exactly like the oracle.
+/// Per-member sampled packets, bytes and flows per class under one
+/// inference method (Figs 4 and 6, Sec 4.5 and 5.1). finish() returns
+/// every member that injected traffic in ascending ASN order; members
+/// unknown to the IXP (or with no IXP given) get type kOther.
 class MemberStatsBuilder {
  public:
   explicit MemberStatsBuilder(std::size_t space_idx = 0,
@@ -304,8 +308,10 @@ class MemberStatsBuilder {
 
 // ------------------------------------------------------------------- venn
 
-/// Streaming twin of venn_membership(): three contribution bits per
-/// member instead of full counters.
+/// Fig 5: the fraction of members in each region of the {Bogon,
+/// Unrouted, Invalid} Venn diagram. A member contributes a class when
+/// one of its flows in that class carries sampled packets; state is
+/// three contribution bits per member.
 class VennBuilder {
  public:
   explicit VennBuilder(std::size_t space_idx = 0, std::size_t max_members = 0)
@@ -324,8 +330,10 @@ class VennBuilder {
 
 // --------------------------------------------------------------- port mix
 
-/// Streaming twin of port_mix(). State is inherently bounded (six
-/// tracked ports plus "other", per class x transport x direction).
+/// Fig 9: each class's TCP and UDP packets split by DST and by SRC port
+/// over the six tracked ports plus "other". Flows of other protocols
+/// are skipped. State is inherently bounded (seven buckets per class x
+/// transport x direction).
 class PortMixBuilder {
  public:
   explicit PortMixBuilder(std::size_t space_idx = 0) : space_idx_(space_idx) {}
@@ -336,8 +344,8 @@ class PortMixBuilder {
 
  private:
   /// Bucket b counts port kPortBuckets[b]; bucket 0 ("other") stands in
-  /// for every untracked port. Ascending, so finish() lists ports in
-  /// the order the oracle's port map does.
+  /// for every untracked port. Ascending: finish() sorts the shares from
+  /// ascending port order, which fixes the order of ties.
   static constexpr std::array<std::uint16_t, 7> kPortBuckets = {
       0,
       net::ports::kHttp,
@@ -370,7 +378,8 @@ struct TrafficCharSummary {
 class TrafficCharBuilder {
  public:
   /// window_seconds == 0: the series grows with the observed
-  /// timestamps; > 0: fixed bins with the oracle's last-bin clamp.
+  /// timestamps; > 0: fixed bins, later timestamps clamped into the
+  /// last one.
   explicit TrafficCharBuilder(std::size_t space_idx = 0,
                               std::uint32_t window_seconds = 0,
                               std::uint32_t bin_seconds = 3600,
@@ -400,9 +409,11 @@ class TrafficCharBuilder {
 
 // --------------------------------------------------------- attack patterns
 
-/// Streaming twin of src_per_dst_ratio() + analyze_ntp(): per-dst
-/// source-uniqueness state and the NTP amplification aggregation, all
-/// behind bounded tables.
+/// Fig 11a and 11b: per-destination source uniqueness of flagged traffic
+/// (ratio() histograms #distinct sources / #packets over destinations
+/// with enough sampled packets) and the NTP analysis of Invalid UDP/123
+/// triggers — victims, amplifiers, member shares (ntp()). All keyed
+/// state sits behind bounded tables.
 class AttackPatternsBuilder {
  public:
   explicit AttackPatternsBuilder(std::size_t space_idx = 0,
@@ -440,10 +451,11 @@ class AttackPatternsBuilder {
 
 // ------------------------------------------------------ amplification effect
 
-/// Streaming twin of amplification_effect(): accumulates per-pair
-/// time-binned volumes for every candidate (victim, amplifier) pair in
-/// a single pass and intersects trigger/response evidence at finish()
-/// — the oracle's two passes collapsed into one.
+/// Fig 11c: trigger and response volume over time for the (victim,
+/// amplifier) pairs seen in both directions — an Invalid UDP/123
+/// trigger towards the amplifier and a UDP sport-123 response back.
+/// One pass accumulates time-binned volumes for every candidate pair;
+/// finish() keeps the pairs with both kinds of evidence.
 class AmplificationBuilder {
  public:
   explicit AmplificationBuilder(std::size_t space_idx = 0,
@@ -458,13 +470,22 @@ class AmplificationBuilder {
   std::uint64_t evictions() const { return pairs_.evictions(); }
 
  private:
+  /// One touched time bin of a pair.
+  struct Bin {
+    std::size_t bin = 0;
+    double to_packets = 0, to_bytes = 0, from_packets = 0, from_bytes = 0;
+    /// Flows with both ports NTP: direction resolved at finish() (to
+    /// the amplifier if this pair qualifies, else from it if the
+    /// reverse pair does).
+    double dual_packets = 0, dual_bytes = 0;
+  };
   struct PairState {
     bool trigger = false;   ///< Invalid UDP/123 towards the amplifier seen
     bool response = false;  ///< UDP sport 123 back towards the victim seen
-    std::vector<double> to_packets, from_packets, to_bytes, from_bytes;
-    /// Flows with both ports NTP: direction resolved at finish() (the
-    /// oracle's else-if on pair qualification).
-    std::vector<double> dual_packets, dual_bytes;
+    /// Touched bins only, ascending: a record costs O(1) memory whatever
+    /// its timestamp.
+    std::vector<Bin> bins;
+    Bin& at(std::size_t bin);
   };
   std::size_t bin_of(std::uint32_t ts) const;
 
@@ -476,8 +497,11 @@ class AmplificationBuilder {
 
 // -------------------------------------------------------------- incidents
 
-/// Streaming twin of extract_incidents(): flood clusters keyed by
-/// destination, amplification clusters keyed by trigger source.
+/// Sec 7 incidents: flagged flows clustered by destination (random-spoof
+/// floods, or "other" below the uniqueness threshold) and flagged
+/// UDP/123 flows by source, the reflection victim (amplification).
+/// finish() returns clusters of at least min_packets, by packets
+/// descending.
 class IncidentsBuilder {
  public:
   explicit IncidentsBuilder(std::size_t space_idx = 0,
@@ -571,6 +595,13 @@ class StreamingReport {
   IncidentsBuilder incidents_;
   std::uint64_t flows_ = 0;
 };
+
+/// One StreamingReport pass over flows held in memory: packs them into
+/// one FlowBatch and returns its finish(). labels[i] belongs to flows[i].
+ReportResult report_flows(std::size_t space_count,
+                          std::span<const net::FlowRecord> flows,
+                          std::span<const classify::Label> labels,
+                          const ReportOptions& opts = {});
 
 /// Human-readable rendering of the full report (the CLI's analysis
 /// sections; the totals table is printed by the caller from

@@ -5,54 +5,6 @@
 
 namespace spoofscope::analysis {
 
-std::array<std::vector<util::DistPoint>, kNumClasses> packet_size_cdfs(
-    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
-    std::size_t space_idx) {
-  std::array<std::vector<double>, kNumClasses> sizes;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
-    if (flows[i].packets == 0) continue;
-    // Weight by sampled packets, capped to keep memory in check.
-    const std::uint32_t w = std::min(flows[i].packets, 16u);
-    for (std::uint32_t k = 0; k < w; ++k) {
-      sizes[c].push_back(flows[i].mean_packet_size());
-    }
-  }
-  std::array<std::vector<util::DistPoint>, kNumClasses> out;
-  for (int c = 0; c < kNumClasses; ++c) out[c] = util::empirical_cdf(sizes[c]);
-  return out;
-}
-
-double small_packet_fraction(std::span<const net::FlowRecord> flows,
-                             std::span<const Label> labels,
-                             std::size_t space_idx, TrafficClass cls,
-                             double threshold) {
-  double total = 0, small = 0;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (classify::Classifier::unpack(labels[i], space_idx) != cls) continue;
-    total += flows[i].packets;
-    if (flows[i].mean_packet_size() < threshold) small += flows[i].packets;
-  }
-  return total > 0 ? small / total : 0.0;
-}
-
-ClassTimeSeries class_time_series(std::span<const net::FlowRecord> flows,
-                                  std::span<const Label> labels,
-                                  std::size_t space_idx,
-                                  std::uint32_t window_seconds,
-                                  std::uint32_t bin_seconds) {
-  ClassTimeSeries out;
-  out.bin_seconds = bin_seconds;
-  const std::size_t bins = (window_seconds + bin_seconds - 1) / bin_seconds;
-  for (auto& s : out.series) s.assign(bins, 0.0);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
-    const std::size_t bin = std::min<std::size_t>(flows[i].ts / bin_seconds, bins - 1);
-    out.series[c][bin] += flows[i].packets;
-  }
-  return out;
-}
-
 double burstiness(std::span<const double> series) {
   const util::Summary s = util::summarize(series);
   return s.mean > 0 ? s.stddev / s.mean : 0.0;

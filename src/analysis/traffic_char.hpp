@@ -1,5 +1,7 @@
 // Fig 8: qualitative traffic characteristics per class — packet size
-// distributions and time-of-day behaviour.
+// distributions and time-of-day behaviour. TrafficCharBuilder
+// (analysis/streaming.hpp) computes them; the measures below score its
+// time series.
 #pragma once
 
 #include <array>
@@ -10,31 +12,12 @@
 
 namespace spoofscope::analysis {
 
-/// Fig 8a: empirical CDF of mean packet sizes, weighted by packets, per
-/// class (index by TrafficClass; kValid plays the role of "Regular").
-std::array<std::vector<util::DistPoint>, kNumClasses> packet_size_cdfs(
-    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
-    std::size_t space_idx);
-
-/// Fraction of a class's packets below `threshold` bytes mean size
-/// (paper: > 80% of spoofed packets are < 60 bytes).
-double small_packet_fraction(std::span<const net::FlowRecord> flows,
-                             std::span<const Label> labels,
-                             std::size_t space_idx, TrafficClass cls,
-                             double threshold = 60.0);
-
 /// Fig 8b: sampled packets per time bin, per class.
 struct ClassTimeSeries {
   std::uint32_t bin_seconds = 3600;
   /// series[class][bin] = sampled packets.
   std::array<std::vector<double>, kNumClasses> series;
 };
-
-ClassTimeSeries class_time_series(std::span<const net::FlowRecord> flows,
-                                  std::span<const Label> labels,
-                                  std::size_t space_idx,
-                                  std::uint32_t window_seconds,
-                                  std::uint32_t bin_seconds = 3600);
 
 /// Burstiness measure for Fig 8b's "unsteady pattern" claim: the
 /// coefficient of variation (stddev/mean) of a series' non-empty bins.

@@ -6,40 +6,6 @@
 
 namespace spoofscope::analysis {
 
-VennCounts venn_membership(std::span<const MemberClassCounts> counts) {
-  VennCounts v;
-  v.member_count = counts.size();
-  if (counts.empty()) return v;
-
-  double unrouted_members = 0, unrouted_with_other = 0;
-  for (const auto& mc : counts) {
-    const bool b = mc.contributes(TrafficClass::kBogon);
-    const bool u = mc.contributes(TrafficClass::kUnrouted);
-    const bool i = mc.contributes(TrafficClass::kInvalid);
-    if (!b && !u && !i) v.clean += 1;
-    if (b && !u && !i) v.only_bogon += 1;
-    if (!b && u && !i) v.only_unrouted += 1;
-    if (!b && !u && i) v.only_invalid += 1;
-    if (b && u && !i) v.bogon_unrouted += 1;
-    if (b && !u && i) v.bogon_invalid += 1;
-    if (!b && u && i) v.unrouted_invalid += 1;
-    if (b && u && i) v.all_three += 1;
-    if (u) {
-      unrouted_members += 1;
-      if (b || i) unrouted_with_other += 1;
-    }
-  }
-  const double n = static_cast<double>(counts.size());
-  for (double* f : {&v.clean, &v.only_bogon, &v.only_unrouted, &v.only_invalid,
-                    &v.bogon_unrouted, &v.bogon_invalid, &v.unrouted_invalid,
-                    &v.all_three}) {
-    *f /= n;
-  }
-  v.unrouted_also_other =
-      unrouted_members > 0 ? unrouted_with_other / unrouted_members : 0.0;
-  return v;
-}
-
 std::string format_venn(const VennCounts& v) {
   std::ostringstream os;
   const auto row = [&](const std::string& label, double f) {

@@ -1,5 +1,6 @@
 // Fig 5: which members contribute traffic to which of the three
 // illegitimate classes — the Venn diagram of filtering consistency.
+// VennBuilder (analysis/streaming.hpp) computes it.
 #pragma once
 
 #include <span>
@@ -26,8 +27,6 @@ struct VennCounts {
   /// contribute Bogon or Invalid (96% in the paper).
   double unrouted_also_other = 0;
 };
-
-VennCounts venn_membership(std::span<const MemberClassCounts> counts);
 
 /// Text rendering of the diagram regions.
 std::string format_venn(const VennCounts& v);

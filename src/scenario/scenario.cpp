@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/streaming.hpp"
 #include "bgp/simulator.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -185,8 +186,12 @@ Scenario::Scenario(const ScenarioParams& params)
 
 std::vector<analysis::MemberClassCounts> Scenario::member_counts(
     inference::Method m) const {
-  return analysis::per_member_counts(workload_.trace.flows, labels_,
-                                     space_index(m), ixp_);
+  analysis::ReportOptions opts;
+  opts.space_idx = space_index(m);
+  opts.ixp = &ixp_;
+  return analysis::report_flows(classifier_.space_count(),
+                                workload_.trace.flows, labels_, opts)
+      .member_counts;
 }
 
 std::unique_ptr<Scenario> build_scenario(const ScenarioParams& params) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/streaming.hpp"
 #include "net/protocols.hpp"
 #include "scenario/scenario.hpp"
 
@@ -11,6 +12,12 @@ namespace {
 using net::Ipv4Addr;
 
 Label label_of(TrafficClass c) { return static_cast<Label>(c); }
+
+/// Incidents of `flows` under default thresholds; labels carry one space.
+std::vector<Incident> incidents_of(std::span<const net::FlowRecord> flows,
+                                   std::span<const Label> labels) {
+  return report_flows(1, flows, labels).incidents;
+}
 
 net::FlowRecord flow(Ipv4Addr src, Ipv4Addr dst, std::uint32_t ts,
                      net::Proto proto = net::Proto::kTcp,
@@ -35,7 +42,7 @@ TEST(Incidents, DetectsRandomSpoofFlood) {
     flows.push_back(flow(Ipv4Addr(10000 + i), victim, 1000 + i));
     labels.push_back(label_of(TrafficClass::kUnrouted));
   }
-  const auto incidents = extract_incidents(flows, labels, 0);
+  const auto incidents = incidents_of(flows, labels);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].kind, IncidentKind::kRandomSpoofFlood);
   EXPECT_EQ(incidents[0].victim, victim);
@@ -57,7 +64,7 @@ TEST(Incidents, DetectsAmplificationByTriggerShape) {
       labels.push_back(label_of(TrafficClass::kInvalid));
     }
   }
-  const auto incidents = extract_incidents(flows, labels, 0);
+  const auto incidents = incidents_of(flows, labels);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].kind, IncidentKind::kAmplification);
   EXPECT_EQ(incidents[0].victim, victim);  // the spoofed source
@@ -79,7 +86,7 @@ TEST(Incidents, IgnoresSmallClustersAndValidTraffic) {
                          200 + i));
     labels.push_back(label_of(TrafficClass::kValid));
   }
-  EXPECT_TRUE(extract_incidents(flows, labels, 0).empty());
+  EXPECT_TRUE(incidents_of(flows, labels).empty());
 }
 
 TEST(Incidents, FewSourceNonTriggerClusterIsOther) {
@@ -91,7 +98,7 @@ TEST(Incidents, FewSourceNonTriggerClusterIsOther) {
                          Ipv4Addr::from_octets(50, 0, 0, 9), 100 + i));
     labels.push_back(label_of(TrafficClass::kInvalid));
   }
-  const auto incidents = extract_incidents(flows, labels, 0);
+  const auto incidents = incidents_of(flows, labels);
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].kind, IncidentKind::kOther);
 }
@@ -109,7 +116,7 @@ TEST(Incidents, SortedByPacketsDescending) {
                          10 + i));
     labels.push_back(label_of(TrafficClass::kUnrouted));
   }
-  const auto incidents = extract_incidents(flows, labels, 0);
+  const auto incidents = incidents_of(flows, labels);
   ASSERT_EQ(incidents.size(), 2u);
   EXPECT_GE(incidents[0].packets, incidents[1].packets);
   EXPECT_EQ(incidents[0].victim, Ipv4Addr::from_octets(50, 2, 0, 1));
@@ -121,8 +128,12 @@ TEST(Incidents, EndToEndOnScenario) {
   const auto world = scenario::build_scenario(params);
   const auto full_idx =
       scenario::Scenario::space_index(inference::Method::kFullCone);
-  const auto incidents = extract_incidents(world->trace().flows,
-                                           world->labels(), full_idx);
+  ReportOptions opts;
+  opts.space_idx = full_idx;
+  const auto incidents =
+      report_flows(world->classifier().space_count(), world->trace().flows,
+                   world->labels(), opts)
+          .incidents;
   ASSERT_FALSE(incidents.empty());
   // Both attack kinds appear in the generated workload.
   bool flood = false, amp = false;

@@ -1,9 +1,10 @@
 // Differential harness for the streaming analysis plane (DESIGN.md §12):
 // with unbounded limits, every incremental report builder must reproduce
-// the retained in-memory oracle functions bit-identically — across seeds,
-// classification engines, thread counts, batch sizes and arbitrary
-// batch-boundary cuts — and the sketched packet-size quantiles must stay
-// within their pinned rank-error bound. Also pins the chunk-order merge
+// the whole-trace reference functions defined below bit-identically —
+// across seeds, classification engines, thread counts, batch sizes,
+// arbitrary batch-boundary cuts and records out of time order — and the
+// sketched packet-size quantiles must stay within their pinned
+// rank-error bound. Also pins the chunk-order merge
 // reduction to the sequential pass, skip-mode streaming over corrupted
 // traces to the clean-survivor-restricted oracle, determinism under
 // finite caps, golden digests of whole (evicting and production)
@@ -18,6 +19,8 @@
 #include <set>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/filtering_strategy.hpp"
@@ -93,10 +96,419 @@ ReportLimits capped_limits() {
   return l;
 }
 
+// ---------------------------------------------------- whole-trace reference
+
+// The whole-trace implementation each report builder replaced, kept as
+// the reference the builders are compared against: one function per
+// analysis, each walking every flow of a materialized trace with
+// ordinary maps and sets. Nothing outside this test runs them.
+
+std::vector<MemberClassCounts> per_member_counts(
+    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
+    std::size_t space_idx, const ixp::Ixp& ixp) {
+  std::map<Asn, MemberClassCounts> by_member;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& f = flows[i];
+    auto& mc = by_member[f.member_in];
+    if (mc.member == net::kNoAsn) {
+      mc.member = f.member_in;
+      if (const auto* m = ixp.find(f.member_in)) mc.type = m->type;
+    }
+    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
+    mc.packets[c] += f.packets;
+    mc.bytes[c] += static_cast<double>(f.bytes);
+    mc.flows[c] += 1;
+  }
+  std::vector<MemberClassCounts> out;
+  out.reserve(by_member.size());
+  for (const auto& [asn, mc] : by_member) out.push_back(mc);
+  return out;
+}
+
+VennCounts venn_membership(std::span<const MemberClassCounts> counts) {
+  VennCounts v;
+  v.member_count = counts.size();
+  if (counts.empty()) return v;
+
+  double unrouted_members = 0, unrouted_with_other = 0;
+  for (const auto& mc : counts) {
+    const bool b = mc.contributes(TrafficClass::kBogon);
+    const bool u = mc.contributes(TrafficClass::kUnrouted);
+    const bool i = mc.contributes(TrafficClass::kInvalid);
+    if (!b && !u && !i) v.clean += 1;
+    if (b && !u && !i) v.only_bogon += 1;
+    if (!b && u && !i) v.only_unrouted += 1;
+    if (!b && !u && i) v.only_invalid += 1;
+    if (b && u && !i) v.bogon_unrouted += 1;
+    if (b && !u && i) v.bogon_invalid += 1;
+    if (!b && u && i) v.unrouted_invalid += 1;
+    if (b && u && i) v.all_three += 1;
+    if (u) {
+      unrouted_members += 1;
+      if (b || i) unrouted_with_other += 1;
+    }
+  }
+  const double n = static_cast<double>(counts.size());
+  for (double* f : {&v.clean, &v.only_bogon, &v.only_unrouted, &v.only_invalid,
+                    &v.bogon_unrouted, &v.bogon_invalid, &v.unrouted_invalid,
+                    &v.all_three}) {
+    *f /= n;
+  }
+  v.unrouted_also_other =
+      unrouted_members > 0 ? unrouted_with_other / unrouted_members : 0.0;
+  return v;
+}
+
+PortMix port_mix(std::span<const net::FlowRecord> flows,
+                 std::span<const Label> labels, std::size_t space_idx) {
+  // counts[class][transport][direction][port-bucket]
+  std::map<std::uint16_t, double> counts[kNumClasses][2][2];
+  double totals[kNumClasses][2][2] = {};
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& f = flows[i];
+    int transport;
+    if (f.proto == net::Proto::kTcp) {
+      transport = static_cast<int>(Transport::kTcp);
+    } else if (f.proto == net::Proto::kUdp) {
+      transport = static_cast<int>(Transport::kUdp);
+    } else {
+      continue;  // Fig 9 covers TCP/UDP only
+    }
+    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
+    const auto bucket = [](std::uint16_t port) -> std::uint16_t {
+      return net::is_tracked_port(port) ? port : 0;
+    };
+    counts[c][transport][static_cast<int>(Direction::kDst)][bucket(f.dport)] +=
+        f.packets;
+    counts[c][transport][static_cast<int>(Direction::kSrc)][bucket(f.sport)] +=
+        f.packets;
+    totals[c][transport][static_cast<int>(Direction::kDst)] += f.packets;
+    totals[c][transport][static_cast<int>(Direction::kSrc)] += f.packets;
+  }
+
+  PortMix out;
+  for (int c = 0; c < kNumClasses; ++c) {
+    for (int t = 0; t < 2; ++t) {
+      for (int d = 0; d < 2; ++d) {
+        auto& dst = out.shares[c][t][d];
+        const double total = totals[c][t][d];
+        for (const auto& [port, pkts] : counts[c][t][d]) {
+          if (total > 0) dst.push_back({port, pkts / total});
+        }
+        std::sort(dst.begin(), dst.end(), [](const PortShare& a, const PortShare& b) {
+          return a.fraction > b.fraction;
+        });
+      }
+    }
+  }
+  return out;
+}
+
+std::array<std::vector<util::DistPoint>, kNumClasses> packet_size_cdfs(
+    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
+    std::size_t space_idx) {
+  std::array<std::vector<double>, kNumClasses> sizes;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
+    if (flows[i].packets == 0) continue;
+    // Weight by sampled packets, capped to keep memory in check.
+    const std::uint32_t w = std::min(flows[i].packets, 16u);
+    for (std::uint32_t k = 0; k < w; ++k) {
+      sizes[c].push_back(flows[i].mean_packet_size());
+    }
+  }
+  std::array<std::vector<util::DistPoint>, kNumClasses> out;
+  for (int c = 0; c < kNumClasses; ++c) out[c] = util::empirical_cdf(sizes[c]);
+  return out;
+}
+
+double small_packet_fraction(std::span<const net::FlowRecord> flows,
+                             std::span<const Label> labels,
+                             std::size_t space_idx, TrafficClass cls,
+                             double threshold = 60.0) {
+  double total = 0, small = 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (classify::Classifier::unpack(labels[i], space_idx) != cls) continue;
+    total += flows[i].packets;
+    if (flows[i].mean_packet_size() < threshold) small += flows[i].packets;
+  }
+  return total > 0 ? small / total : 0.0;
+}
+
+ClassTimeSeries class_time_series(std::span<const net::FlowRecord> flows,
+                                  std::span<const Label> labels,
+                                  std::size_t space_idx,
+                                  std::uint32_t window_seconds,
+                                  std::uint32_t bin_seconds = 3600) {
+  ClassTimeSeries out;
+  out.bin_seconds = bin_seconds;
+  const std::size_t bins = (window_seconds + bin_seconds - 1) / bin_seconds;
+  for (auto& s : out.series) s.assign(bins, 0.0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
+    const std::size_t bin = std::min<std::size_t>(flows[i].ts / bin_seconds, bins - 1);
+    out.series[c][bin] += flows[i].packets;
+  }
+  return out;
+}
+
+SrcRatioHistogram src_per_dst_ratio(std::span<const net::FlowRecord> flows,
+                                    std::span<const Label> labels,
+                                    std::size_t space_idx,
+                                    std::uint32_t min_sampled_packets = 50,
+                                    std::size_t bins = 10) {
+  struct DstInfo {
+    std::uint64_t packets = 0;
+    std::unordered_set<std::uint32_t> sources;
+  };
+  std::array<std::unordered_map<std::uint32_t, DstInfo>, kNumClasses> by_dst;
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto c = static_cast<int>(classify::Classifier::unpack(labels[i], space_idx));
+    if (c == static_cast<int>(TrafficClass::kValid)) continue;
+    auto& info = by_dst[c][flows[i].dst.value()];
+    info.packets += flows[i].packets;
+    info.sources.insert(flows[i].src.value());
+  }
+
+  SrcRatioHistogram out;
+  out.bins = bins;
+  for (int c = 0; c < kNumClasses; ++c) {
+    out.fractions[c].assign(bins, 0.0);
+    std::size_t qualifying = 0;
+    for (const auto& [dst, info] : by_dst[c]) {
+      if (info.packets < min_sampled_packets) continue;
+      ++qualifying;
+      const double ratio = static_cast<double>(info.sources.size()) /
+                           static_cast<double>(info.packets);
+      const std::size_t bin = std::min(
+          bins - 1, static_cast<std::size_t>(ratio * static_cast<double>(bins)));
+      out.fractions[c][bin] += 1.0;
+    }
+    out.destinations[c] = qualifying;
+    if (qualifying > 0) {
+      for (auto& f : out.fractions[c]) f /= static_cast<double>(qualifying);
+    }
+  }
+  return out;
+}
+
+NtpAnalysis analyze_ntp(std::span<const net::FlowRecord> flows,
+                        std::span<const Label> labels, std::size_t space_idx,
+                        std::size_t top_victims = 10) {
+  NtpAnalysis out;
+
+  struct VictimAgg {
+    std::uint64_t packets = 0;
+    std::map<std::uint32_t, std::uint64_t> per_amplifier;
+  };
+  std::unordered_map<std::uint32_t, VictimAgg> victims;
+  std::map<Asn, std::uint64_t> member_packets;
+  std::set<std::uint32_t> amplifiers;
+  double invalid_udp = 0, invalid_udp_ntp = 0;
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& f = flows[i];
+    if (classify::Classifier::unpack(labels[i], space_idx) !=
+        TrafficClass::kInvalid) {
+      continue;
+    }
+    if (f.proto != net::Proto::kUdp) continue;
+    invalid_udp += f.packets;
+    if (f.dport != net::ports::kNtp) continue;
+    invalid_udp_ntp += f.packets;
+
+    out.trigger_packets += f.packets;
+    auto& v = victims[f.src.value()];
+    v.packets += f.packets;
+    v.per_amplifier[f.dst.value()] += f.packets;
+    member_packets[f.member_in] += f.packets;
+    amplifiers.insert(f.dst.value());
+  }
+
+  out.distinct_victims = victims.size();
+  out.contributing_members = member_packets.size();
+  out.amplifiers_contacted = amplifiers.size();
+  out.invalid_udp_ntp_share = invalid_udp > 0 ? invalid_udp_ntp / invalid_udp : 0.0;
+
+  if (out.trigger_packets > 0 && !member_packets.empty()) {
+    std::vector<std::uint64_t> per_member;
+    per_member.reserve(member_packets.size());
+    for (const auto& [asn, pkts] : member_packets) per_member.push_back(pkts);
+    std::sort(per_member.rbegin(), per_member.rend());
+    out.top_member_share =
+        static_cast<double>(per_member[0]) / out.trigger_packets;
+    std::uint64_t top5 = 0;
+    for (std::size_t i = 0; i < std::min<std::size_t>(5, per_member.size()); ++i) {
+      top5 += per_member[i];
+    }
+    out.top5_member_share = static_cast<double>(top5) / out.trigger_packets;
+  }
+
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> ranked;
+  for (const auto& [addr, agg] : victims) ranked.emplace_back(agg.packets, addr);
+  std::sort(ranked.rbegin(), ranked.rend());
+  for (std::size_t i = 0; i < std::min(top_victims, ranked.size()); ++i) {
+    const auto& agg = victims.at(ranked[i].second);
+    NtpVictim v;
+    v.victim = net::Ipv4Addr(ranked[i].second);
+    v.trigger_packets = agg.packets;
+    v.amplifiers = agg.per_amplifier.size();
+    for (const auto& [amp, pkts] : agg.per_amplifier) {
+      v.packets_per_amplifier.push_back(pkts);
+    }
+    std::sort(v.packets_per_amplifier.rbegin(), v.packets_per_amplifier.rend());
+    std::vector<double> d(v.packets_per_amplifier.begin(),
+                          v.packets_per_amplifier.end());
+    v.concentration = util::gini(d);
+    out.top_victims.push_back(std::move(v));
+  }
+  return out;
+}
+
+AmplificationTimeseries amplification_effect(
+    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
+    std::size_t space_idx, std::uint32_t window_seconds,
+    std::uint32_t bin_seconds = 3600) {
+  AmplificationTimeseries out;
+  out.bin_seconds = bin_seconds;
+  const std::size_t bins = (window_seconds + bin_seconds - 1) / bin_seconds;
+  out.packets_to_amplifier.assign(bins, 0.0);
+  out.packets_from_amplifier.assign(bins, 0.0);
+  out.bytes_to_amplifier.assign(bins, 0.0);
+  out.bytes_from_amplifier.assign(bins, 0.0);
+
+  // Pass 1: identify (victim, amplifier) pairs for which *both* the
+  // Invalid NTP trigger and the amplifier's response cross the fabric —
+  // the paper isolates exactly these pairs to measure the effect.
+  std::unordered_set<std::uint64_t> trigger_pairs;
+  std::unordered_set<std::uint64_t> response_pairs;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& f = flows[i];
+    if (f.proto != net::Proto::kUdp) continue;
+    if (f.dport == net::ports::kNtp &&
+        classify::Classifier::unpack(labels[i], space_idx) ==
+            TrafficClass::kInvalid) {
+      trigger_pairs.insert((std::uint64_t(f.src.value()) << 32) | f.dst.value());
+    } else if (f.sport == net::ports::kNtp) {
+      response_pairs.insert((std::uint64_t(f.dst.value()) << 32) | f.src.value());
+    }
+  }
+  std::unordered_set<std::uint64_t> pairs;
+  for (const std::uint64_t p : trigger_pairs) {
+    if (response_pairs.count(p)) pairs.insert(p);
+  }
+
+  // Pass 2: accumulate both directions for pairs seen as triggers.
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& f = flows[i];
+    if (f.proto != net::Proto::kUdp) continue;
+    const std::size_t bin = std::min<std::size_t>(f.ts / bin_seconds, bins - 1);
+    if (f.dport == net::ports::kNtp &&
+        pairs.count((std::uint64_t(f.src.value()) << 32) | f.dst.value())) {
+      out.packets_to_amplifier[bin] += f.packets;
+      out.bytes_to_amplifier[bin] += static_cast<double>(f.bytes);
+    } else if (f.sport == net::ports::kNtp &&
+               pairs.count((std::uint64_t(f.dst.value()) << 32) |
+                           f.src.value())) {
+      out.packets_from_amplifier[bin] += f.packets;
+      out.bytes_from_amplifier[bin] += static_cast<double>(f.bytes);
+    }
+  }
+  return out;
+}
+
+struct Cluster {
+  std::uint32_t start_ts = ~0u;
+  std::uint32_t end_ts = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  std::unordered_set<std::uint32_t> counterparts;  // srcs or dsts
+  std::unordered_set<Asn> members;
+
+  void add(const net::FlowRecord& f, std::uint32_t counterpart) {
+    start_ts = std::min(start_ts, f.ts);
+    end_ts = std::max(end_ts, f.ts);
+    packets += f.packets;
+    bytes += f.bytes;
+    counterparts.insert(counterpart);
+    members.insert(f.member_in);
+  }
+};
+
+Incident to_incident(IncidentKind kind, net::Ipv4Addr victim, const Cluster& c,
+                     bool counterparts_are_sources) {
+  Incident inc;
+  inc.kind = kind;
+  inc.victim = victim;
+  inc.start_ts = c.start_ts;
+  inc.end_ts = c.end_ts;
+  inc.packets = c.packets;
+  inc.bytes = c.bytes;
+  if (counterparts_are_sources) {
+    inc.distinct_sources = c.counterparts.size();
+  } else {
+    inc.distinct_destinations = c.counterparts.size();
+  }
+  inc.members.assign(c.members.begin(), c.members.end());
+  std::sort(inc.members.begin(), inc.members.end());
+  return inc;
+}
+
+std::vector<Incident> extract_incidents(std::span<const net::FlowRecord> flows,
+                                        std::span<const Label> labels,
+                                        std::size_t space_idx,
+                                        const IncidentParams& params = {}) {
+  // Flood candidates: flagged flows grouped by destination (counterparts
+  // are the spoofed sources). Amplification candidates: flagged UDP/123
+  // flows grouped by *source* (the reflection victim; counterparts are
+  // the amplifiers).
+  std::unordered_map<std::uint32_t, Cluster> by_dst;
+  std::unordered_map<std::uint32_t, Cluster> by_trigger_src;
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto cls = classify::Classifier::unpack(labels[i], space_idx);
+    if (cls == TrafficClass::kValid) continue;
+    const auto& f = flows[i];
+    const bool trigger_shaped =
+        f.proto == net::Proto::kUdp && f.dport == net::ports::kNtp;
+    if (trigger_shaped) {
+      by_trigger_src[f.src.value()].add(f, f.dst.value());
+    } else {
+      by_dst[f.dst.value()].add(f, f.src.value());
+    }
+  }
+
+  std::vector<Incident> out;
+  for (const auto& [dst, c] : by_dst) {
+    if (c.packets < params.min_packets) continue;
+    const double uniqueness =
+        static_cast<double>(c.counterparts.size()) / static_cast<double>(c.packets);
+    const IncidentKind kind = uniqueness >= params.flood_uniqueness
+                                  ? IncidentKind::kRandomSpoofFlood
+                                  : IncidentKind::kOther;
+    out.push_back(to_incident(kind, net::Ipv4Addr(dst), c,
+                              /*counterparts_are_sources=*/true));
+  }
+  for (const auto& [src, c] : by_trigger_src) {
+    if (c.packets < params.min_packets) continue;
+    // Trigger traffic is selective by construction of the grouping (one
+    // spoofed source); classify it as amplification.
+    out.push_back(to_incident(IncidentKind::kAmplification, net::Ipv4Addr(src),
+                              c, /*counterparts_are_sources=*/false));
+  }
+  std::sort(out.begin(), out.end(), [](const Incident& a, const Incident& b) {
+    if (a.packets != b.packets) return a.packets > b.packets;
+    return a.victim.value() < b.victim.value();
+  });
+  return out;
+}
+
 // ----------------------------------------------------- oracle computation
 
-/// The retained in-memory reference: every analysis computed by the
-/// original whole-trace functions.
+/// Every analysis of one report, computed by the whole-trace reference
+/// functions above.
 struct OracleReport {
   classify::Aggregate aggregate;
   std::vector<MemberClassCounts> member_counts;
@@ -161,6 +573,23 @@ struct RankOracle {
   }
   std::uint64_t total() const { return cum.empty() ? 0 : cum.back(); }
 };
+
+/// The (flow, label) pairs in one seeded random order: records out of
+/// time order, as real exports deliver them (generated traces come
+/// sorted by timestamp).
+std::pair<std::vector<net::FlowRecord>, std::vector<Label>> shuffled(
+    std::span<const net::FlowRecord> flows, std::span<const Label> labels,
+    std::uint64_t seed) {
+  std::vector<net::FlowRecord> f(flows.begin(), flows.end());
+  std::vector<Label> l(labels.begin(), labels.end());
+  util::Rng rng(seed);
+  for (std::size_t i = f.size(); i > 1; --i) {
+    const std::size_t j = rng.index(i);
+    std::swap(f[i - 1], f[j]);
+    std::swap(l[i - 1], l[j]);
+  }
+  return {std::move(f), std::move(l)};
+}
 
 std::array<RankOracle, kNumClasses> size_rank_oracles(
     std::span<const net::FlowRecord> flows, std::span<const Label> labels,
@@ -525,23 +954,38 @@ class ReportDigest {
 class StreamingOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Tentpole claim: for every inference space, the streaming report equals
-// the retained oracle bit-for-bit, no matter where batch boundaries fall
-// — including degenerate one-record batches and a single whole-trace
-// batch. The sketched quantiles are additionally batch-cut independent
-// (identical insertion sequence => identical sketch) and within their
-// rank-error bound of the ground truth.
+// the whole-trace reference bit-for-bit, no matter where batch
+// boundaries fall — including degenerate one-record batches and a single
+// whole-trace batch — or in which order the records arrive. The sketched
+// quantiles are additionally batch-cut independent (identical insertion
+// sequence => identical sketch) and within their rank-error bound of the
+// ground truth.
 TEST_P(StreamingOracleTest, MatchesOracleAcrossBatchCutsAndSpaces) {
   auto& w = world(GetParam());
   const auto& flows = w.trace().flows;
   const auto& labels = w.labels();
   const std::size_t space_count = w.classifier().space_count();
   const std::uint32_t window = w.params().workload.window_seconds;
+  const auto [mixed_flows, mixed_labels] =
+      shuffled(flows, labels, GetParam() ^ 0xd15041du);
 
   const std::size_t batch_sizes[] = {1, 7, 64, 4096, flows.size()};
   for (const std::size_t space : {std::size_t{0}, space_count - 1}) {
     const auto oracle =
         oracle_report(flows, labels, space_count, space, w.ixp(), window);
     const auto truth = size_rank_oracles(flows, labels, space);
+
+    // The rank oracle weighs exactly the samples packet_size_cdfs() ranks.
+    const auto cdfs = packet_size_cdfs(flows, labels, space);
+    for (int c = 0; c < kNumClasses; ++c) {
+      ASSERT_EQ(cdfs[c].size(), truth[c].values.size()) << "class=" << c;
+      for (std::size_t i = 0; i < cdfs[c].size(); ++i) {
+        EXPECT_EQ(cdfs[c][i].x, truth[c].values[i]) << "class=" << c;
+        EXPECT_EQ(cdfs[c][i].y, static_cast<double>(truth[c].cum[i]) /
+                                    static_cast<double>(truth[c].total()))
+            << "class=" << c;
+      }
+    }
 
     ReportResult reference;
     bool have_reference = false;
@@ -566,6 +1010,23 @@ TEST_P(StreamingOracleTest, MatchesOracleAcrossBatchCutsAndSpaces) {
         expect_same_report(result, reference, /*exact_sketches=*/true,
                            what.c_str());
       }
+    }
+
+    // Out of time order: every exact field equals both the reference over
+    // the shuffled flows and the time-sorted pass.
+    StreamingReport report(space_count, base_options(w, space, window));
+    feed(report, mixed_flows, mixed_labels, 64);
+    const auto result = report.finish();
+    const std::string what = "space=" + std::to_string(space) + " shuffled";
+    expect_matches_oracle(result,
+                          oracle_report(mixed_flows, mixed_labels, space_count,
+                                        space, w.ixp(), window),
+                          what.c_str());
+    expect_same_report(result, reference, /*exact_sketches=*/false,
+                       what.c_str());
+    for (int c = 0; c < kNumClasses; ++c) {
+      expect_sketch_within_bound(result.traffic.size_sketch[c], truth[c],
+                                 what.c_str());
     }
   }
 }
@@ -604,7 +1065,8 @@ TEST_P(StreamingOracleTest, Table1FromStreamingAggregateMatchesOracle) {
 // With window_seconds == 0 the time series grows with the observed
 // timestamps; sized to what it grew to, the oracle must agree exactly.
 // The amplification ratios are binning-independent totals, so they must
-// match the fixed-window oracle too.
+// match the fixed-window oracle too. A shuffled pass must match the
+// sorted one.
 TEST_P(StreamingOracleTest, DynamicWindowSeriesMatchesSizedOracle) {
   auto& w = world(GetParam());
   const auto& flows = w.trace().flows;
@@ -628,6 +1090,15 @@ TEST_P(StreamingOracleTest, DynamicWindowSeriesMatchesSizedOracle) {
   EXPECT_EQ(result.amplification.amplification_factor(),
             oracle_amp.amplification_factor());
   EXPECT_EQ(result.amplification.packet_ratio(), oracle_amp.packet_ratio());
+
+  // Out of time order the bins grow, and each pair's bins fill, in
+  // another order; not one exact bit may move.
+  const auto [mixed_flows, mixed_labels] =
+      shuffled(flows, labels, GetParam() ^ 0xd15041du);
+  StreamingReport mixed(space_count, base_options(w, 0, /*window=*/0));
+  feed(mixed, mixed_flows, mixed_labels, 512);
+  expect_same_report(mixed.finish(), result, /*exact_sketches=*/false,
+                     "dynamic window, shuffled");
 }
 
 // finish() is a snapshot: flushing mid-stream (and mid-time-bin) must

@@ -6,6 +6,7 @@
 #include "analysis/member_stats.hpp"
 #include "analysis/portmix.hpp"
 #include "analysis/spoofer_crosscheck.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table1.hpp"
 #include "analysis/traffic_char.hpp"
 #include "analysis/venn.hpp"
@@ -37,6 +38,13 @@ net::FlowRecord flow(Ipv4Addr src, Ipv4Addr dst, net::Asn member,
   return f;
 }
 
+/// The streaming report of `flows`, whose labels carry one space.
+ReportResult report_of(std::span<const net::FlowRecord> flows,
+                       std::span<const Label> labels,
+                       const ReportOptions& opts = {}) {
+  return report_flows(1, flows, labels, opts);
+}
+
 ixp::Ixp empty_ixp() {
   // Build an Ixp with no members via an empty selection: cheat by using a
   // 1-AS topology and asking for 0 members.
@@ -59,7 +67,9 @@ TEST(MemberStats, AggregatesPerMemberAndClass) {
                             label_of(TrafficClass::kBogon),
                             label_of(TrafficClass::kInvalid)};
   const auto ixp = empty_ixp();
-  const auto counts = per_member_counts(flows, labels, 0, ixp);
+  ReportOptions opts;
+  opts.ixp = &ixp;
+  const auto counts = report_of(flows, labels, opts).member_counts;
   ASSERT_EQ(counts.size(), 2u);
   const auto& m100 = counts[0].member == 100 ? counts[0] : counts[1];
   EXPECT_DOUBLE_EQ(m100.total_packets(), 12.0);
@@ -77,7 +87,9 @@ TEST(MemberStats, CcdfIsMonotoneNonIncreasing) {
                                          : TrafficClass::kValid));
   }
   const auto ixp = empty_ixp();
-  const auto counts = per_member_counts(flows, labels, 0, ixp);
+  ReportOptions opts;
+  opts.ixp = &ixp;
+  const auto counts = report_of(flows, labels, opts).member_counts;
   const auto ccdf = class_share_ccdf(counts, TrafficClass::kBogon);
   for (std::size_t i = 1; i < ccdf.size(); ++i) {
     EXPECT_LE(ccdf[i].y, ccdf[i - 1].y);
@@ -86,15 +98,20 @@ TEST(MemberStats, CcdfIsMonotoneNonIncreasing) {
 }
 
 TEST(Venn, RegionsSumToOne) {
-  std::vector<MemberClassCounts> counts(4);
-  counts[0].packets[static_cast<int>(TrafficClass::kValid)] = 10;  // clean
-  counts[1].packets[static_cast<int>(TrafficClass::kBogon)] = 1;   // bogon only
-  counts[2].packets[static_cast<int>(TrafficClass::kBogon)] = 1;   // all three
-  counts[2].packets[static_cast<int>(TrafficClass::kUnrouted)] = 1;
-  counts[2].packets[static_cast<int>(TrafficClass::kInvalid)] = 1;
-  counts[3].packets[static_cast<int>(TrafficClass::kUnrouted)] = 1;  // U+I
-  counts[3].packets[static_cast<int>(TrafficClass::kInvalid)] = 1;
-  const auto v = venn_membership(counts);
+  std::vector<net::FlowRecord> flows;
+  std::vector<Label> labels;
+  const auto add = [&](net::Asn member, std::uint32_t pkts, TrafficClass c) {
+    flows.push_back(flow(Ipv4Addr(1), Ipv4Addr(2), member, pkts, 40 * pkts));
+    labels.push_back(label_of(c));
+  };
+  add(100, 10, TrafficClass::kValid);     // clean
+  add(200, 1, TrafficClass::kBogon);      // bogon only
+  add(300, 1, TrafficClass::kBogon);      // all three
+  add(300, 1, TrafficClass::kUnrouted);
+  add(300, 1, TrafficClass::kInvalid);
+  add(400, 1, TrafficClass::kUnrouted);   // U+I
+  add(400, 1, TrafficClass::kInvalid);
+  const auto v = report_of(flows, labels).venn;
   EXPECT_EQ(v.member_count, 4u);
   EXPECT_DOUBLE_EQ(v.clean + v.only_bogon + v.only_unrouted + v.only_invalid +
                        v.bogon_unrouted + v.bogon_invalid + v.unrouted_invalid +
@@ -108,7 +125,7 @@ TEST(Venn, RegionsSumToOne) {
 }
 
 TEST(Venn, EmptyInput) {
-  const auto v = venn_membership({});
+  const auto v = report_of({}, {}).venn;
   EXPECT_EQ(v.member_count, 0u);
   EXPECT_DOUBLE_EQ(v.clean, 0.0);
 }
@@ -143,13 +160,13 @@ TEST(TrafficChar, PacketSizeCdfSeparatesClasses) {
   };
   std::vector<Label> labels{label_of(TrafficClass::kValid),
                             label_of(TrafficClass::kBogon)};
-  const auto cdfs = packet_size_cdfs(flows, labels, 0);
-  const auto& valid = cdfs[static_cast<int>(TrafficClass::kValid)];
-  const auto& bogon = cdfs[static_cast<int>(TrafficClass::kBogon)];
-  ASSERT_FALSE(valid.empty());
-  ASSERT_FALSE(bogon.empty());
-  EXPECT_GT(valid.front().x, 1000.0);
-  EXPECT_LT(bogon.front().x, 60.0);
+  const auto traffic = report_of(flows, labels).traffic;
+  const auto& valid = traffic.size_sketch[static_cast<int>(TrafficClass::kValid)];
+  const auto& bogon = traffic.size_sketch[static_cast<int>(TrafficClass::kBogon)];
+  ASSERT_GT(valid.count(), 0u);
+  ASSERT_GT(bogon.count(), 0u);
+  EXPECT_GT(valid.quantile(0.0), 1000.0);
+  EXPECT_LT(bogon.quantile(0.0), 60.0);
 }
 
 TEST(TrafficChar, SmallPacketFraction) {
@@ -159,8 +176,10 @@ TEST(TrafficChar, SmallPacketFraction) {
   };
   std::vector<Label> labels{label_of(TrafficClass::kUnrouted),
                             label_of(TrafficClass::kUnrouted)};
-  EXPECT_DOUBLE_EQ(
-      small_packet_fraction(flows, labels, 0, TrafficClass::kUnrouted), 0.8);
+  EXPECT_DOUBLE_EQ(report_of(flows, labels)
+                       .traffic.small_packet_fraction[static_cast<int>(
+                           TrafficClass::kUnrouted)],
+                   0.8);
 }
 
 TEST(TrafficChar, TimeSeriesBinning) {
@@ -170,7 +189,10 @@ TEST(TrafficChar, TimeSeriesBinning) {
       flow(Ipv4Addr(1), Ipv4Addr(2), 1, 7, 100, net::Proto::kTcp, 1, 2, 3600),
   };
   std::vector<Label> labels(3, label_of(TrafficClass::kValid));
-  const auto ts = class_time_series(flows, labels, 0, 7200, 3600);
+  ReportOptions opts;
+  opts.window_seconds = 7200;
+  opts.bin_seconds = 3600;
+  const auto ts = report_of(flows, labels, opts).traffic.series;
   const auto& s = ts.series[static_cast<int>(TrafficClass::kValid)];
   ASSERT_EQ(s.size(), 2u);
   EXPECT_DOUBLE_EQ(s[0], 8.0);
@@ -191,7 +213,7 @@ TEST(PortMix, FractionsPerClassAndDirection) {
       flow(Ipv4Addr(1), Ipv4Addr(2), 1, 10, 100, net::Proto::kIcmp, 0, 0),
   };
   std::vector<Label> labels(4, label_of(TrafficClass::kInvalid));
-  const auto mix = port_mix(flows, labels, 0);
+  const auto mix = report_of(flows, labels).ports;
   EXPECT_DOUBLE_EQ(mix.fraction_of(TrafficClass::kInvalid, Transport::kTcp,
                                    Direction::kDst, 80),
                    0.5);
@@ -248,7 +270,10 @@ TEST(AttackPatterns, SrcRatioSeparatesRandomFromSelective) {
     flows.push_back(flow(Ipv4Addr(7), Ipv4Addr(2), 1, 1, 40));
     labels.push_back(label_of(TrafficClass::kInvalid));
   }
-  const auto hist = src_per_dst_ratio(flows, labels, 0, 50, 10);
+  ReportOptions opts;
+  opts.ratio_min_packets = 50;
+  opts.ratio_bins = 10;
+  const auto hist = report_of(flows, labels, opts).src_ratio;
   EXPECT_EQ(hist.destinations[static_cast<int>(TrafficClass::kUnrouted)], 1u);
   EXPECT_EQ(hist.destinations[static_cast<int>(TrafficClass::kInvalid)], 1u);
   // Random spoofing lands in the rightmost bin, selective in the leftmost.
@@ -261,7 +286,10 @@ TEST(AttackPatterns, SrcRatioSeparatesRandomFromSelective) {
 TEST(AttackPatterns, SrcRatioIgnoresSmallDestinations) {
   std::vector<net::FlowRecord> flows{flow(Ipv4Addr(5), Ipv4Addr(6), 1, 3, 40)};
   std::vector<Label> labels{label_of(TrafficClass::kUnrouted)};
-  const auto hist = src_per_dst_ratio(flows, labels, 0, 50, 10);
+  ReportOptions opts;
+  opts.ratio_min_packets = 50;
+  opts.ratio_bins = 10;
+  const auto hist = report_of(flows, labels, opts).src_ratio;
   EXPECT_EQ(hist.destinations[static_cast<int>(TrafficClass::kUnrouted)], 0u);
 }
 
@@ -281,7 +309,9 @@ TEST(AttackPatterns, NtpAnalysisBasics) {
                        55555, 9999));
   labels.push_back(label_of(TrafficClass::kInvalid));
 
-  const auto ntp = analyze_ntp(flows, labels, 0, 5);
+  ReportOptions opts;
+  opts.top_victims = 5;
+  const auto ntp = report_of(flows, labels, opts).ntp;
   EXPECT_EQ(ntp.trigger_packets, 30u);
   EXPECT_EQ(ntp.distinct_victims, 1u);
   EXPECT_EQ(ntp.amplifiers_contacted, 3u);
@@ -309,11 +339,30 @@ TEST(AttackPatterns, AmplificationEffectPairsBothDirections) {
                        net::Proto::kUdp, 50000, 123, 100));
   labels.push_back(label_of(TrafficClass::kInvalid));
 
-  const auto ts = amplification_effect(flows, labels, 0, 7200, 3600);
+  ReportOptions opts;
+  opts.window_seconds = 7200;
+  opts.bin_seconds = 3600;
+  const auto ts = report_of(flows, labels, opts).amplification;
   EXPECT_DOUBLE_EQ(ts.packets_to_amplifier[0], 10.0);
   EXPECT_DOUBLE_EQ(ts.packets_from_amplifier[0], 10.0);
   EXPECT_DOUBLE_EQ(ts.amplification_factor(), 10.0);
   EXPECT_DOUBLE_EQ(ts.packet_ratio(), 1.0);
+
+  // Two more triggers of the pair, out of time order, with bins grown
+  // from the timestamps (window 0): each lands in its own bin and the
+  // series reaches the latest one.
+  flows.push_back(flow(Ipv4Addr(1), Ipv4Addr(2), 100, 5, 200,
+                       net::Proto::kUdp, 50000, 123, 5 * 3600));
+  labels.push_back(label_of(TrafficClass::kInvalid));
+  flows.push_back(flow(Ipv4Addr(1), Ipv4Addr(2), 100, 3, 120,
+                       net::Proto::kUdp, 50000, 123, 2 * 3600));
+  labels.push_back(label_of(TrafficClass::kInvalid));
+  const auto grown = report_of(flows, labels).amplification;
+  ASSERT_EQ(grown.packets_to_amplifier.size(), 6u);
+  EXPECT_DOUBLE_EQ(grown.packets_to_amplifier[0], 10.0);
+  EXPECT_DOUBLE_EQ(grown.packets_to_amplifier[2], 3.0);
+  EXPECT_DOUBLE_EQ(grown.packets_to_amplifier[5], 5.0);
+  EXPECT_DOUBLE_EQ(grown.packets_from_amplifier[0], 10.0);
 }
 
 TEST(AttackPatterns, ScanOverlap) {

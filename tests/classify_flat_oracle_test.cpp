@@ -12,7 +12,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "analysis/incidents.hpp"
+#include "analysis/streaming.hpp"
 #include "classify/flat_classifier.hpp"
 #include "classify/pipeline.hpp"
 #include "classify/streaming.hpp"
@@ -126,8 +126,12 @@ TEST_P(FlatOracleTest, AggregatesIncidentsAndStreamingAlertsIdentical) {
                         "flat aggregate with exclusion");
 
   for (std::size_t s = 0; s < w->classifier().space_count(); ++s) {
-    const auto trie_inc = analysis::extract_incidents(flows, trie_labels, s);
-    const auto flat_inc = analysis::extract_incidents(flows, flat_labels, s);
+    analysis::ReportOptions opts;
+    opts.space_idx = s;
+    const auto trie_inc =
+        analysis::report_flows(spaces, flows, trie_labels, opts).incidents;
+    const auto flat_inc =
+        analysis::report_flows(spaces, flows, flat_labels, opts).incidents;
     ASSERT_EQ(trie_inc.size(), flat_inc.size()) << "space " << s;
     for (std::size_t i = 0; i < trie_inc.size(); ++i) {
       EXPECT_EQ(trie_inc[i].kind, flat_inc[i].kind);

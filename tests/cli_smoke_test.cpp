@@ -7,6 +7,7 @@
 // SPOOFSCOPE_CLI_BIN is injected by CMake as the built binary's path.
 #include <gtest/gtest.h>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -22,6 +23,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "net/trace.hpp"
 
 namespace {
 
@@ -44,6 +47,43 @@ RunResult run_cli(const std::string& args, const fs::path& capture) {
   os << in.rdbuf();
   r.output = os.str();
   return r;
+}
+
+/// Runs the CLI with `args`, output to `capture`, and returns the peak
+/// RSS in KiB that wait4 reports for that child alone; -1 unless it
+/// exits 0.
+long cli_peak_rss_kib(const std::vector<std::string>& args,
+                      const fs::path& capture) {
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    const int out = ::open(capture.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                           0644);
+    if (out >= 0) {
+      ::dup2(out, 1);
+      ::dup2(out, 2);
+      ::close(out);
+    }
+    std::vector<char*> argv{const_cast<char*>(SPOOFSCOPE_CLI_BIN)};
+    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    ::execv(SPOOFSCOPE_CLI_BIN, argv.data());
+    ::_exit(127);
+  }
+  int status = 0;
+  struct rusage usage {};
+  if (::wait4(pid, &status, 0, &usage) != pid) return -1;
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) return -1;
+  return usage.ru_maxrss;
+}
+
+/// Writes `flows` as a trace file at `path`.
+void write_trace_file(const fs::path& path,
+                      std::vector<spoofscope::net::FlowRecord> flows) {
+  spoofscope::net::Trace trace;
+  trace.flows = std::move(flows);
+  std::ofstream out(path, std::ios::binary);
+  spoofscope::net::write_trace(out, trace);
 }
 
 std::string slurp(const fs::path& p) {
@@ -207,6 +247,21 @@ TEST(CliSmoke, CorruptedTraceStrictFailsSkipRecovers) {
   EXPECT_NE(skip.output.find("ingest:"), std::string::npos);
   EXPECT_NE(skip.output.find("1 skipped"), std::string::npos);
   EXPECT_NE(skip.output.find("classified"), std::string::npos);
+
+  // A header-only trace is well formed: both policies classify nothing
+  // and print 0% shares, not NaN.
+  const fs::path empty = w.root / "header-only.trace";
+  write_trace_file(empty, {});
+  for (const std::string policy : {"strict", "skip"}) {
+    const auto r = run_cli("classify --mrt " + w.mrt() + " --trace " +
+                               empty.string() + " --on-error " + policy,
+                           w.log);
+    EXPECT_EQ(r.exit_code, 0) << policy << "\n" << r.output;
+    EXPECT_NE(r.output.find("classified 0 flows"), std::string::npos)
+        << policy << "\n" << r.output;
+    EXPECT_EQ(r.output.find("nan"), std::string::npos)
+        << policy << "\n" << r.output;
+  }
 }
 
 TEST(CliSmoke, StatsJsonSchemaOnClassify) {
@@ -621,6 +676,61 @@ TEST(CliSmoke, ReportOverCorruptedTraceStrictFailsSkipRecovers) {
   EXPECT_NE(skip.output.find("NTP amplification"), std::string::npos)
       << skip.output;
   EXPECT_NE(skip.output.find("incidents ("), std::string::npos) << skip.output;
+
+  // A header-only trace is well formed: both policies report on nothing
+  // and print 0% shares, not NaN.
+  const fs::path empty = w.root / "report-header-only.trace";
+  write_trace_file(empty, {});
+  for (const std::string policy : {"strict", "skip"}) {
+    const auto r = run_cli("report --mrt " + w.mrt() + " --trace " +
+                               empty.string() + " --rpsl " + w.rpsl() +
+                               " --on-error " + policy,
+                           w.log);
+    EXPECT_EQ(r.exit_code, 0) << policy << "\n" << r.output;
+    EXPECT_NE(r.output.find("classified 0 flows"), std::string::npos)
+        << policy << "\n" << r.output;
+    EXPECT_EQ(r.output.find("nan"), std::string::npos)
+        << policy << "\n" << r.output;
+  }
+}
+
+// An NTP record's timestamp must not set how much memory `report` takes.
+// Each (victim, amplifier) pair keeps only the time bins it touched, so
+// 64 pairs at the end of the u32 time range cost what one does; both
+// runs pay the one-time global series that reaches that far.
+TEST(CliSmoke, ReportMemoryDoesNotScaleWithNtpTimestamps) {
+  auto& w = cli_world();
+  ASSERT_TRUE(w.generated);
+  const auto late_ntp = [](std::size_t n) {
+    std::vector<spoofscope::net::FlowRecord> flows(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& f = flows[i];
+      f.ts = 0xFFFFFFF0u;
+      f.src = spoofscope::net::Ipv4Addr(0x0A000001u + static_cast<std::uint32_t>(i));
+      f.dst = spoofscope::net::Ipv4Addr(0xC6336401u);
+      f.member_in = 64512;
+      f.proto = spoofscope::net::Proto::kUdp;
+      f.sport = 40000;
+      f.dport = 123;
+      f.packets = 1;
+      f.bytes = 48;
+    }
+    return flows;
+  };
+  long peak_kib[2] = {};
+  const std::size_t records[2] = {1, 64};
+  for (int k = 0; k < 2; ++k) {
+    const fs::path trace =
+        w.root / ("late-ntp-" + std::to_string(records[k]) + ".trace");
+    write_trace_file(trace, late_ntp(records[k]));
+    peak_kib[k] = cli_peak_rss_kib({"report", "--mrt", w.mrt(), "--trace",
+                                    trace.string(), "--threads", "1"},
+                                   w.log);
+    ASSERT_GT(peak_kib[k], 0) << slurp(w.log);
+  }
+  EXPECT_LE(peak_kib[1] - peak_kib[0], 32 * 1024)
+      << "peak RSS: 1 record " << peak_kib[0] << " KiB, 64 records "
+      << peak_kib[1] << " KiB";
 }
 
 TEST(CliSmoke, StatsJsonSchemaOnReport) {

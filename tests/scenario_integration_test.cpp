@@ -3,10 +3,8 @@
 // reproduction rather than just a library.
 #include <gtest/gtest.h>
 
-#include "analysis/attack_patterns.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table1.hpp"
-#include "analysis/traffic_char.hpp"
-#include "analysis/venn.hpp"
 #include "classify/fp_hunter.hpp"
 #include "classify/pipeline.hpp"
 #include "classify/router_tagger.hpp"
@@ -34,6 +32,19 @@ class ScenarioTest : public ::testing::Test {
   static classify::Aggregate aggregate() {
     return classify::aggregate_classes(world().classifier().space_count(),
                                        world().trace().flows, world().labels());
+  }
+  /// The Full Cone report: fixed hourly bins over the window, a 30-packet
+  /// Fig 11a destination floor and a 100-byte small-packet threshold.
+  static analysis::ReportResult full_cone_report() {
+    analysis::ReportOptions opts;
+    opts.space_idx = Scenario::space_index(Method::kFullCone);
+    opts.window_seconds = world().trace().meta.window_seconds;
+    opts.ratio_min_packets = 30;
+    opts.small_packet_threshold = 100.0;
+    opts.ixp = &world().ixp();
+    return analysis::report_flows(world().classifier().space_count(),
+                                  world().trace().flows, world().labels(),
+                                  opts);
   }
 
  private:
@@ -139,25 +150,18 @@ TEST_F(ScenarioTest, Fig2ConeOrderingHolds) {
 
 TEST_F(ScenarioTest, SpoofedTrafficIsSmallPackets) {
   // Fig 8a: > 80% of spoofed-class packets are small.
-  const auto full_idx = Scenario::space_index(Method::kFullCone);
+  const auto small = full_cone_report().traffic.small_packet_fraction;
   for (const auto cls :
        {TrafficClass::kBogon, TrafficClass::kUnrouted}) {
-    const double frac = analysis::small_packet_fraction(
-        world().trace().flows, world().labels(), full_idx, cls, 100.0);
+    const double frac = small[static_cast<int>(cls)];
     EXPECT_GT(frac, 0.8) << classify::class_name(cls);
   }
   // Regular traffic is not.
-  EXPECT_LT(analysis::small_packet_fraction(world().trace().flows,
-                                            world().labels(), full_idx,
-                                            TrafficClass::kValid, 100.0),
-            0.7);
+  EXPECT_LT(small[static_cast<int>(TrafficClass::kValid)], 0.7);
 }
 
 TEST_F(ScenarioTest, RegularTrafficIsDiurnalSpoofedIsNot) {
-  const auto full_idx = Scenario::space_index(Method::kFullCone);
-  const auto ts = analysis::class_time_series(
-      world().trace().flows, world().labels(), full_idx,
-      world().trace().meta.window_seconds);
+  const auto ts = full_cone_report().traffic.series;
   const auto& regular = ts.series[static_cast<int>(TrafficClass::kValid)];
   const auto& unrouted = ts.series[static_cast<int>(TrafficClass::kUnrouted)];
   const double regular_diurnality = analysis::diurnality(regular, ts.bin_seconds);
@@ -169,9 +173,7 @@ TEST_F(ScenarioTest, RegularTrafficIsDiurnalSpoofedIsNot) {
 }
 
 TEST_F(ScenarioTest, UnroutedDestinationsSeeRandomSpoofing) {
-  const auto full_idx = Scenario::space_index(Method::kFullCone);
-  const auto hist = analysis::src_per_dst_ratio(
-      world().trace().flows, world().labels(), full_idx, 30);
+  const auto hist = full_cone_report().src_ratio;
   const auto& unrouted =
       hist.fractions[static_cast<int>(TrafficClass::kUnrouted)];
   const auto& invalid = hist.fractions[static_cast<int>(TrafficClass::kInvalid)];
@@ -185,9 +187,7 @@ TEST_F(ScenarioTest, UnroutedDestinationsSeeRandomSpoofing) {
 }
 
 TEST_F(ScenarioTest, NtpDominatedByOneMember) {
-  const auto full_idx = Scenario::space_index(Method::kFullCone);
-  const auto ntp = analysis::analyze_ntp(world().trace().flows,
-                                         world().labels(), full_idx);
+  const auto ntp = full_cone_report().ntp;
   ASSERT_GT(ntp.trigger_packets, 0u);
   EXPECT_GT(ntp.top_member_share, 0.5);   // paper: 91.94%
   EXPECT_GT(ntp.top5_member_share, 0.9);  // paper: 97.86%
@@ -195,10 +195,7 @@ TEST_F(ScenarioTest, NtpDominatedByOneMember) {
 }
 
 TEST_F(ScenarioTest, AmplificationWorksAtTheVantagePoint) {
-  const auto full_idx = Scenario::space_index(Method::kFullCone);
-  const auto ts = analysis::amplification_effect(
-      world().trace().flows, world().labels(), full_idx,
-      world().trace().meta.window_seconds);
+  const auto ts = full_cone_report().amplification;
   // Fig 11c: responses exceed triggers by roughly an order of magnitude in
   // bytes at similar packet counts.
   EXPECT_GT(ts.amplification_factor(), 5.0);
@@ -248,8 +245,7 @@ TEST_F(ScenarioTest, RouterDominatedMembersExist) {
 }
 
 TEST_F(ScenarioTest, VennShowsInconsistentFiltering) {
-  const auto counts = world().member_counts(Method::kFullCone);
-  const auto v = analysis::venn_membership(counts);
+  const auto v = full_cone_report().venn;
   // The majority of members are not clean (paper: only 18% are).
   EXPECT_LT(v.clean, 0.5);
   // Members emitting Unrouted almost always emit Bogon/Invalid too (96%).

@@ -3,7 +3,7 @@
 // random world.
 #include <gtest/gtest.h>
 
-#include "analysis/traffic_char.hpp"
+#include "analysis/streaming.hpp"
 #include "classify/pipeline.hpp"
 #include "scenario/scenario.hpp"
 
@@ -50,15 +50,15 @@ TEST_P(MultiSeedTest, HeadlineShapesHold) {
   EXPECT_LE(inv(Method::kCustomerConeOrg), inv(Method::kCustomerCone));
 
   // Spoofed classes are small-packet dominated.
-  const auto full_idx = Scenario::space_index(Method::kFullCone);
-  EXPECT_GT(analysis::small_packet_fraction(world->trace().flows,
-                                            world->labels(), full_idx,
-                                            TrafficClass::kUnrouted, 100.0),
-            0.7);
-  EXPECT_LT(analysis::small_packet_fraction(world->trace().flows,
-                                            world->labels(), full_idx,
-                                            TrafficClass::kValid, 100.0),
-            0.7);
+  analysis::ReportOptions opts;
+  opts.space_idx = Scenario::space_index(Method::kFullCone);
+  opts.small_packet_threshold = 100.0;
+  const auto small =
+      analysis::report_flows(world->classifier().space_count(),
+                             world->trace().flows, world->labels(), opts)
+          .traffic.small_packet_fraction;
+  EXPECT_GT(small[static_cast<int>(TrafficClass::kUnrouted)], 0.7);
+  EXPECT_LT(small[static_cast<int>(TrafficClass::kValid)], 0.7);
 }
 
 TEST_P(MultiSeedTest, ComponentsAlignWithClasses) {

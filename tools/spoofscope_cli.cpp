@@ -630,11 +630,14 @@ int cmd_classify(const Flags& flags, bool report) {
   static const char* kClassNames[] = {"Bogon", "Unrouted", "Invalid", "Valid"};
   for (int c = 0; c < classify::kNumClasses; ++c) {
     const auto& cell = agg.totals[0][c];
+    // A trace with no packets (header only, or every record skipped)
+    // has a 0% share in every class.
+    const double share =
+        agg.total_packets > 0 ? cell.packets / agg.total_packets : 0.0;
     std::cout << "  " << util::pad_right(kClassNames[c], 9)
               << util::pad_left(std::to_string(cell.members) + " members", 14)
               << util::pad_left(util::human_count(cell.packets) + " pkts", 15)
-              << util::pad_left(util::percent(cell.packets / agg.total_packets),
-                                10)
+              << util::pad_left(util::percent(share), 10)
               << util::pad_left(util::human_bytes(cell.bytes), 12) << "\n";
   }
 
