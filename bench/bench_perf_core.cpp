@@ -387,8 +387,9 @@ BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMillisecond);
 
 void BM_BatchDecode(benchmark::State& state) {
   // mmap-to-FlowBatch decode rate: header validated once, then records
-  // checksummed in lockstep groups and each verified group written by
-  // row into the SoA lanes, lanes reused across chunks.
+  // checksummed in groups by the auto-selected decode kernel and each
+  // verified group written into the SoA lanes, lanes reused across
+  // chunks. The per-kernel comparison is BM_BatchDecodeKernel.
   const auto& trace = mapped_world_trace();
   net::FlowBatch batch;
   std::int64_t records = 0;
@@ -485,6 +486,23 @@ void flat_classify_batch_kernel(benchmark::State& state,
                           static_cast<std::int64_t>(batch.size()));
 }
 
+void batch_decode_kernel(benchmark::State& state, util::SimdKernel kernel) {
+  // BM_BatchDecode with the decode kernel pinned: the scalar 8-record
+  // lockstep against the 64-record AVX2 step, on the same mapping.
+  const auto& trace = mapped_world_trace();
+  net::FlowBatch batch;
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    net::MappedTraceReader reader(trace, util::ErrorPolicy::kStrict, nullptr,
+                                  kernel);
+    while (reader.next_batch(batch, 8192) > 0) {
+      records += static_cast<std::int64_t>(batch.size());
+      benchmark::DoNotOptimize(batch.src().data());
+    }
+  }
+  state.SetItemsProcessed(records);
+}
+
 const int kKernelBenchesRegistered = [] {
   for (const auto k : classify::usable_simd_kernels()) {
     const std::string name = std::string("BM_FlatClassifyBatchKernel/simd:") +
@@ -492,6 +510,14 @@ const int kKernelBenchesRegistered = [] {
     benchmark::RegisterBenchmark(
         name.c_str(),
         [k](benchmark::State& st) { flat_classify_batch_kernel(st, k); })
+        ->Unit(benchmark::kMillisecond);
+    // Decode has no NEON kernel (a NEON selection decodes scalar).
+    if (k == util::SimdKernel::kNeon) continue;
+    const std::string decode = std::string("BM_BatchDecodeKernel/simd:") +
+                               util::simd_kernel_name(k);
+    benchmark::RegisterBenchmark(
+        decode.c_str(),
+        [k](benchmark::State& st) { batch_decode_kernel(st, k); })
         ->Unit(benchmark::kMillisecond);
   }
   return 0;
@@ -555,9 +581,9 @@ void BM_EndToEndTraceClassification(benchmark::State& state) {
 BENCHMARK(BM_EndToEndTraceClassification)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndTraceClassificationScalarKernel(benchmark::State& state) {
-  // Same pipeline pinned to the scalar batch kernel: the end-to-end lift
-  // attributable to SIMD is this number against
-  // BM_EndToEndTraceClassification.
+  // Same pipeline with decode and classify pinned to their scalar
+  // kernels (what --simd scalar runs): the end-to-end lift attributable
+  // to SIMD is this number against BM_EndToEndTraceClassification.
   const auto& trace = mapped_world_trace();
   const auto& flat = flat_world();
   const std::size_t spaces = world().classifier().space_count();
@@ -565,7 +591,8 @@ void BM_EndToEndTraceClassificationScalarKernel(benchmark::State& state) {
   std::vector<classify::Label> labels;
   std::int64_t records = 0;
   for (auto _ : state) {
-    net::MappedTraceReader reader(trace);
+    net::MappedTraceReader reader(trace, util::ErrorPolicy::kStrict, nullptr,
+                                  util::SimdKernel::kScalar);
     classify::AggregateBuilder builder(spaces);
     while (reader.next_batch(batch, 8192) > 0) {
       labels.resize(batch.size());

@@ -182,14 +182,14 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
   }
 
   static_assert(kBaseEntries == kNumStripes * kStripeBlocks);
-  flat.base_.reset(new std::uint32_t[kBaseEntries]);
-  flat.base_view_ = flat.base_.get();
+  flat.base_.resize(kBaseEntries);
+  flat.base_view_ = flat.base_.data();
   std::array<std::size_t, kNumStripes> overflow_per_stripe{};
   const auto paint_stripes = [&](std::size_t stripe_begin,
                                  std::size_t stripe_end) {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> covered;
     for (std::size_t s = stripe_begin; s < stripe_end; ++s) {
-      std::uint32_t* stripe = flat.base_.get() + s * kStripeBlocks;
+      std::uint32_t* stripe = flat.base_.data() + s * kStripeBlocks;
       const auto& ops = stripe_ops[s];
       if (ops.empty()) {
         std::fill(stripe, stripe + kStripeBlocks, 0u);

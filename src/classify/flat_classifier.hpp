@@ -40,6 +40,7 @@
 
 #include "classify/batch_kernels.hpp"
 #include "classify/classifier.hpp"
+#include "util/huge_pages.hpp"
 
 namespace spoofscope::net {
 class FlowBatch;
@@ -309,11 +310,12 @@ class FlatClassifier {
                        const std::uint32_t* pending, std::size_t n_pending,
                        Label* out) const;
 
-  /// Base-class table, kBaseEntries entries. Heap array instead of a
-  /// vector so the compile can skip the 64 MiB zero-fill: stripes only
-  /// zero the lanes no prefix paints. Empty on a cache-loaded plane
-  /// (the table lives in the mapped snapshot instead).
-  std::unique_ptr<std::uint32_t[]> base_;
+  /// Base-class table, kBaseEntries entries on huge pages (the kernels
+  /// read it at random). Resizing leaves it unwritten, so the compile
+  /// skips the 64 MiB zero-fill: stripes only zero the lanes no prefix
+  /// paints. Empty on a cache-loaded plane (the table lives in the
+  /// mapped snapshot instead).
+  util::HugePageVector<std::uint32_t> base_;
   trie::PrefixSet bogons_;           // overflow-lane bogon check
   const bgp::RoutingTable* table_ = nullptr;
   std::vector<std::shared_ptr<const inference::ValidSpace>> spaces_;
@@ -326,8 +328,9 @@ class FlatClassifier {
   /// Slot-major membership records: record (slot * prefixes + pid) holds
   /// the full bits (low byte, bit m = method m) and partial bits (high
   /// byte) for one (member, prefix) pair — all methods in one load.
-  /// Owned storage; empty on a cache-loaded plane.
-  std::vector<std::uint16_t> records_;
+  /// Owned storage on huge pages, like base_; empty on a cache-loaded
+  /// plane.
+  util::HugePageVector<std::uint16_t> records_;
   /// What the hot paths actually read: the owned storage after
   /// compile(), or the mapped snapshot after a plane-cache load (both
   /// 8-byte aligned, little-endian hosts only on the mapped path).
@@ -418,7 +421,7 @@ class FlatClassifier {
   bool partial_counts_ready_ = false;
   /// Copy-mode record-rewrite scratch, recycled across batches so
   /// steady-state churn neither allocates nor redundantly zero-fills.
-  std::vector<std::uint16_t> records_scratch_;
+  util::HugePageVector<std::uint16_t> records_scratch_;
 };
 
 /// Trace classification through the plane: packs `flows` into one

@@ -57,15 +57,15 @@ constexpr std::size_t kNumStripesU = std::size_t{1} << 8;
 }  // namespace
 
 void FlatClassifier::ensure_owned() {
-  if (base_ == nullptr) {
-    base_.reset(new std::uint32_t[kBaseEntries]);
-    std::copy(base_view_, base_view_ + kBaseEntries, base_.get());
-    base_view_ = base_.get();
+  if (base_.empty()) {
+    base_.assign(base_view_, base_view_ + kBaseEntries);
+    base_view_ = base_.data();
   }
   if (records_.empty()) {
     const std::size_t record_count = members_.size() * num_prefixes_;
-    records_.assign(record_count + 1, 0);
+    records_.resize(record_count + 1);
     std::copy(records_view_, records_view_ + record_count, records_.data());
+    records_[record_count] = 0;  // gather sentinel
     records_view_ = records_.data();
     records_gather_safe_ = true;
   }

@@ -42,8 +42,9 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
   return bytes;
 }
 
-/// Records verified per lockstep group: enough independent FNV-1a chains
-/// to keep the multiplier busy while each waits on its own product.
+/// Records verified per scalar lockstep group: enough independent FNV-1a
+/// chains to keep the multiplier busy while each waits on its own
+/// product.
 constexpr std::size_t kGroup = 8;
 
 /// The per-record check: the payload's FNV-1a against the stored sum.
@@ -52,19 +53,35 @@ bool record_verifies(const std::uint8_t* p) {
          format::fnv1a32(p, format::kPayloadSize);
 }
 
-/// How many of the kGroup records starting at `p` verify before the
-/// first that does not (kGroup when all do): the same check as
-/// record_verifies, with the group's checksums computed in lockstep.
-std::size_t verified_prefix(const std::uint8_t* p) {
+/// The scalar group step: how many of the kGroup records at `p` verify
+/// before the first that does not (kGroup when all do), each decoded
+/// into rows [i, i + k). The same check as record_verifies, with the
+/// group's checksums computed in lockstep.
+std::size_t decode_group(const std::uint8_t* p, const FlowBatch::Rows& rows,
+                         std::size_t i) {
   std::uint32_t h[kGroup] = {};
   format::fnv1a32_lockstep(p, format::kRecordSizeV2, format::kPayloadSize, h);
   std::size_t k = 0;
   while (k < kGroup &&
          h[k] == format::get_u32(p + k * format::kRecordSizeV2 +
                                  format::kPayloadSize)) {
+    format::decode_row(p + k * format::kRecordSizeV2, rows, i + k);
     ++k;
   }
   return k;
+}
+
+/// The AVX2 group step; never called unless the kernel is compiled in.
+std::size_t decode_group_wide(const std::uint8_t* p,
+                              const FlowBatch::Rows& rows, std::size_t i) {
+#if SPOOFSCOPE_KERNEL_AVX2
+  return format::decode_group_avx2(p, rows, i);
+#else
+  (void)p;
+  (void)rows;
+  (void)i;
+  return 0;
+#endif
 }
 
 }  // namespace
@@ -169,8 +186,12 @@ MappedTrace& MappedTrace::operator=(MappedTrace&& other) noexcept {
 
 MappedTraceReader::MappedTraceReader(const MappedTrace& trace,
                                      util::ErrorPolicy policy,
-                                     util::IngestStats* stats)
-    : policy_(policy), trace_(&trace), stats_(stats ? stats : &own_stats_) {
+                                     util::IngestStats* stats,
+                                     util::SimdKernel kernel)
+    : policy_(policy),
+      avx2_(util::resolve_simd_kernel(kernel) == util::SimdKernel::kAvx2),
+      trace_(&trace),
+      stats_(stats ? stats : &own_stats_) {
   const std::span<const std::uint8_t> all = trace.bytes();
   const format::Header h = format::parse_header(all, policy_, *stats_);
   if (!h.ok) {
@@ -216,8 +237,10 @@ std::size_t MappedTraceReader::next_batch(FlowBatch& out,
   const std::span<const std::uint8_t> window = rest_;
   // Rows are written in place. Every delivered record consumes
   // kRecordSizeV2 bytes of the window, and strict mode stops at the
-  // declared count, so `room` rows always suffice; the unused ones are
-  // given back before returning or throwing.
+  // declared count, so `room` rows always suffice — also for a group
+  // step, which writes rows for its whole group only where the group
+  // fits the same three limits. The unused rows are given back before
+  // returning or throwing.
   std::size_t room =
       std::min(max_records, window.size() / format::kRecordSizeV2);
   if (strict) {
@@ -241,24 +264,27 @@ std::size_t MappedTraceReader::next_batch(FlowBatch& out,
     }
     const std::uint8_t* p = window.data() + off;
     bool damaged = false;
-    const bool group_fits =
-        !resyncing_ && max_records - n >= kGroup &&
-        left >= kGroup * format::kRecordSizeV2 &&
-        (!strict || declared_ - delivered_ >= kGroup);
-    if (group_fits) {
-      // Fast path: verify a whole group in lockstep and decode its
-      // leading clean records while their bytes are still in L1. A
-      // damaged record ends the run; it takes the per-record handling
-      // below, which the group has already shown it fails.
-      const std::size_t k = verified_prefix(p);
-      for (std::size_t j = 0; j < k; ++j) {
-        format::decode_row(p + j * format::kRecordSizeV2, rows, n + j);
-      }
+    // Records a group step may take here: batch cap, whole records left
+    // and, in strict mode, the declared count. Resync goes one by one.
+    std::uint64_t fits = 0;
+    if (!resyncing_) {
+      fits = std::min(max_records - n, left / format::kRecordSizeV2);
+      if (strict) fits = std::min(fits, declared_ - delivered_);
+    }
+    if (fits >= kGroup) {
+      // Fast path: verify a whole group and decode its leading clean
+      // records while their bytes are still in L1. A damaged record
+      // ends the run; it takes the per-record handling below, which the
+      // group has already shown it fails.
+      const bool wide = avx2_ && fits >= format::kAvx2Group;
+      const std::size_t group = wide ? format::kAvx2Group : kGroup;
+      const std::size_t k =
+          wide ? decode_group_wide(p, rows, n) : decode_group(p, rows, n);
       n += k;
       off += k * format::kRecordSizeV2;
       delivered_ += k;
       stats_->records_ok += k;
-      if (k == kGroup) continue;
+      if (k == group) continue;
       p = window.data() + off;
       damaged = true;
     }

@@ -18,6 +18,7 @@
 
 #include "net/trace.hpp"
 #include "util/error_policy.hpp"
+#include "util/simd.hpp"
 
 namespace spoofscope::net {
 
@@ -76,13 +77,23 @@ class MappedTrace {
 ///     starts a byte-wise resync to the next record that validates, with
 ///     one quarantined record counted per damaged region in `stats`, and
 ///     a broken header yields an empty record stream.
+///
+/// Clean stretches are checked in groups: 64 records per AVX2 step when
+/// the resolved kernel is kAvx2, else 8 records in a scalar lockstep.
+/// Both compute the same FNV-1a sums, and the first record of a group
+/// that fails is handled on its own, so delivered records, stats and
+/// errors do not depend on the kernel.
 class MappedTraceReader {
  public:
   /// Validates the header once. `trace` and `stats` (optional) must
-  /// outlive the reader.
+  /// outlive the reader. `kernel` goes through util::resolve_simd_kernel
+  /// (kAuto honours SPOOFSCOPE_SIMD; an unusable explicit kernel
+  /// throws); only kAvx2 has a decode kernel, anything else decodes
+  /// scalar.
   explicit MappedTraceReader(const MappedTrace& trace,
                              util::ErrorPolicy policy = util::ErrorPolicy::kStrict,
-                             util::IngestStats* stats = nullptr);
+                             util::IngestStats* stats = nullptr,
+                             util::SimdKernel kernel = util::SimdKernel::kAuto);
 
   const TraceMeta& meta() const { return meta_; }
   std::uint64_t declared_count() const { return declared_; }
@@ -108,6 +119,7 @@ class MappedTraceReader {
   void finish(std::size_t tail);
 
   util::ErrorPolicy policy_;
+  bool avx2_ = false;  ///< clean stretches go through decode_group_avx2
   const MappedTrace* trace_ = nullptr;
   std::size_t dropped_ = 0;  ///< consumed-prefix bytes already released
   util::IngestStats own_stats_;

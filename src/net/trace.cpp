@@ -14,6 +14,14 @@
 namespace spoofscope::net {
 
 void write_trace(std::ostream& out, const Trace& trace) {
+  // Validate before the first byte: the header declares every record, so
+  // a rejected trace must leave nothing behind, not a header plus a
+  // prefix of its records.
+  for (const auto& f : trace.flows) {
+    if (f.member_in > 0xffff || f.member_out > 0xffff) {
+      throw std::runtime_error("write_trace: member ASN exceeds 16-bit record field");
+    }
+  }
   std::array<std::uint8_t, format::kHeaderSizeV2> header{};
   format::put_u32(header.data() + 0, format::kMagic);
   format::put_u32(header.data() + 4, format::kVersionV2);
@@ -27,9 +35,6 @@ void write_trace(std::ostream& out, const Trace& trace) {
 
   std::array<std::uint8_t, format::kRecordSizeV2> rec;
   for (const auto& f : trace.flows) {
-    if (f.member_in > 0xffff || f.member_out > 0xffff) {
-      throw std::runtime_error("write_trace: member ASN exceeds 16-bit record field");
-    }
     format::encode_record(f, rec.data());
     format::put_u32(rec.data() + format::kPayloadSize,
                     format::fnv1a32(rec.data(), format::kPayloadSize));

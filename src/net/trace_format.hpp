@@ -13,6 +13,7 @@
 #include "net/flow_batch.hpp"
 #include "net/protocols.hpp"
 #include "util/error_policy.hpp"
+#include "util/simd.hpp"
 
 namespace spoofscope::net::format {
 
@@ -110,6 +111,20 @@ inline void decode_row(const std::uint8_t* p, const FlowBatch::Rows& rows,
   // the loads after it to wait.
   rows.proto[i] = p[12];
 }
+
+/// Records one step of the AVX2 decoder verifies and decodes.
+inline constexpr std::size_t kAvx2Group = 64;
+
+#if SPOOFSCOPE_KERNEL_AVX2
+/// The AVX2 decode step (net/trace_decode_avx2.cpp; call it only where
+/// util::resolve_simd_kernel chose kAvx2): checks the kAvx2Group records
+/// at `p` against their stored FNV-1a sums, the same check as fnv1a32,
+/// and writes all of them into rows [i, i + kAvx2Group) as decode_row
+/// would. Returns how many leading records verify (kAvx2Group when all
+/// do); the rows from the first failing record on hold no meaning.
+std::size_t decode_group_avx2(const std::uint8_t* p,
+                              const FlowBatch::Rows& rows, std::size_t i);
+#endif
 
 /// Parsed trace header, or the reason it was rejected (raw fields; the
 /// public readers package them into a TraceMeta).

@@ -71,7 +71,8 @@ SubmitResult Server::submit(const std::string& trace_path) {
   SubmitResult result;
   const std::uint64_t alerts_before = total_alerts_quiesced();
   const net::MappedTrace trace(trace_path);
-  net::MappedTraceReader reader(trace, cfg_.policy, &result.stats);
+  net::MappedTraceReader reader(trace, cfg_.policy, &result.stats,
+                               cfg_.params.simd);
   net::FlowBatch batch;
   // A strict-mode decode throw leaves the records scanned before the
   // damage in `batch`; deliver them to the shards so the service state

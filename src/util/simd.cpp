@@ -1,17 +1,17 @@
-#include "classify/batch_kernels.hpp"
+#include "util/simd.hpp"
 
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 
-namespace spoofscope::classify {
+namespace spoofscope::util {
 
 namespace {
 
 bool cpu_has_avx2() {
 #if SPOOFSCOPE_KERNEL_AVX2
-  // GCC/clang resolve this to a cached cpuid probe; the kernel TU is
-  // compiled with -mavx2 but only ever entered behind this check.
+  // GCC/clang resolve this to a cached cpuid probe; the AVX2 kernel TUs
+  // are compiled with -mavx2 but only ever entered behind this check.
   static const bool has = __builtin_cpu_supports("avx2");
   return has;
 #else
@@ -97,4 +97,4 @@ SimdKernel resolve_simd_kernel(SimdKernel requested) {
   return requested;
 }
 
-}  // namespace spoofscope::classify
+}  // namespace spoofscope::util

@@ -178,11 +178,16 @@ TEST(CliSmoke, GenerateWritesAllArtifacts) {
 TEST(CliSmoke, ClassifyProducesIdenticalLabelsOnBothEngines) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  for (const std::string threads : {"1", "0"}) {
-    const fs::path csv = w.root / ("labels-" + threads + ".csv");
+  // --simd scalar pins the decode and classify kernels both; neither
+  // may move an output byte.
+  const std::string runs[] = {"--threads 1", "--threads 0",
+                              "--threads 1 --simd scalar"};
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    const std::string& flags = runs[i];
+    const fs::path csv = w.root / ("labels-" + std::to_string(i) + ".csv");
     const auto r = run_cli("classify --mrt " + w.mrt() + " --trace " +
-                               w.trace() + " --labels " + csv.string() +
-                               " --threads " + threads,
+                               w.trace() + " --labels " + csv.string() + " " +
+                               flags,
                            w.log);
     ASSERT_EQ(r.exit_code, 0) << r.output;
     EXPECT_NE(r.output.find("classified"), std::string::npos);
@@ -190,7 +195,7 @@ TEST(CliSmoke, ClassifyProducesIdenticalLabelsOnBothEngines) {
     const std::string labels = slurp(csv);
     ASSERT_GT(labels.size(), 100u);
     EXPECT_EQ(labels.substr(0, 24), "ts,src,dst,member,class\n");
-    EXPECT_EQ(fnv1a64(labels), kGoldenLabelsCsv) << "threads=" << threads;
+    EXPECT_EQ(fnv1a64(labels), kGoldenLabelsCsv) << flags;
     EXPECT_EQ(fnv1a64(filter_lines(r.output, {"  Bogon", "  Unrouted",
                                                "  Invalid", "  Valid"})),
               kGoldenClassTotals)

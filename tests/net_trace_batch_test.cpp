@@ -10,8 +10,12 @@
 //  - batch-boundary edges: batch size 1, batch larger than the trace,
 //    empty trace, empty file;
 //  - verification-group edges: one damaged record at every position of
-//    the first three lockstep groups, and a declared count ending
-//    mid-group, each read whole and at batch sizes that cut groups;
+//    the first three 64-record AVX2 steps (24 scalar lockstep groups),
+//    and declared counts ending mid-group, each read whole and at batch
+//    sizes that cut 8- and 64-record groups, under every decode kernel;
+//  - kernel differential: every corrupted stream decodes to the same
+//    records, stats and error under the AVX2 step as under the scalar
+//    lockstep, whole and at random batch cuts;
 //  - FlowBatch::grow/shrink, the in-place row API the decoder writes;
 //  - v1 streams (no record checksums, no longer supported) are rejected
 //    as an unsupported version, loudly in strict mode, counted in skip.
@@ -34,6 +38,7 @@
 #include "net/trace_format.hpp"
 #include "util/error_policy.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace spoofscope::net {
 namespace {
@@ -106,15 +111,26 @@ struct ReadResult {
 
 constexpr std::size_t kWholeTrace = std::numeric_limits<std::size_t>::max();
 
+/// The concrete decode kernels usable here, scalar first: kAvx2 has the
+/// 64-record step, every other kernel decodes scalar.
+std::vector<util::SimdKernel> decode_kernels() {
+  std::vector<util::SimdKernel> kernels{util::SimdKernel::kScalar};
+  if (util::simd_kernel_usable(util::SimdKernel::kAvx2)) {
+    kernels.push_back(util::SimdKernel::kAvx2);
+  }
+  return kernels;
+}
+
 /// Reads the whole mapping through next_batch, asking `next_size` for
 /// each batch's record cap.
 template <typename NextSize>
 ReadResult read_batched(const MappedTrace& trace, util::ErrorPolicy policy,
-                        NextSize next_size) {
+                        NextSize next_size,
+                        util::SimdKernel kernel = util::SimdKernel::kAuto) {
   ReadResult r;
   FlowBatch batch;
   try {
-    MappedTraceReader reader(trace, policy, &r.stats);
+    MappedTraceReader reader(trace, policy, &r.stats, kernel);
     while (reader.next_batch(batch, next_size()) > 0) {
       batch.append_to(r.records);
     }
@@ -131,10 +147,11 @@ ReadResult read_batched(const MappedTrace& trace, util::ErrorPolicy policy,
 /// boundaries land everywhere, including mid-resync; without, one batch
 /// takes the whole trace.
 ReadResult read_all(const MappedTrace& trace, util::ErrorPolicy policy,
-                    util::Rng* rng = nullptr) {
-  return read_batched(trace, policy, [rng] {
-    return rng ? 1 + rng->index(400) : kWholeTrace;
-  });
+                    util::Rng* rng = nullptr,
+                    util::SimdKernel kernel = util::SimdKernel::kAuto) {
+  return read_batched(
+      trace, policy,
+      [rng] { return rng ? 1 + rng->index(400) : kWholeTrace; }, kernel);
 }
 
 ReadResult read_all(const std::string& bytes, util::ErrorPolicy policy,
@@ -144,8 +161,10 @@ ReadResult read_all(const std::string& bytes, util::ErrorPolicy policy,
 
 /// Every batch capped at `batch` records.
 ReadResult read_fixed(const std::string& bytes, util::ErrorPolicy policy,
-                      std::size_t batch) {
-  return read_batched(buffer_of(bytes), policy, [batch] { return batch; });
+                      std::size_t batch,
+                      util::SimdKernel kernel = util::SimdKernel::kAuto) {
+  return read_batched(
+      buffer_of(bytes), policy, [batch] { return batch; }, kernel);
 }
 
 /// FNV-1a-64 over everything a read hands back: each delivered record
@@ -201,6 +220,29 @@ void expect_decode_digest(const std::string& bytes, util::ErrorPolicy policy,
       << what << " (mmap, mapped=" << mapped.mapped() << ")";
 }
 
+/// The in-process kernel differential: each decode kernel usable here
+/// must hand back exactly what the scalar lockstep does — records,
+/// IngestStats and error — for one whole-trace batch and for random
+/// batch cuts (the same cuts for every kernel).
+void expect_kernels_agree(const std::string& bytes, util::ErrorPolicy policy,
+                          std::uint64_t seed, const std::string& what) {
+  const MappedTrace trace = buffer_of(bytes);
+  for (const bool cut : {false, true}) {
+    util::Rng ref_rng(seed);
+    const ReadResult ref = read_all(trace, policy, cut ? &ref_rng : nullptr,
+                                    util::SimdKernel::kScalar);
+    for (const util::SimdKernel k : decode_kernels()) {
+      util::Rng rng(seed);
+      const ReadResult got = read_all(trace, policy, cut ? &rng : nullptr, k);
+      const std::string where = what + " (" + util::simd_kernel_name(k) +
+                                (cut ? ", random batch sizes)" : ")");
+      EXPECT_EQ(got.records, ref.records) << where;
+      EXPECT_EQ(got.stats, ref.stats) << where << ": " << got.stats.summary();
+      EXPECT_EQ(got.error, ref.error) << where;
+    }
+  }
+}
+
 constexpr util::ErrorPolicy kPolicies[] = {util::ErrorPolicy::kStrict,
                                            util::ErrorPolicy::kSkip};
 
@@ -219,6 +261,8 @@ TEST(TraceBatch, CleanStreamAllPathsAgree) {
   const std::string bytes = trace_bytes(source);
   for (std::size_t p = 0; p < 2; ++p) {
     expect_decode_digest(bytes, kPolicies[p], 99, kGolden[p],
+                         std::string("clean/") + policy_name(kPolicies[p]));
+    expect_kernels_agree(bytes, kPolicies[p], 99,
                          std::string("clean/") + policy_name(kPolicies[p]));
     // The write_trace round trip is the independent reference.
     EXPECT_EQ(read_all(bytes, kPolicies[p]).records, source.flows);
@@ -301,11 +345,12 @@ TEST(TraceBatch, CorruptedStreamFuzzAllPathsAgree) {
       util::Rng rng(seed * 1000003);
       const std::string bad = kCorruptors[c].fn(clean, rng);
       for (std::size_t p = 0; p < 2; ++p) {
-        expect_decode_digest(bad, kPolicies[p], seed ^ 0xbadc0de,
-                             kGolden[s][c][p],
-                             std::string(kCorruptors[c].name) +
+        const std::string what = std::string(kCorruptors[c].name) +
                                  " seed=" + std::to_string(seed) + " " +
-                                 policy_name(kPolicies[p]));
+                                 policy_name(kPolicies[p]);
+        expect_decode_digest(bad, kPolicies[p], seed ^ 0xbadc0de,
+                             kGolden[s][c][p], what);
+        expect_kernels_agree(bad, kPolicies[p], seed ^ 0xbadc0de, what);
       }
     }
   }
@@ -360,9 +405,11 @@ TEST(TraceBatch, EmptyInputSkipModeYieldsNothingStrictThrows) {
 
 // ----------------------------------------------------- verification groups
 
-/// Batch caps for the group-edge tests: the whole trace, one record, and
-/// sizes whose batches end before, inside and just past a group of 8.
-constexpr std::size_t kGroupEdgeBatches[] = {kWholeTrace, 1, 7, 9, 13};
+/// Batch caps for the group-edge tests: the whole trace, one record,
+/// and sizes whose batches end before, inside and just past a scalar
+/// group of 8 and an AVX2 step of 64 (63, 64, 65, 127, 129).
+constexpr std::size_t kGroupEdgeBatches[] = {kWholeTrace, 1,  7,   9,  13,
+                                             63,          64, 65, 127, 129};
 
 std::string batch_name(std::size_t b) {
   return b == kWholeTrace ? "whole" : std::to_string(b);
@@ -370,20 +417,22 @@ std::string batch_name(std::size_t b) {
 
 TEST(TraceBatch, DamagedRecordAtEachGroupPosition) {
   // One flipped byte in record k, for every k across the first three
-  // lockstep verification groups, at a different byte of the record each
-  // time (payload and stored checksum alike). The damage must surface at
-  // exactly record k: strict delivers records [0, k) and throws; skip
-  // loses only record k, as one 40-byte checksum region plus the count
+  // 64-record AVX2 steps (the first 24 scalar lockstep groups), at a
+  // different byte of the record each time (payload and stored checksum
+  // alike). The damage must surface at exactly record k under every
+  // decode kernel: strict delivers records [0, k) and throws; skip loses
+  // only record k, as one 40-byte checksum region plus the count
   // mismatch it causes.
-  const Trace source = make_trace(64, 17);
+  constexpr std::size_t kRecords = 200;
+  const Trace source = make_trace(kRecords, 17);
   const std::string clean = trace_bytes(source);
   util::IngestStats want_skip;
-  want_skip.records_ok = 63;
+  want_skip.records_ok = kRecords - 1;
   want_skip.records_skipped = 1;
   want_skip.bytes_dropped = format::kRecordSizeV2;
   want_skip.errors[static_cast<int>(util::ErrorKind::kChecksum)] = 1;
   want_skip.errors[static_cast<int>(util::ErrorKind::kCountMismatch)] = 1;
-  for (std::size_t k = 0; k < 24; ++k) {
+  for (std::size_t k = 0; k < 3 * format::kAvx2Group; ++k) {
     std::string bad = clean;
     const std::size_t at = format::kHeaderSizeV2 + k * format::kRecordSizeV2 +
                            (k * 7) % format::kRecordSizeV2;
@@ -394,49 +443,64 @@ TEST(TraceBatch, DamagedRecordAtEachGroupPosition) {
     survivors.erase(survivors.begin() + k);
     util::IngestStats want_strict;
     want_strict.records_ok = k;
-    for (const std::size_t b : kGroupEdgeBatches) {
-      const std::string what =
-          "record " + std::to_string(k) + ", batch " + batch_name(b);
-      const ReadResult strict = read_fixed(bad, util::ErrorPolicy::kStrict, b);
-      EXPECT_EQ(strict.error, "read_trace: record checksum mismatch") << what;
-      EXPECT_EQ(strict.records, before) << what;
-      EXPECT_EQ(strict.stats, want_strict) << what;
-      const ReadResult skip = read_fixed(bad, util::ErrorPolicy::kSkip, b);
-      EXPECT_EQ(skip.error, "") << what;
-      EXPECT_EQ(skip.records, survivors) << what;
-      EXPECT_EQ(skip.stats, want_skip) << what << ": " << skip.stats.summary();
+    for (const util::SimdKernel kernel : decode_kernels()) {
+      for (const std::size_t b : kGroupEdgeBatches) {
+        const std::string what = "record " + std::to_string(k) + ", batch " +
+                                 batch_name(b) + ", " +
+                                 util::simd_kernel_name(kernel);
+        const ReadResult strict =
+            read_fixed(bad, util::ErrorPolicy::kStrict, b, kernel);
+        EXPECT_EQ(strict.error, "read_trace: record checksum mismatch") << what;
+        EXPECT_EQ(strict.records, before) << what;
+        EXPECT_EQ(strict.stats, want_strict) << what;
+        const ReadResult skip =
+            read_fixed(bad, util::ErrorPolicy::kSkip, b, kernel);
+        EXPECT_EQ(skip.error, "") << what;
+        EXPECT_EQ(skip.records, survivors) << what;
+        EXPECT_EQ(skip.stats, want_skip) << what << ": " << skip.stats.summary();
+      }
     }
   }
 }
 
 TEST(TraceBatch, DeclaredCountEndingMidGroup) {
-  // The header declares 20 of the 64 valid records, so the count ends
-  // four records into the third verification group. Strict delivers
-  // exactly the declared records and ignores the valid ones after them;
-  // skip delivers every record that validates and notes the mismatch.
-  const Trace source = make_trace(64, 19);
-  std::string bytes = trace_bytes(source);
-  auto* h = reinterpret_cast<std::uint8_t*>(bytes.data());
-  format::put_u64(h + 24, 20);  // declared record count
-  format::put_u32(h + format::kHeaderBody,
-                  format::fnv1a32(h, format::kHeaderBody));
-  const std::vector<FlowRecord> declared(source.flows.begin(),
-                                         source.flows.begin() + 20);
-  util::IngestStats want_strict;
-  want_strict.records_ok = 20;
-  util::IngestStats want_skip;
-  want_skip.records_ok = 64;
-  want_skip.errors[static_cast<int>(util::ErrorKind::kCountMismatch)] = 1;
-  for (const std::size_t b : kGroupEdgeBatches) {
-    const std::string what = "batch " + batch_name(b);
-    const ReadResult strict = read_fixed(bytes, util::ErrorPolicy::kStrict, b);
-    EXPECT_EQ(strict.error, "") << what;
-    EXPECT_EQ(strict.records, declared) << what;
-    EXPECT_EQ(strict.stats, want_strict) << what;
-    const ReadResult skip = read_fixed(bytes, util::ErrorPolicy::kSkip, b);
-    EXPECT_EQ(skip.error, "") << what;
-    EXPECT_EQ(skip.records, source.flows) << what;
-    EXPECT_EQ(skip.stats, want_skip) << what << ": " << skip.stats.summary();
+  // The header declares fewer records than the 200 valid ones: 20 ends
+  // four records into the third scalar group, 100 and 150 end inside
+  // the second and third AVX2 steps. Strict delivers exactly the
+  // declared records and ignores the valid ones after them; skip
+  // delivers every record that validates and notes the mismatch.
+  constexpr std::size_t kRecords = 200;
+  const Trace source = make_trace(kRecords, 19);
+  for (const std::size_t declared_count : {20, 100, 150}) {
+    std::string bytes = trace_bytes(source);
+    auto* h = reinterpret_cast<std::uint8_t*>(bytes.data());
+    format::put_u64(h + 24, declared_count);
+    format::put_u32(h + format::kHeaderBody,
+                    format::fnv1a32(h, format::kHeaderBody));
+    const std::vector<FlowRecord> declared(
+        source.flows.begin(), source.flows.begin() + declared_count);
+    util::IngestStats want_strict;
+    want_strict.records_ok = declared_count;
+    util::IngestStats want_skip;
+    want_skip.records_ok = kRecords;
+    want_skip.errors[static_cast<int>(util::ErrorKind::kCountMismatch)] = 1;
+    for (const util::SimdKernel kernel : decode_kernels()) {
+      for (const std::size_t b : kGroupEdgeBatches) {
+        const std::string what = "declared " + std::to_string(declared_count) +
+                                 ", batch " + batch_name(b) + ", " +
+                                 util::simd_kernel_name(kernel);
+        const ReadResult strict =
+            read_fixed(bytes, util::ErrorPolicy::kStrict, b, kernel);
+        EXPECT_EQ(strict.error, "") << what;
+        EXPECT_EQ(strict.records, declared) << what;
+        EXPECT_EQ(strict.stats, want_strict) << what;
+        const ReadResult skip =
+            read_fixed(bytes, util::ErrorPolicy::kSkip, b, kernel);
+        EXPECT_EQ(skip.error, "") << what;
+        EXPECT_EQ(skip.records, source.flows) << what;
+        EXPECT_EQ(skip.stats, want_skip) << what << ": " << skip.stats.summary();
+      }
+    }
   }
 }
 

@@ -93,5 +93,21 @@ TEST(Trace, RejectsOversizedAsn) {
   EXPECT_THROW(write_trace(ss, t), std::runtime_error);
 }
 
+TEST(Trace, RejectedTraceWritesNothing) {
+  // The header declares every record, so a record rejected mid-trace
+  // must not leave the header and the records before it behind: the
+  // stream would hold a trace that reads as truncated.
+  util::Rng rng(11);
+  for (const std::size_t bad : {0, 3, 7}) {
+    Trace t;
+    for (int i = 0; i < 8; ++i) t.flows.push_back(make_flow(rng));
+    t.flows[bad].member_out = 0x10000;
+    std::stringstream ss;
+    EXPECT_THROW(write_trace(ss, t), std::runtime_error) << "record " << bad;
+    EXPECT_TRUE(ss.str().empty())
+        << "record " << bad << ": " << ss.str().size() << " bytes written";
+  }
+}
+
 }  // namespace
 }  // namespace spoofscope::net

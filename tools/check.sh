@@ -25,8 +25,9 @@
 #      histogram binning and eviction folds over adversarial batches),
 #      and the aggregation suites (shifts in the member-presence rows)
 #   6. portable build guard: -DSPOOFSCOPE_DISABLE_SIMD=ON compiles only
-#      the scalar batch kernel — what a target with neither AVX2 nor
-#      NEON gets — and the batch differentials must still pass on it
+#      the scalar batch and decode kernels — what a target with neither
+#      AVX2 nor NEON gets — and the batch and decode differentials must
+#      still pass on it
 #   7. serve smoke: the resident sharded daemon boots on a generated
 #      world and every control verb is driven through a real socket
 #      session, ending in a clean shutdown (the service suites — shard
@@ -46,8 +47,8 @@
 #      1000-step sweep (SPOOFSCOPE_CHURN_STEPS) against the fresh-compile
 #      digest oracle
 #
-# The batch-classification suites run twice per sanitizer stage: once
-# with SPOOFSCOPE_SIMD=auto (the vector kernel this host supports) and
+# The batch-classification and decode suites run twice per stage: once
+# with SPOOFSCOPE_SIMD=auto (the vector kernels this host supports) and
 # once pinned to SPOOFSCOPE_SIMD=scalar, so every sanitizer inspects
 # both sides of the kernel differential.
 #
@@ -57,12 +58,15 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc)"
 
-# Suites that drive FlatClassifier::classify_batch and therefore get the
-# auto/scalar double run.
+# Suites that drive FlatClassifier::classify_batch or the trace decoder
+# (MappedTraceReader::next_batch) and therefore get the auto/scalar
+# double run.
 BATCH_SUITES=(
   classify_batch_oracle_test
   classify_simd_kernel_test
   classify_flat_oracle_test
+  net_trace_batch_test
+  robustness_differential_test
 )
 
 is_batch_suite() {
@@ -199,6 +203,8 @@ run_suite build-ubsan "${UBSAN_SUITES[@]}"
 PORTABLE_SUITES=(
   classify_batch_oracle_test
   classify_simd_kernel_test
+  net_trace_batch_test
+  robustness_differential_test
 )
 
 echo "=== portable guard: scalar-only build (SPOOFSCOPE_DISABLE_SIMD) ==="

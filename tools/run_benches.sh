@@ -36,9 +36,9 @@ cmake --build "${BUILD_DIR}" --target bench_perf_core -j "$(nproc)"
 # (resident-set delta across the bench loop) per trace multiplier;
 # streaming report memory must not scale with trace length, so the 10x
 # growth may exceed the 1x growth only by a fixed slack. Also prints the
-# vector-kernel speedup whenever the run measured both kernels, and the
-# incremental-patch speedup (BM_FlatPlanePatch vs BM_FlatCompileParallel)
-# whenever the run measured both.
+# vector-kernel speedups (classify and decode) whenever the run measured
+# both kernels, and the incremental-patch speedup (BM_FlatPlanePatch vs
+# BM_FlatCompileParallel) whenever the run measured both.
 python3 - "${TMP_JSON}" <<'PY'
 import json, sys
 
@@ -53,11 +53,14 @@ if build != "release":
 print(f"OK provenance check: spoofscope_build_type={build}")
 
 rate = {}
+decode_rate = {}
 growth = {}
 compile_ms = {}
 patch_ms = None
 prop_rate = {}
+decode_rate = {}
 serve_rate = {}
+decode_rate = {}
 e2e = None
 for b in doc.get("benchmarks", []):
     name = b.get("name", "")
@@ -70,6 +73,9 @@ for b in doc.get("benchmarks", []):
     if name.startswith("BM_FlatClassifyBatchKernel/simd:"):
         kernel = name.split("simd:")[1].split("/")[0]
         rate[kernel] = b.get("items_per_second", 0.0)
+    if name.startswith("BM_BatchDecodeKernel/simd:"):
+        kernel = name.split("simd:")[1].split("/")[0]
+        decode_rate[kernel] = b.get("items_per_second", 0.0)
     if name.startswith("BM_FlatCompileParallel/threads:"):
         threads = int(name.split("threads:")[1].split("/")[0])
         compile_ms[threads] = b.get("real_time", 0.0)
@@ -87,11 +93,12 @@ if 1 in growth and 10 in growth:
         sys.exit(f"FAIL constant-memory check: {line} "
                  f"(10x grew >{SLACK_KB}KB past 1x)")
     print(f"OK constant-memory check: {line}")
-for kernel, flows in sorted(rate.items()):
-    note = ""
-    if kernel != "scalar" and rate.get("scalar"):
-        note = f" ({flows / rate['scalar']:.2f}x scalar)"
-    print(f"kernel {kernel}: {flows / 1e6:.1f}M flows/s{note}")
+for label, rates in (("kernel", rate), ("decode kernel", decode_rate)):
+    for kernel, flows in sorted(rates.items()):
+        note = ""
+        if kernel != "scalar" and rates.get("scalar"):
+            note = f" ({flows / rates['scalar']:.2f}x scalar)"
+        print(f"{label} {kernel}: {flows / 1e6:.1f}M flows/s{note}")
 if patch_ms and compile_ms:
     best = min(compile_ms.values())
     speedup = best / patch_ms

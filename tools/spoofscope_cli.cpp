@@ -168,10 +168,12 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "concurrency and takes minutes of CPU). --scale-factor N divides\n"
       "the AS population by N — e.g. a sanitizer run exercising every\n"
       "chunk-parallel code path at affordable cost.\n"
-      "--simd selects the plane's batch kernel (default auto = best this\n"
-      "build + CPU supports). Kernels are bit-identical; the knob changes\n"
-      "throughput only. Requesting a kernel this host cannot run is an\n"
-      "error, not a silent fallback.\n"
+      "--simd selects the SIMD kernel of trace decoding and of the plane's\n"
+      "batch classification alike (default auto = best this build + CPU\n"
+      "supports; decode has no neon kernel and runs scalar under it).\n"
+      "Kernels are bit-identical; the knob changes throughput only.\n"
+      "Requesting a kernel this host cannot run is an error, not a silent\n"
+      "fallback.\n"
       "--on-error skip quarantines malformed MRT lines, RPSL objects and\n"
       "corrupt trace records instead of aborting, prints an ingest report\n"
       "and analyses the surviving records (default: strict).\n"
@@ -480,8 +482,9 @@ int cmd_generate(const Flags& flags) {
 /// were delivered. Header validation stays loud (reader construction is
 /// outside the catch): an unusable trace aborts everything.
 std::vector<net::Asn> scan_members(const net::MappedTrace& trace,
-                                   util::ErrorPolicy policy) {
-  net::MappedTraceReader reader(trace, policy);
+                                   util::ErrorPolicy policy,
+                                   classify::SimdKernel simd) {
+  net::MappedTraceReader reader(trace, policy, nullptr, simd);
   net::FlowBatch batch;
   std::set<net::Asn> members;
   try {
@@ -514,7 +517,7 @@ void build_context(const Flags& flags,
   ctx.routing = load_routing(flags, policy, sources);
   ctx.method = method_from(
       flags.count("method") ? flags.at("method") : std::string("full+org"));
-  ctx.members = scan_members(trace, policy);
+  ctx.members = scan_members(trace, policy, simd_from(flags));
 
   // The trie Classifier is only the compile input: the plane shares its
   // valid spaces and points at the routing view, not at it.
@@ -584,7 +587,7 @@ int cmd_classify(const Flags& flags, bool report) {
   // instead of materializing flows: every analysis is incremental, so
   // peak RSS is independent of trace length.
   util::IngestStats trace_stats;
-  net::MappedTraceReader reader(trace, policy, &trace_stats);
+  net::MappedTraceReader reader(trace, policy, &trace_stats, simd);
   classify::AggregateBuilder builder(ctx.plane->space_count());
   std::optional<analysis::StreamingReport> streaming;
   if (report) {
@@ -800,7 +803,7 @@ int cmd_detect(const Flags& flags) {
   };
 
   util::IngestStats trace_stats;
-  net::MappedTraceReader reader(trace, policy, &trace_stats);
+  net::MappedTraceReader reader(trace, policy, &trace_stats, params.simd);
   net::FlowBatch batch;
   std::uint64_t last_saved = detector.processed();
   // Applies every not-yet-applied update with timestamp <= ts (one
