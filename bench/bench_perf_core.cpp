@@ -162,12 +162,15 @@ BENCHMARK(BM_FlatCompileParallel)
     ->Unit(benchmark::kMillisecond);
 
 /// Builds the oscillating 100-route batch pair for the plane-patch
-/// benchmarks. `scattered` false models flap/TE churn — each pair
+/// benchmarks. `scattered` false models flap/TE churn: each pair
 /// withdraws a routed prefix and announces its first-half split at the
-/// same address, so every canonical rank is preserved and the patch
-/// stays on its in-place path. `scattered` true is the worst case:
-/// withdrawals strided across the table plus brand-new announcements,
-/// shifting nearly every rank and forcing the remap + record-copy path.
+/// same address. `scattered` true withdraws 50 prefixes strided across
+/// the table and announces 50 /16s that are not in it, so the repaint
+/// covers 50 whole /16s. Both batches are net-neutral, so no row is
+/// ever restrided: a patch repaints the touched /24 ranges and writes
+/// the touched record columns. The first forward batch fills its holes
+/// with the last ids; from then on each batch pops the 50 ids its
+/// predecessor appended and appends 50 more.
 void build_patch_batches(bool scattered,
                          std::vector<bgp::UpdateMessage>& forward,
                          std::vector<bgp::UpdateMessage>& inverse) {
@@ -199,8 +202,7 @@ void build_patch_batches(bool scattered,
     }
     return;
   }
-  // 50 withdraw-the-/N + announce-its-first-/N+1 pairs: both sort to the
-  // same canonical rank, so no other prefix renumbers.
+  // 50 withdraw-the-/N + announce-its-first-/N+1 pairs.
   std::size_t pairs = 0;
   for (std::size_t i = 0; pairs < 50; i += 97) {
     const net::Prefix& p = routed[i % routed.size()];

@@ -74,10 +74,10 @@ void FlatClassifier::kernel_avx2(const std::uint32_t* src, const Asn* member,
   Scratch& sc = scratch();
   const std::uint32_t* base = base_view_;
   const std::uint16_t* recs = records_view_;
-  const std::uint32_t np = static_cast<std::uint32_t>(num_prefixes_);
+  const std::uint32_t stride = static_cast<std::uint32_t>(record_stride_);
 
   const __m256i v_payload = _mm256_set1_epi32(static_cast<int>(kPayloadMask));
-  const __m256i v_np = _mm256_set1_epi32(static_cast<int>(np));
+  const __m256i v_stride = _mm256_set1_epi32(static_cast<int>(stride));
   const __m256i v_noslot = _mm256_set1_epi32(-1);  // MemberView::kNoSlot
   const __m256i v_ones = _mm256_set1_epi32(-1);
   const __m256i v_zero = _mm256_setzero_si256();
@@ -135,7 +135,8 @@ void FlatClassifier::kernel_avx2(const std::uint32_t* src, const Asn* member,
       const std::uint32_t e = sc.entry[i];
       if ((e >> kKindShift) == kKindRouted &&
           last_slot != MemberView::kNoSlot) {
-        prefetch_ro(recs + std::size_t{last_slot} * np + (e & kPayloadMask));
+        prefetch_ro(recs + std::size_t{last_slot} * stride +
+                    (e & kPayloadMask));
       }
     }
 
@@ -152,7 +153,7 @@ void FlatClassifier::kernel_avx2(const std::uint32_t* src, const Asn* member,
           _mm256_xor_si256(_mm256_cmpeq_epi32(v_slot, v_noslot), v_ones);
       const __m256i m_gather = _mm256_and_si256(m_routed, m_known);
       const __m256i v_off =
-          _mm256_add_epi32(_mm256_mullo_epi32(v_slot, v_np), v_pid);
+          _mm256_add_epi32(_mm256_mullo_epi32(v_slot, v_stride), v_pid);
       __m256i v_rec;
       if (records_gather_safe_) {
         // Masked 32-bit gather over the 16-bit records (scale 2); masked

@@ -52,7 +52,7 @@ void FlatClassifier::kernel_neon(const std::uint32_t* src, const Asn* member,
   Scratch& sc = scratch();
   const std::uint32_t* base = base_view_;
   const std::uint16_t* recs = records_view_;
-  const std::uint32_t np = static_cast<std::uint32_t>(num_prefixes_);
+  const std::uint32_t stride = static_cast<std::uint32_t>(record_stride_);
 
   const uint32x4_t v_zero = vdupq_n_u32(0);
   const uint32x4_t v_kind_unrouted = vdupq_n_u32(kKindUnrouted);
@@ -97,7 +97,8 @@ void FlatClassifier::kernel_neon(const std::uint32_t* src, const Asn* member,
       const std::uint32_t e = sc.entry[i];
       if ((e >> kKindShift) == kKindRouted &&
           last_slot != MemberView::kNoSlot) {
-        prefetch_ro(recs + std::size_t{last_slot} * np + (e & kPayloadMask));
+        prefetch_ro(recs + std::size_t{last_slot} * stride +
+                    (e & kPayloadMask));
       }
     }
 
@@ -114,7 +115,7 @@ void FlatClassifier::kernel_neon(const std::uint32_t* src, const Asn* member,
         const std::uint32_t sl = sc.slot[i + j];
         const std::uint32_t rec =
             ((e >> kKindShift) == kKindRouted && sl != MemberView::kNoSlot)
-                ? recs[std::size_t{sl} * np + (e & kPayloadMask)]
+                ? recs[std::size_t{sl} * stride + (e & kPayloadMask)]
                 : 0u;
         rec_tmp[j] = rec;
         partial_tmp[j] = rec >> 8;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -48,34 +49,84 @@ std::uint64_t load_lane64(const std::uint8_t* p) {
   return w;
 }
 
-std::uint64_t fnv64(std::uint64_t h, const void* data, std::size_t n) {
-  // FNV-1a-64 over four interleaved stripes of little-endian 8-byte
-  // lanes, chained back into `h` at the end so calls still compose.
-  // Per stripe step, xor + odd multiply stay bijective and every input
-  // byte lands in exactly one stripe, so sensitivity to any single
-  // damaged byte is unchanged; the stripes break the serial multiply
-  // dependency chain. plane_digest() walks the ~90 MiB plane on every
-  // cache-validated load, so this is load-bearing for cold-start time.
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t s0 = h;
-  std::uint64_t s1 = s0 * kPrime;
-  std::uint64_t s2 = s1 * kPrime;
-  std::uint64_t s3 = s2 * kPrime;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    s0 = (s0 ^ load_lane64(p + i)) * kPrime;
-    s1 = (s1 ^ load_lane64(p + i + 8)) * kPrime;
-    s2 = (s2 ^ load_lane64(p + i + 16)) * kPrime;
-    s3 = (s3 ^ load_lane64(p + i + 24)) * kPrime;
+/// FNV-1a-64 over four interleaved stripes of little-endian 8-byte
+/// lanes. Per stripe step, xor + odd multiply stay bijective and every
+/// input byte lands in exactly one stripe, and the final fold is
+/// bijective in each stripe, so any single damaged byte changes the
+/// digest; the stripes break the serial multiply dependency chain.
+/// plane_digest() walks the ~90 MiB plane on every cache-validated
+/// load, so this is load-bearing for cold-start time. Fed in pieces, it
+/// hashes their concatenation: a patched plane's record rows hash
+/// exactly like a compiled plane's contiguous ones. A whole digest is
+/// one stream: chaining short streams through their seeds is not
+/// sound, because an input too short to reach stripes 1-3 folds the
+/// seed away (one zero byte maps every seed to the same digest).
+class Fnv64 {
+ public:
+  Fnv64()
+      : s0_(14695981039346656037ull),
+        s1_(s0_ * kPrime),
+        s2_(s1_ * kPrime),
+        s3_(s2_ * kPrime) {}
+
+  void update(const void* data, std::size_t n) {
+    if (n == 0) return;  // `data` may then be null
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    total_ += n;
+    if (pending_ > 0) {
+      const std::size_t take = std::min(n, sizeof pending_bytes_ - pending_);
+      std::memcpy(pending_bytes_ + pending_, p, take);
+      pending_ += take;
+      p += take;
+      n -= take;
+      if (pending_ < sizeof pending_bytes_) return;
+      absorb(pending_bytes_, sizeof pending_bytes_);
+      pending_ = 0;
+    }
+    const std::size_t done = absorb(p, n);
+    std::memcpy(pending_bytes_, p + done, n - done);
+    pending_ = n - done;
   }
-  for (; i + 8 <= n; i += 8) s0 = (s0 ^ load_lane64(p + i)) * kPrime;
-  for (; i < n; ++i) s0 = (s0 ^ p[i]) * kPrime;
-  std::uint64_t out = (s0 ^ s1) * kPrime;
-  out = (out ^ s2) * kPrime;
-  out = (out ^ s3) * kPrime;
-  return (out ^ n) * kPrime;
-}
+
+  std::uint64_t finish() const {
+    std::uint64_t s0 = s0_;
+    std::size_t i = 0;
+    for (; i + 8 <= pending_; i += 8) {
+      s0 = (s0 ^ load_lane64(pending_bytes_ + i)) * kPrime;
+    }
+    for (; i < pending_; ++i) s0 = (s0 ^ pending_bytes_[i]) * kPrime;
+    std::uint64_t out = (s0 ^ s1_) * kPrime;
+    out = (out ^ s2_) * kPrime;
+    out = (out ^ s3_) * kPrime;
+    return (out ^ total_) * kPrime;
+  }
+
+ private:
+  static constexpr std::uint64_t kPrime = 1099511628211ull;
+
+  /// Folds the whole 32-byte blocks of p[0, n) into the stripes (held in
+  /// locals: `p` may alias anything) and returns the bytes consumed.
+  std::size_t absorb(const std::uint8_t* p, std::size_t n) {
+    std::uint64_t s0 = s0_, s1 = s1_, s2 = s2_, s3 = s3_;
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+      s0 = (s0 ^ load_lane64(p + i)) * kPrime;
+      s1 = (s1 ^ load_lane64(p + i + 8)) * kPrime;
+      s2 = (s2 ^ load_lane64(p + i + 16)) * kPrime;
+      s3 = (s3 ^ load_lane64(p + i + 24)) * kPrime;
+    }
+    s0_ = s0;
+    s1_ = s1;
+    s2_ = s2;
+    s3_ = s3;
+    return i;
+  }
+
+  std::uint64_t s0_, s1_, s2_, s3_;
+  std::uint64_t total_ = 0;
+  std::uint8_t pending_bytes_[32] = {};
+  std::size_t pending_ = 0;
+};
 
 }  // namespace
 
@@ -243,6 +294,7 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
 
   const std::size_t num_spaces = flat.spaces_.size();
   flat.num_prefixes_ = table.prefix_count();
+  flat.record_stride_ = flat.num_prefixes_;
   // One zeroed element of tail padding keeps the vector kernels' 32-bit
   // record gathers in bounds at the last real record; every size that
   // shapes behaviour (digest, snapshot save, stats) counts
@@ -328,7 +380,7 @@ TrafficClass FlatClassifier::class_in_space(net::Ipv4Addr src,
                                             std::uint32_t pid,
                                             std::uint32_t slot,
                                             std::size_t space_idx) const {
-  const std::uint16_t rec = records_view_[slot * num_prefixes_ + pid];
+  const std::uint16_t rec = records_view_[slot * record_stride_ + pid];
   if (rec & (1u << space_idx)) return TrafficClass::kValid;
   if ((rec & (1u << (8 + space_idx))) &&
       fallback_[slot * spaces_.size() + space_idx]->contains(src)) {
@@ -340,7 +392,7 @@ TrafficClass FlatClassifier::class_in_space(net::Ipv4Addr src,
 Label FlatClassifier::classify_routed(net::Ipv4Addr src, std::uint32_t pid,
                                       const MemberView& view) const {
   if (!view.known()) return all_invalid_;
-  const std::uint16_t rec = records_view_[view.slot_ * num_prefixes_ + pid];
+  const std::uint16_t rec = records_view_[view.slot_ * record_stride_ + pid];
   std::uint32_t valid = rec & 0xFFu;
   if (std::uint32_t partial = rec >> 8; partial != 0) [[unlikely]] {
     const trie::IntervalSet* const* fb =
@@ -445,7 +497,7 @@ void FlatClassifier::resolve_pending(const std::uint32_t* src,
 SimdKernel FlatClassifier::effective_kernel(SimdKernel requested) const {
   const SimdKernel kernel = resolve_simd_kernel(requested);
   if (kernel == SimdKernel::kAvx2 &&
-      members_.size() * num_prefixes_ >= (std::size_t{1} << 31)) {
+      members_.size() * record_stride_ >= (std::size_t{1} << 31)) {
     return SimdKernel::kScalar;
   }
   return kernel;
@@ -526,21 +578,23 @@ std::vector<Label> FlatClassifier::classify_batch(
 }
 
 std::uint64_t FlatClassifier::plane_digest() const {
-  std::uint64_t h = 14695981039346656037ull;
-  h = fnv64(h, base_view_, kBaseEntries * sizeof(std::uint32_t));
-  h = fnv64(h, records_view_,
-            members_.size() * num_prefixes_ * sizeof(std::uint16_t));
-  h = fnv64(h, members_.data(), members_.size() * sizeof(Asn));
+  Fnv64 f;
+  f.update(base_view_, kBaseEntries * sizeof(std::uint32_t));
+  for (std::size_t slot = 0; slot < members_.size(); ++slot) {
+    f.update(records_view_ + slot * record_stride_,
+             num_prefixes_ * sizeof(std::uint16_t));
+  }
+  f.update(members_.data(), members_.size() * sizeof(Asn));
   const std::uint64_t np = num_prefixes_;
-  h = fnv64(h, &np, sizeof np);
+  f.update(&np, sizeof np);
   for (const auto* fb : fallback_) {
     // Pointer values vary run to run; only presence shapes behaviour.
     const std::uint8_t present = fb != nullptr ? 1 : 0;
-    h = fnv64(h, &present, 1);
+    f.update(&present, 1);
   }
   const std::uint64_t ov = stats_.overflow_slots;
-  h = fnv64(h, &ov, sizeof ov);
-  return h;
+  f.update(&ov, sizeof ov);
+  return f.finish();
 }
 
 std::vector<Label> classify_trace(const FlatClassifier& classifier,

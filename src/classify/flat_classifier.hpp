@@ -152,30 +152,33 @@ class FlatClassifier {
   SimdKernel effective_kernel(SimdKernel requested) const;
 
   /// 64-bit FNV-1a digest over the complete compiled plane (base table,
-  /// membership records, member order, fallback lanes). Two compiles with
-  /// equal digests behave bit-identically; the striped parallel compile
-  /// is asserted against the sequential one through this, and
-  /// apply_updates() proves patched == fresh-compiled the same way.
+  /// the live columns of every membership-record row, member order,
+  /// fallback lanes). Two compiles with equal digests behave
+  /// bit-identically; the striped parallel compile is asserted against
+  /// the sequential one through this, and apply_updates() proves
+  /// patched == fresh-compiled the same way.
   std::uint64_t plane_digest() const;
 
   // --- live routing churn ----------------------------------------------
   //
   // apply_updates() edits the compiled plane in place for a batch of BGP
   // announce/withdraw messages instead of recompiling: affected /24
-  // ranges of the base table are repainted, membership-record rows are
-  // rewritten around the surviving columns, and the overflow/fallback
-  // lanes are patched to match. Presence semantics, peer-agnostic: an
-  // announce adds the prefix to the live set if absent, a withdraw
-  // removes it if present; everything else counts as redundant.
+  // ranges of the base table are repainted, the changed record columns
+  // are rewritten, and the overflow/fallback lanes are patched to match.
+  // Presence semantics, peer-agnostic: an announce adds the prefix to the
+  // live set if absent, a withdraw removes it if present; everything else
+  // counts as redundant.
   //
-  // PrefixIds of a live plane are canonical: the index of the prefix in
-  // the live set sorted ascending by (address, length). A fresh compile
-  // of a RoutingTable built by ingesting the same live set in that order
-  // therefore yields a bit-identical plane — plane_digest() equality
-  // against exactly that compile is the correctness oracle the churn
-  // suites assert after every step. (The first apply_updates call
-  // renumbers the source table's ingest-order ids to canonical order if
-  // they differ.)
+  // PrefixIds stay where they are. The first call adopts the source
+  // table's ids; a withdrawn prefix's id is then filled by the current
+  // last id (swap-remove, in descending id order), and announced
+  // prefixes take the next ids in (address, length) order. A fresh
+  // compile of a RoutingTable built by ingesting live_prefixes() in id
+  // order therefore yields a bit-identical plane — plane_digest()
+  // equality against exactly that compile is the correctness oracle the
+  // churn suites assert after every step. The ids, and so the plane
+  // bytes, depend on the batch history; the live set and every label do
+  // not.
 
   /// Knobs for apply_updates.
   struct UpdateApplyOptions {
@@ -184,8 +187,8 @@ class FlatClassifier {
     /// past 24 to let updates land on the overflow lane.
     std::uint8_t min_length = 8;
     std::uint8_t max_length = 24;
-    /// Optional pool: the base-table repaint fans out per /8 stripe and
-    /// the record rewrite per member row, exactly like compile().
+    /// Optional pool: the repaint fans out per affected /24 range and
+    /// the record patch per member row, like compile().
     util::ThreadPool* pool = nullptr;
   };
 
@@ -197,12 +200,12 @@ class FlatClassifier {
     std::size_t withdrawn = 0;
     std::size_t redundant = 0;
     std::size_t out_of_range = 0;
-    bool changed = false;  ///< plane bytes changed (epoch was bumped)
+    bool changed = false;  ///< the live set changed (epoch was bumped)
   };
 
   /// Applies one announce/withdraw batch in place. Only the batch's net
   /// effect lands (an announce+withdraw pair inside one batch cancels).
-  /// Bumps epoch() iff the plane actually changed. Requires an owned or
+  /// Bumps epoch() iff the live set changed. Requires an owned or
   /// cache-loaded plane either way: a mapped plane is copied out of its
   /// snapshot first (ensure_owned), so the cache entry on disk is never
   /// written through.
@@ -213,8 +216,9 @@ class FlatClassifier {
   }
 
   /// Monotonic per-plane patch counter: 0 until the first effective
-  /// apply_updates, +1 per plane-changing batch. StreamingDetector uses
-  /// it to notice the plane moved under buffered flows.
+  /// apply_updates, +1 per batch that changes the live set.
+  /// StreamingDetector uses it to notice the plane moved under buffered
+  /// flows.
   std::uint64_t epoch() const { return epoch_; }
 
   /// True once apply_updates has taken ownership of the route set (the
@@ -222,7 +226,7 @@ class FlatClassifier {
   /// table).
   bool live() const { return live_; }
 
-  /// The live route set in canonical order (valid when live()).
+  /// The live route set, index == PrefixId (valid when live()).
   const std::vector<net::Prefix>& live_prefixes() const {
     return live_prefixes_;
   }
@@ -325,9 +329,9 @@ class FlatClassifier {
   std::vector<Asn> probe_keys_;
   std::vector<std::uint32_t> probe_slots_;
   std::uint32_t probe_mask_ = 0;
-  /// Slot-major membership records: record (slot * prefixes + pid) holds
-  /// the full bits (low byte, bit m = method m) and partial bits (high
-  /// byte) for one (member, prefix) pair — all methods in one load.
+  /// Slot-major membership records: record (slot * record_stride_ + pid)
+  /// holds the full bits (low byte, bit m = method m) and partial bits
+  /// (high byte) for one (member, prefix) pair — all methods in one load.
   /// Owned storage on huge pages, like base_; empty on a cache-loaded
   /// plane.
   util::HugePageVector<std::uint16_t> records_;
@@ -348,7 +352,12 @@ class FlatClassifier {
   /// is set in that lane (the extend() fallback), nullptr otherwise.
   /// Indexed slot * space_count() + method.
   std::vector<const trie::IntervalSet*> fallback_;
+  /// Live prefixes: the columns [0, num_prefixes_) of each record row.
   std::size_t num_prefixes_ = 0;
+  /// Record row length. Equals num_prefixes_ on a compiled or cached
+  /// plane; apply_updates grows it on net growth and leaves the unused
+  /// columns of a shrunk plane in place (never read, hashed or counted).
+  std::size_t record_stride_ = 0;
   Label all_bogon_ = 0;
   Label all_unrouted_ = 0;
   Label all_invalid_ = 0;
@@ -393,7 +402,7 @@ class FlatClassifier {
 
   bool live_ = false;
   std::uint64_t epoch_ = 0;
-  /// Canonical (address, length)-sorted live set; index == PrefixId.
+  /// The live set; index == PrefixId.
   std::vector<net::Prefix> live_prefixes_;
   /// live_key -> PrefixId for every live prefix.
   std::unordered_map<std::uint64_t, std::uint32_t> live_index_;
@@ -418,10 +427,6 @@ class FlatClassifier {
   /// Built lazily by the first plane-changing batch. Indexed like
   /// fallback_ (slot * space_count() + space).
   std::vector<std::uint32_t> partial_counts_;
-  bool partial_counts_ready_ = false;
-  /// Copy-mode record-rewrite scratch, recycled across batches so
-  /// steady-state churn neither allocates nor redundantly zero-fills.
-  util::HugePageVector<std::uint16_t> records_scratch_;
 };
 
 /// Trace classification through the plane: packs `flows` into one

@@ -1,9 +1,10 @@
 // Live routing churn: FlatClassifier::apply_updates and its helpers.
 //
 // The patch path must reproduce, byte for byte, what compile() would
-// paint for the post-update route set — plane_digest() equality against
-// exactly that compile is the oracle the churn suites assert. The paint
-// rules being reproduced (see compile_impl):
+// paint for the post-update route set ingested in PrefixId order —
+// plane_digest() equality against exactly that compile is the oracle
+// the churn suites assert. The paint rules being reproduced (see
+// compile_impl):
 //
 //   1. routed prefixes paint in ascending length order, so for any /24
 //      block the most specific <=24 live cover wins;
@@ -17,27 +18,25 @@
 // compute_block_entry evaluates, so only blocks inside an added or
 // removed prefix's range need repainting.
 //
-// Everything else is renumbering: canonical PrefixIds are ranks in the
-// (address, length)-sorted live set, so an insertion or removal shifts
-// every later rank. The patch pays for that shift only where it can
-// matter:
+// PrefixIds stay where they are. A withdrawn prefix's id is filled by
+// the current last id (swap-remove), and an announced prefix takes the
+// next free id at the end. So a batch touches only:
 //
-//   - a prefix's id is painted nowhere outside its own blocks, and the
-//     canonical order is address-sorted, so shifted ids only occur in
-//     base entries at or above the first shifted prefix's first block —
-//     the remap scan starts there and is skipped entirely when no rank
-//     moved (e.g. a withdraw+announce pair on the same address);
-//   - a membership record depends only on (member spaces, prefix), so
-//     surviving columns move as contiguous run memcpys — or, when the
-//     batch preserves every rank, are not touched at all and only the
-//     swapped columns are recomputed in place;
-//   - the fallback lane needs "does any column set this partial bit",
-//     which partial_counts_ maintains incrementally from the removed and
-//     added columns alone.
+//   - the /24 ranges of its added and removed prefixes (repainted), and
+//     the range of each prefix that moved into a hole (its routed|last
+//     entries become routed|hole; a prefix longer than /24 paints no id);
+//   - per member row, the holes (row[hole] = row[last]) and the added
+//     columns (fresh_record_bits). partial_counts_ follows from the
+//     removed and added columns alone, and the fallback lane from it.
+//
+// The row stride only grows: a batch that nets more live prefixes than
+// the stride holds restrides every row once; a shrinking batch leaves
+// unused columns past num_prefixes_ that nothing reads, hashes or counts.
 
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -48,21 +47,13 @@
 
 namespace spoofscope::classify {
 
-namespace {
-
-constexpr std::uint32_t kNoPid = 0xFFFFFFFFu;
-constexpr std::size_t kStripeBlocksU = std::size_t{1} << 16;
-constexpr std::size_t kNumStripesU = std::size_t{1} << 8;
-
-}  // namespace
-
 void FlatClassifier::ensure_owned() {
   if (base_.empty()) {
     base_.assign(base_view_, base_view_ + kBaseEntries);
     base_view_ = base_.data();
   }
   if (records_.empty()) {
-    const std::size_t record_count = members_.size() * num_prefixes_;
+    const std::size_t record_count = members_.size() * record_stride_;
     records_.resize(record_count + 1);
     std::copy(records_view_, records_view_ + record_count, records_.data());
     records_[record_count] = 0;  // gather sentinel
@@ -188,32 +179,17 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
     throw std::invalid_argument("apply_updates: bad length window");
   }
 
-  UpdateApplyStats result;
-
-  // The pre-batch live view. After the first call the canonical set and
-  // its index are maintained in place; the first call collects the
-  // source table's ingest-order prefixes (ids need not be sorted yet).
-  const bool first = !live_;
-  std::vector<net::Prefix> first_prefixes;
-  std::unordered_map<std::uint64_t, std::uint32_t> first_index;
-  if (first) {
-    first_prefixes.resize(num_prefixes_);
-    table_->visit_prefixes(
-        [&](bgp::RoutingTable::PrefixId pid, const net::Prefix& p) {
-          first_prefixes[pid] = p;
-        });
-    first_index.reserve(first_prefixes.size() * 2);
-    for (std::uint32_t pid = 0; pid < first_prefixes.size(); ++pid) {
-      first_index.emplace(live_key(first_prefixes[pid]), pid);
-    }
+  // The first call adopts the source table's ids as they are; from then
+  // on the overflow lane resolves against the live set.
+  if (!live_) {
+    live_prefixes_ = table_->prefixes();
+    rebuild_live_index();
+    live_ = true;
   }
-  const std::vector<net::Prefix>& old_prefixes =
-      first ? first_prefixes : live_prefixes_;
-  const auto& old_index = first ? first_index : live_index_;
-  const std::size_t old_count = old_prefixes.size();
 
   // Net effect of the batch: presence semantics with in-batch
   // cancellation (announce+withdraw of the same prefix is a wash).
+  UpdateApplyStats result;
   std::unordered_map<std::uint64_t, net::Prefix> added;
   std::unordered_set<std::uint64_t> removed;
   for (const bgp::UpdateMessage& u : batch) {
@@ -223,15 +199,15 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
       continue;
     }
     const std::uint64_t key = live_key(u.prefix);
-    const bool in_old = old_index.contains(key);
+    const bool live = live_index_.contains(key);
     if (u.kind == bgp::UpdateMessage::Kind::kAnnounce) {
-      if (in_old) {
+      if (live) {
         removed.erase(key);
       } else {
         added.emplace(key, u.prefix);
       }
     } else {
-      if (in_old) {
+      if (live) {
         removed.insert(key);
       } else {
         added.erase(key);
@@ -244,154 +220,110 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
   result.withdrawn = removed.size();
   result.redundant =
       batch.size() - result.out_of_range - result.announced - result.withdrawn;
-
-  // Removals by old PrefixId (ascending), additions sorted canonically.
-  std::vector<std::uint32_t> removed_pids;
-  removed_pids.reserve(removed.size());
-  for (const std::uint64_t key : removed) {
-    removed_pids.push_back(old_index.find(key)->second);
-  }
-  std::sort(removed_pids.begin(), removed_pids.end());
-  std::vector<net::Prefix> added_sorted;
-  added_sorted.reserve(added.size());
-  for (const auto& [key, p] : added) {
-    (void)key;
-    added_sorted.push_back(p);
-  }
-  std::sort(added_sorted.begin(), added_sorted.end());
-
-  // New canonical order: survivors + additions, sorted (address, length);
-  // each entry remembers its old PrefixId (kNoPid for additions). After
-  // the first call the survivors are already canonically ordered, so a
-  // linear merge replaces the full sort.
-  struct NewEntry {
-    net::Prefix p;
-    std::uint32_t old_pid;
-  };
-  std::vector<NewEntry> order;
-  order.reserve(old_count - removed_pids.size() + added_sorted.size());
-  if (first) {
-    for (std::uint32_t pid = 0; pid < old_count; ++pid) {
-      if (!removed.contains(live_key(old_prefixes[pid]))) {
-        order.push_back({old_prefixes[pid], pid});
-      }
-    }
-    for (const net::Prefix& p : added_sorted) order.push_back({p, kNoPid});
-    std::sort(order.begin(), order.end(),
-              [](const NewEntry& a, const NewEntry& b) { return a.p < b.p; });
-  } else {
-    std::size_t r = 0;
-    std::size_t a = 0;
-    for (std::uint32_t pid = 0; pid < old_count; ++pid) {
-      if (r < removed_pids.size() && removed_pids[r] == pid) {
-        ++r;
-        continue;
-      }
-      while (a < added_sorted.size() && added_sorted[a] < old_prefixes[pid]) {
-        order.push_back({added_sorted[a++], kNoPid});
-      }
-      order.push_back({old_prefixes[pid], pid});
-    }
-    while (a < added_sorted.size()) order.push_back({added_sorted[a++], kNoPid});
-  }
-
-  std::vector<std::uint32_t> old2new(old_count, kNoPid);
-  std::vector<std::pair<std::uint32_t, net::Prefix>> added_ranked;
-  added_ranked.reserve(added_sorted.size());
-  bool renumbered = false;
-  std::uint32_t remap_from_block = 0;
-  for (std::uint32_t j = 0; j < order.size(); ++j) {
-    if (order[j].old_pid == kNoPid) {
-      added_ranked.emplace_back(j, order[j].p);
-      continue;
-    }
-    old2new[order[j].old_pid] = j;
-    if (order[j].old_pid != j && !renumbered) {
-      renumbered = true;
-      // Shifted ids belong to survivors at or after this one in the old
-      // canonical order; their painted blocks all start at or after this
-      // prefix's first block, so the remap scan starts there. The first
-      // call has ingest-order ids with no such bound: scan everything.
-      remap_from_block = first ? 0 : order[j].p.first() >> 8;
-    }
-  }
-
-  const bool net_change = !added.empty() || !removed.empty();
-  result.changed = net_change || renumbered;
-  if (!result.changed) {
-    // Plane bytes are already exactly the canonical compile of the live
-    // set. First call still takes ownership (overflow lane switches to
-    // the live lookup — same answers), without an epoch bump.
-    if (first) {
-      live_prefixes_ = std::move(first_prefixes);
-      rebuild_live_index();
-      live_ = true;
-      stats_.overflow_prefixes =
-          live_overflow_prefixes_ + bogon_overflow_prefixes_;
-    }
-    return result;
-  }
+  result.changed = !added.empty() || !removed.empty();
+  if (!result.changed) return result;
 
   ensure_owned();
-
-  // What the repaint needs from the pre-batch set, saved before the live
-  // metadata mutates under the old_prefixes reference.
-  std::vector<net::Prefix> removed_prefixes;
-  removed_prefixes.reserve(removed_pids.size());
-  for (const std::uint32_t pid : removed_pids) {
-    removed_prefixes.push_back(old_prefixes[pid]);
-  }
-
-  // Commit the new live metadata first: compute_block_entry resolves
-  // against the NEW index during the repaint below. The maintained index
-  // only re-ranks survivors when ranks actually shifted.
-  if (first) {
-    live_prefixes_.clear();
-    live_prefixes_.reserve(order.size());
-    for (const NewEntry& e : order) live_prefixes_.push_back(e.p);
-    rebuild_live_index();
-  } else {
-    for (const net::Prefix& p : removed_prefixes) {
-      live_index_.erase(live_key(p));
-      --live_length_counts_[p.length()];
-      if (p.length() > 24) {
-        --live_overflow_prefixes_;
-        const auto it = live_overflow_blocks_.find(p.first() >> 8);
-        if (--(it->second) == 0) live_overflow_blocks_.erase(it);
+  const std::size_t num_spaces = spaces_.size();
+  if (partial_counts_.empty()) {
+    // One-time census of the live columns: per (row, space), how many
+    // set the partial bit.
+    partial_counts_.assign(members_.size() * num_spaces, 0);
+    const auto census = [&](std::size_t slot_begin, std::size_t slot_end) {
+      for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
+        const std::uint16_t* row = records_.data() + slot * record_stride_;
+        std::uint32_t* counts = partial_counts_.data() + slot * num_spaces;
+        for (std::size_t j = 0; j < num_prefixes_; ++j) {
+          const std::uint16_t v = row[j];
+          if ((v & 0xFF00u) == 0) continue;
+          for (std::size_t s = 0; s < num_spaces; ++s) {
+            counts[s] += (v >> (8 + s)) & 1u;
+          }
+        }
       }
-    }
-    if (renumbered) {
-      for (auto& [key, pid] : live_index_) pid = old2new[pid];
-    }
-    for (const auto& [rank, p] : added_ranked) {
-      live_index_.emplace(live_key(p), rank);
-      ++live_length_counts_[p.length()];
-      if (p.length() > 24) {
-        ++live_overflow_prefixes_;
-        ++live_overflow_blocks_[p.first() >> 8];
-      }
-    }
-    live_lengths_ = 0;
-    for (int len = 0; len <= 32; ++len) {
-      if (live_length_counts_[len] != 0) live_lengths_ |= std::uint64_t{1} << len;
-    }
-    live_prefixes_.clear();
-    live_prefixes_.reserve(order.size());
-    for (const NewEntry& e : order) live_prefixes_.push_back(e.p);
-  }
-
-  // Affected /24 ranges: everything an added or removed prefix painted.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
-  ranges.reserve(added_sorted.size() + removed_prefixes.size());
-  const auto add_range = [&](const net::Prefix& p) {
-    if (p.length() <= 24) {
-      ranges.emplace_back(p.first() >> 8, p.last() >> 8);
+    };
+    if (opts.pool != nullptr) {
+      opts.pool->parallel_for(0, members_.size(), census);
     } else {
-      ranges.emplace_back(p.first() >> 8, p.first() >> 8);
+      census(0, members_.size());
     }
+  }
+
+  // --- live set: swap-remove withdrawals, append announcements ---------
+  // Descending id order, so the last id that fills a hole is never one
+  // this batch withdraws. A moved prefix's own painted entries follow it
+  // from routed|last to routed|hole; a chained move (the filler is later
+  // the last id again) simply moves it twice, in order.
+  struct Removal {
+    std::uint32_t hole;
+    std::uint32_t last;  ///< == hole when the last id itself was withdrawn
   };
-  for (const net::Prefix& p : added_sorted) add_range(p);
-  for (const net::Prefix& p : removed_prefixes) add_range(p);
+  std::vector<std::uint32_t> removed_ids;
+  removed_ids.reserve(removed.size());
+  for (const std::uint64_t key : removed) {
+    removed_ids.push_back(live_index_.find(key)->second);
+  }
+  std::sort(removed_ids.begin(), removed_ids.end(), std::greater<>());
+  std::vector<Removal> removals;
+  removals.reserve(removed_ids.size());
+  std::vector<net::Prefix> touched;  // added and removed prefixes
+  touched.reserve(removed.size() + added.size());
+  for (const std::uint32_t hole : removed_ids) {
+    const net::Prefix gone = live_prefixes_[hole];
+    touched.push_back(gone);
+    live_index_.erase(live_key(gone));
+    --live_length_counts_[gone.length()];
+    if (gone.length() > 24) {
+      --live_overflow_prefixes_;
+      const auto it = live_overflow_blocks_.find(gone.first() >> 8);
+      if (--(it->second) == 0) live_overflow_blocks_.erase(it);
+    }
+    const auto last = static_cast<std::uint32_t>(live_prefixes_.size() - 1);
+    removals.push_back({hole, last});
+    if (hole != last) {
+      const net::Prefix moved = live_prefixes_[last];
+      live_prefixes_[hole] = moved;
+      live_index_[live_key(moved)] = hole;
+      if (moved.length() <= 24) {
+        const std::uint32_t from = (kKindRouted << kKindShift) | last;
+        const std::uint32_t to = (kKindRouted << kKindShift) | hole;
+        const std::uint32_t end = moved.last() >> 8;
+        for (std::uint32_t b = moved.first() >> 8; b <= end; ++b) {
+          if (base_[b] == from) base_[b] = to;
+        }
+      }
+    }
+    live_prefixes_.pop_back();
+  }
+  const std::size_t kept = live_prefixes_.size();
+  std::vector<net::Prefix> added_sorted;
+  added_sorted.reserve(added.size());
+  for (const auto& entry : added) added_sorted.push_back(entry.second);
+  // (address, length) order makes the new ids deterministic.
+  std::sort(added_sorted.begin(), added_sorted.end());
+  for (const net::Prefix& p : added_sorted) {
+    touched.push_back(p);
+    live_index_.emplace(live_key(p),
+                        static_cast<std::uint32_t>(live_prefixes_.size()));
+    live_prefixes_.push_back(p);
+    ++live_length_counts_[p.length()];
+    if (p.length() > 24) {
+      ++live_overflow_prefixes_;
+      ++live_overflow_blocks_[p.first() >> 8];
+    }
+  }
+  live_lengths_ = 0;
+  for (int len = 0; len <= 32; ++len) {
+    if (live_length_counts_[len] != 0) live_lengths_ |= std::uint64_t{1} << len;
+  }
+
+  // --- repaint of the added and removed prefixes' ranges ----------------
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
+  ranges.reserve(touched.size());
+  for (const net::Prefix& p : touched) {
+    const std::uint32_t first = p.first() >> 8;
+    ranges.emplace_back(first, p.length() <= 24 ? p.last() >> 8 : first);
+  }
   std::sort(ranges.begin(), ranges.end());
   // Merge overlapping/adjacent ranges so no block is repainted (and its
   // overflow delta counted) twice.
@@ -405,39 +337,6 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
   }
   ranges.resize(merged);
 
-  // --- base-table remap: shifted PrefixIds only ------------------------
-  // Removed ids can only appear inside the repaint ranges (a prefix's id
-  // is painted nowhere outside its own blocks), so the remap leaves them
-  // for the repaint to overwrite. When no rank shifted this whole pass
-  // vanishes — the win that makes rank-preserving churn cheap.
-  if (renumbered) {
-    const auto remap_stripes = [&](std::size_t stripe_begin,
-                                   std::size_t stripe_end) {
-      for (std::size_t s = stripe_begin; s < stripe_end; ++s) {
-        const std::uint32_t stripe_lo =
-            static_cast<std::uint32_t>(s * kStripeBlocksU);
-        const std::uint32_t stripe_hi =
-            static_cast<std::uint32_t>((s + 1) * kStripeBlocksU - 1);
-        const std::uint32_t b0 = std::max(remap_from_block, stripe_lo);
-        for (std::uint32_t b = b0; b <= stripe_hi; ++b) {
-          const std::uint32_t e = base_[b];
-          if ((e >> kKindShift) != kKindRouted) continue;
-          const std::uint32_t np = old2new[e & kPayloadMask];
-          if (np != kNoPid && np != (e & kPayloadMask)) {
-            base_[b] = (kKindRouted << kKindShift) | np;
-          }
-        }
-      }
-    };
-    const std::size_t stripe_begin = remap_from_block / kStripeBlocksU;
-    if (opts.pool != nullptr) {
-      opts.pool->parallel_for(stripe_begin, kNumStripesU, remap_stripes);
-    } else {
-      remap_stripes(stripe_begin, kNumStripesU);
-    }
-  }
-
-  // --- repaint of the affected ranges ----------------------------------
   std::vector<std::int64_t> overflow_delta(ranges.size(), 0);
   const auto repaint_ranges = [&](std::size_t range_begin,
                                   std::size_t range_end) {
@@ -461,40 +360,13 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
   std::int64_t overflow_total = 0;
   for (const std::int64_t d : overflow_delta) overflow_total += d;
 
-  // --- membership records ----------------------------------------------
-  // A record depends only on (member spaces, prefix): surviving columns
-  // keep their values at new ranks, added columns get the merge-scan
-  // decision via fresh_record_bits. partial_counts_ tracks per (row,
-  // space) how many columns set the partial bit, so the fallback lane
-  // follows from the removed/added columns without re-scanning rows.
-  const std::size_t new_count = order.size();
-  const std::size_t num_spaces = spaces_.size();
-
-  if (!partial_counts_ready_) {
-    // One-time census of the pre-batch records (value multiset, so the
-    // ingest-order layout of a first call counts the same).
-    partial_counts_.assign(members_.size() * num_spaces, 0);
-    const auto census = [&](std::size_t slot_begin, std::size_t slot_end) {
-      for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
-        const std::uint16_t* row = records_.data() + slot * old_count;
-        std::uint32_t* counts = partial_counts_.data() + slot * num_spaces;
-        for (std::size_t j = 0; j < old_count; ++j) {
-          const std::uint16_t v = row[j];
-          if ((v & 0xFF00u) == 0) continue;
-          for (std::size_t s = 0; s < num_spaces; ++s) {
-            counts[s] += (v >> (8 + s)) & 1u;
-          }
-        }
-      }
-    };
-    if (opts.pool != nullptr) {
-      opts.pool->parallel_for(0, members_.size(), census);
-    } else {
-      census(0, members_.size());
-    }
-    partial_counts_ready_ = true;
-  }
-
+  // --- membership records: one loop per member row ---------------------
+  // A record depends only on (member spaces, prefix), so moved columns
+  // keep their values and only added columns need fresh_record_bits.
+  const std::size_t new_count = live_prefixes_.size();
+  const bool restride = new_count > record_stride_;
+  util::HugePageVector<std::uint16_t> restrided;
+  if (restride) restrided.resize(members_.size() * new_count + 1);
   const auto count_bits = [num_spaces](std::uint32_t* counts, std::uint16_t v,
                                        std::int32_t dir) {
     if ((v & 0xFF00u) == 0) return;
@@ -502,116 +374,53 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
       counts[s] += static_cast<std::uint32_t>(dir * ((v >> (8 + s)) & 1));
     }
   };
-
-  const bool in_place = !first && !renumbered && new_count == old_count;
-  if (in_place) {
-    // Rank-preserving swap batch (each addition took exactly one removed
-    // rank): only the swapped columns change, in place.
-    const auto patch_rows = [&](std::size_t slot_begin, std::size_t slot_end) {
-      std::array<const trie::IntervalSet*, 8> member_spaces{};
-      for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
-        const Asn member = members_[slot];
-        bool any_space = false;
-        for (std::size_t s = 0; s < num_spaces; ++s) {
-          const trie::IntervalSet* space = spaces_[s]->space_of(member);
-          member_spaces[s] =
-              (space != nullptr && !space->empty()) ? space : nullptr;
-          any_space |= member_spaces[s] != nullptr;
-        }
-        std::uint16_t* row = records_.data() + slot * new_count;
-        std::uint32_t* counts = partial_counts_.data() + slot * num_spaces;
-        for (const auto& [rank, p] : added_ranked) {
-          count_bits(counts, row[rank], -1);
-          const std::uint16_t v =
-              any_space ? fresh_record_bits(member_spaces.data(), p) : 0;
-          row[rank] = v;
-          count_bits(counts, v, +1);
-        }
-        for (std::size_t s = 0; s < num_spaces; ++s) {
-          fallback_[slot * num_spaces + s] =
-              counts[s] > 0 ? member_spaces[s] : nullptr;
-        }
+  const auto patch_rows = [&](std::size_t slot_begin, std::size_t slot_end) {
+    std::array<const trie::IntervalSet*, 8> member_spaces{};
+    for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
+      for (std::size_t s = 0; s < num_spaces; ++s) {
+        const trie::IntervalSet* space = spaces_[s]->space_of(members_[slot]);
+        member_spaces[s] =
+            (space != nullptr && !space->empty()) ? space : nullptr;
       }
-    };
-    if (opts.pool != nullptr) {
-      opts.pool->parallel_for(0, members_.size(), patch_rows);
-    } else {
-      patch_rows(0, members_.size());
+      std::uint16_t* row = records_.data() + slot * record_stride_;
+      std::uint32_t* counts = partial_counts_.data() + slot * num_spaces;
+      for (const Removal& r : removals) {
+        count_bits(counts, row[r.hole], -1);
+        row[r.hole] = row[r.last];
+      }
+      if (restride) {
+        std::uint16_t* wide = restrided.data() + slot * new_count;
+        std::memcpy(wide, row, kept * sizeof(std::uint16_t));
+        row = wide;
+      }
+      for (std::size_t a = 0; a < added_sorted.size(); ++a) {
+        const std::uint16_t v =
+            fresh_record_bits(member_spaces.data(), added_sorted[a]);
+        row[kept + a] = v;
+        count_bits(counts, v, +1);
+      }
+      for (std::size_t s = 0; s < num_spaces; ++s) {
+        fallback_[slot * num_spaces + s] =
+            counts[s] > 0 ? member_spaces[s] : nullptr;
+      }
     }
+  };
+  if (opts.pool != nullptr) {
+    opts.pool->parallel_for(0, members_.size(), patch_rows);
   } else {
-    // Copy mode: surviving columns move as contiguous run memcpys into
-    // recycled scratch (rank shifts preserve relative order, so runs of
-    // consecutive old ids land at consecutive new ranks).
-    struct Run {
-      std::uint32_t new_begin;
-      std::uint32_t old_begin;
-      std::uint32_t len;
-    };
-    std::vector<Run> runs;
-    for (std::uint32_t j = 0; j < order.size(); ++j) {
-      if (order[j].old_pid == kNoPid) continue;
-      if (!runs.empty() &&
-          runs.back().old_begin + runs.back().len == order[j].old_pid &&
-          runs.back().new_begin + runs.back().len == j) {
-        ++runs.back().len;
-      } else {
-        runs.push_back({j, order[j].old_pid, 1});
-      }
-    }
-    records_scratch_.resize(members_.size() * new_count + 1);
-    const auto rewrite_rows = [&](std::size_t slot_begin,
-                                  std::size_t slot_end) {
-      std::array<const trie::IntervalSet*, 8> member_spaces{};
-      for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
-        const Asn member = members_[slot];
-        bool any_space = false;
-        for (std::size_t s = 0; s < num_spaces; ++s) {
-          const trie::IntervalSet* space = spaces_[s]->space_of(member);
-          member_spaces[s] =
-              (space != nullptr && !space->empty()) ? space : nullptr;
-          any_space |= member_spaces[s] != nullptr;
-        }
-        const std::uint16_t* old_row = records_.data() + slot * old_count;
-        std::uint16_t* new_row = records_scratch_.data() + slot * new_count;
-        std::uint32_t* counts = partial_counts_.data() + slot * num_spaces;
-        if (!any_space) {
-          // The member's record row is all zero with or without the
-          // batch; the recycled scratch still needs the explicit zeros.
-          std::memset(new_row, 0, new_count * sizeof(std::uint16_t));
-          continue;
-        }
-        for (const Run& run : runs) {
-          std::memcpy(new_row + run.new_begin, old_row + run.old_begin,
-                      run.len * sizeof(std::uint16_t));
-        }
-        for (const std::uint32_t pid : removed_pids) {
-          count_bits(counts, old_row[pid], -1);
-        }
-        for (const auto& [rank, p] : added_ranked) {
-          const std::uint16_t v = fresh_record_bits(member_spaces.data(), p);
-          new_row[rank] = v;
-          count_bits(counts, v, +1);
-        }
-        for (std::size_t s = 0; s < num_spaces; ++s) {
-          fallback_[slot * num_spaces + s] =
-              counts[s] > 0 ? member_spaces[s] : nullptr;
-        }
-      }
-    };
-    if (opts.pool != nullptr) {
-      opts.pool->parallel_for(0, members_.size(), rewrite_rows);
-    } else {
-      rewrite_rows(0, members_.size());
-    }
-    records_scratch_[members_.size() * new_count] = 0;  // gather sentinel
-    std::swap(records_, records_scratch_);
+    patch_rows(0, members_.size());
+  }
+  if (restride) {
+    restrided[members_.size() * new_count] = 0;  // gather sentinel
+    records_ = std::move(restrided);
     records_view_ = records_.data();
-    records_gather_safe_ = true;
+    record_stride_ = new_count;
   }
   num_prefixes_ = new_count;
 
   stats_.prefixes = new_count;
-  stats_.bitset_bytes = members_.size() * new_count * sizeof(std::uint16_t);
+  stats_.bitset_bytes =
+      members_.size() * record_stride_ * sizeof(std::uint16_t);
   stats_.overflow_slots = static_cast<std::size_t>(
       static_cast<std::int64_t>(stats_.overflow_slots) + overflow_total);
   stats_.overflow_prefixes =
@@ -621,7 +430,6 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
     if (fb != nullptr) ++stats_.partial_rows;
   }
 
-  live_ = true;
   ++epoch_;
   return result;
 }

@@ -122,7 +122,7 @@ std::string to_json(const DetectorHealth& health);
 /// state: how many update messages had been applied to the plane at the
 /// cut (and the plane epoch, for diagnostics). `detect --resume` replays
 /// exactly updates [0, updates_applied) before continuing, so the
-/// resumed plane matches the cut bit for bit.
+/// resumed plane has the cut's live set and labels.
 struct DetectorCheckpointExtra {
   std::uint64_t updates_applied = 0;
   std::uint64_t plane_epoch = 0;

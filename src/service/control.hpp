@@ -14,14 +14,22 @@
 // `submit` and `reload-updates` take a server-side file path argument;
 // the other verbs take none. Payload lines never start with "ok" or
 // "err" (alert lines start "alert:", health lines "health:", stats
-// lines "{"), so a client reads lines until the status line.
+// lines "{"), so a client reads lines until the status line. A request
+// line longer than kMaxRequestLine bytes is answered with
+// "err request line too long" and the connection is closed.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
 
 namespace spoofscope::service {
+
+/// Longest request line the server buffers, LF excluded: four times the
+/// longest valid request (a verb plus a PATH_MAX path), so a client that
+/// never sends a newline cannot grow the daemon's memory without bound.
+inline constexpr std::size_t kMaxRequestLine = 16 * 1024;
 
 enum class Verb {
   kSubmit,

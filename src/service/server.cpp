@@ -23,7 +23,7 @@ namespace spoofscope::service {
 
 Server::Server(std::shared_ptr<classify::FlatClassifier> plane,
                ServerConfig cfg)
-    : cfg_(std::move(cfg)), hub_(std::move(plane)), router_(cfg_.shards) {
+    : cfg_(std::move(cfg)), plane_(std::move(plane)), router_(cfg_.shards) {
   build_shards();
 }
 
@@ -48,7 +48,7 @@ void Server::build_shards() {
       scfg.checkpoint_base =
           state::shard_checkpoint_base(cfg_.checkpoint_dir, i, cfg_.shards);
     }
-    shards_.push_back(std::make_unique<Shard>(hub_.current(), std::move(scfg)));
+    shards_.push_back(std::make_unique<Shard>(plane_, std::move(scfg)));
   }
 }
 
@@ -148,7 +148,7 @@ ReloadResult Server::reload_updates(const std::string& mrt_path) {
   if (!in) throw std::runtime_error("cannot open updates file: " + mrt_path);
   ReloadResult result;
   std::vector<bgp::UpdateMessage> updates;
-  for (auto& rec : bgp::read_mrt(in, cfg_.policy)) {
+  for (auto& rec : bgp::read_mrt(in, cfg_.policy, &result.ingest)) {
     if (auto* u = std::get_if<bgp::UpdateMessage>(&rec)) {
       updates.push_back(*u);
     } else {
@@ -156,15 +156,15 @@ ReloadResult Server::reload_updates(const std::string& mrt_path) {
     }
   }
   result.updates = updates.size();
-  // The patch mutates the shared plane; every worker must be between
-  // batches, and the republish below re-syncs each quiescent shard so
-  // buffered flows reclassify against the patched plane.
+  // The patch mutates the shared plane, so every worker must be between
+  // batches; the barrier's mutex handoff orders the patch before the
+  // next batch, whose ingest sees the epoch move and reclassifies any
+  // buffered flows against the patched plane.
   barrier();
   classify::FlatClassifier::UpdateApplyOptions opts;
   opts.pool = cfg_.pool;
-  result.stats = hub_.apply_updates(updates, opts);
-  for (auto& shard : shards_) shard->republish(hub_.current());
-  result.epoch = hub_.current()->epoch();
+  result.stats = plane_->apply_updates(updates, opts);
+  result.epoch = plane_->epoch();
   return result;
 }
 
@@ -188,9 +188,7 @@ void Server::stop() {
   for (auto& shard : shards_) shard->stop();
 }
 
-std::uint64_t Server::plane_epoch() const {
-  return hub_.current()->epoch();
-}
+std::uint64_t Server::plane_epoch() const { return plane_->epoch(); }
 
 // --- control socket ---------------------------------------------------
 
@@ -230,26 +228,30 @@ void send_all(int fd, std::string_view text) {
   }
 }
 
-/// Reads one LF-terminated line (without the LF) into `line`. Returns
-/// false on EOF/error with nothing buffered.
-bool read_line(int fd, std::string& buffer, std::string& line) {
+enum class LineStatus { kLine, kClosed, kTooLong };
+
+/// Reads one LF-terminated line (without the LF) into `line`. kClosed on
+/// EOF/error with nothing buffered; kTooLong once more than
+/// kMaxRequestLine bytes arrive without a LF, so `buffer` stays bounded.
+LineStatus read_line(int fd, std::string& buffer, std::string& line) {
   for (;;) {
     const std::size_t nl = buffer.find('\n');
-    if (nl != std::string::npos) {
+    if (nl != std::string::npos && nl <= kMaxRequestLine) {
       line.assign(buffer, 0, nl);
       buffer.erase(0, nl + 1);
-      return true;
+      return LineStatus::kLine;
     }
+    if (buffer.size() > kMaxRequestLine) return LineStatus::kTooLong;
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return LineStatus::kClosed;
     }
     if (n == 0) {
-      if (buffer.empty()) return false;
+      if (buffer.empty()) return LineStatus::kClosed;
       line = std::exchange(buffer, {});  // unterminated trailing line
-      return true;
+      return LineStatus::kLine;
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
@@ -296,6 +298,9 @@ bool handle_request(Server& server, const Request& req, std::ostream& log,
     }
     case Verb::kReloadUpdates: {
       const ReloadResult r = server.reload_updates(req.arg);
+      if (!r.ingest.clean()) {
+        out << "ingest: " << req.arg << ": " << r.ingest.summary() << "\n";
+      }
       out << "ok reloaded announced=" << r.stats.announced
           << " withdrawn=" << r.stats.withdrawn
           << " redundant=" << r.stats.redundant
@@ -357,7 +362,15 @@ int run_control_loop(Server& server, const std::string& socket_path,
     }
     std::string buffer;
     std::string line;
-    while (running && read_line(client.fd, buffer, line)) {
+    while (running) {
+      const LineStatus status = read_line(client.fd, buffer, line);
+      if (status == LineStatus::kClosed) break;
+      if (status == LineStatus::kTooLong) {
+        // The rest of the line cannot be told apart from a next request:
+        // answer, then drop the connection.
+        send_all(client.fd, "err request line too long\n");
+        break;
+      }
       std::string error;
       const auto req = parse_request(line, error);
       std::string response;

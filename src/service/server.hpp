@@ -1,5 +1,5 @@
 // The resident multi-vantage detection server: one shared compiled
-// plane (PlaneHub), N ingest shards (Shard), a router scattering
+// plane, N ingest shards (Shard), a router scattering
 // submitted trace segments across them by member AS, and the merge
 // stage fusing per-shard alerts and health into the service-wide view.
 //
@@ -24,7 +24,6 @@
 #include "classify/streaming.hpp"
 #include "net/flow_batch.hpp"
 #include "service/merge.hpp"
-#include "service/plane_hub.hpp"
 #include "service/router.hpp"
 #include "service/shard.hpp"
 #include "util/error_policy.hpp"
@@ -62,6 +61,7 @@ struct ReloadResult {
   std::size_t updates = 0;    ///< UPDATE messages in the file
   std::size_t rib_lines = 0;  ///< TABLE_DUMP lines ignored
   std::uint64_t epoch = 0;    ///< plane epoch after the patch
+  util::IngestStats ingest;   ///< MRT-lite parse accounting
 };
 
 struct DrainResult {
@@ -71,7 +71,8 @@ struct DrainResult {
 
 class Server {
  public:
-  /// The hub takes ownership of the plane.
+  /// Every shard classifies against `plane`; reload_updates patches it
+  /// in place.
   Server(std::shared_ptr<classify::FlatClassifier> plane, ServerConfig cfg);
 
   ~Server();
@@ -104,8 +105,10 @@ class Server {
   /// Quiesces and returns all alerts in canonical (ts, member) order.
   std::vector<classify::SpoofingAlert> merged_alerts();
 
-  /// Applies an MRT-lite route-churn file to the shared plane in place
-  /// and republishes it to every shard.
+  /// Applies an MRT-lite route-churn file to the shared plane in place,
+  /// with the shards quiesced; each detector picks the patch up through
+  /// the plane's epoch(). Malformed lines throw under the strict policy
+  /// (the plane is untouched) and are counted in `ingest` under skip.
   ReloadResult reload_updates(const std::string& mrt_path);
 
   /// Quiesces and cuts a checkpoint on every shard (no-op without a
@@ -128,7 +131,7 @@ class Server {
   std::uint64_t total_alerts_quiesced() const;
 
   ServerConfig cfg_;
-  PlaneHub hub_;
+  std::shared_ptr<classify::FlatClassifier> plane_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardRouter router_;
   std::vector<net::FlowBatch> lanes_;  ///< routing scratch

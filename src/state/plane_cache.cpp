@@ -16,7 +16,10 @@ namespace spoofscope::state {
 
 namespace {
 
-constexpr std::uint32_t kPlanePayloadVersion = 1;
+/// Part of the entry file name, so bumping it retires every stored
+/// entry. v2: plane_digest() became one stream over the whole plane, so
+/// a v1 entry's stored digest no longer matches its plane.
+constexpr std::uint32_t kPlanePayloadVersion = 2;
 
 // Section ids.
 constexpr std::uint32_t kSecMeta = 1;     ///< digests + dimensions
@@ -227,6 +230,7 @@ classify::FlatClassifier PlaneCache::load_entry(
         all.data() + all.size();
   }
   flat.num_prefixes_ = num_prefixes;
+  flat.record_stride_ = num_prefixes;
   flat.rebuild_probe();
 
   // The fallback lane is recoverable: a row's partial bit (8+s) is set
@@ -305,9 +309,12 @@ void PlaneCache::store(const classify::FlatClassifier& plane,
     writer.add_section(kSecBase, b.take());
   }
   {
+    // Rows are record_stride_ apart; the entry keeps their live columns.
     SectionBuilder b;
-    b.bytes(plane.records_view_, plane.members_.size() * plane.num_prefixes_ *
-                                     sizeof(std::uint16_t));
+    for (std::size_t slot = 0; slot < plane.members_.size(); ++slot) {
+      b.bytes(plane.records_view_ + slot * plane.record_stride_,
+              plane.num_prefixes_ * sizeof(std::uint16_t));
+    }
     writer.add_section(kSecRecords, b.take());
   }
   writer.write_atomic(entry_path(source_digest));

@@ -1,9 +1,12 @@
 // In-place plane patching vs the fresh-compile oracle: apply_updates()
 // must leave the DIR-24-8 plane bit-identical (plane_digest()) to a
-// from-scratch compile over the same live route set — after hand-built
-// announce/withdraw batches, after thousand-step randomized churn
-// (including overflow-lane lengths and unaligned valid-space extends),
-// and when the starting plane was mmapped out of a PlaneCache entry.
+// from-scratch compile over the same live route set ingested in
+// PrefixId order — after hand-built announce/withdraw batches, after
+// each swap-remove edge case (pops, chained moves, a moved overflow-lane
+// prefix, restride, shrink and regrowth), after thousand-step randomized
+// churn (including overflow-lane lengths and unaligned valid-space
+// extends), and when the starting plane was mmapped out of a PlaneCache
+// entry.
 // The oracle classifier shares the source's ValidSpace handles, so any
 // digest difference is the patch path's fault, never the inputs'.
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,16 +59,16 @@ UpdateMessage withdraw(const net::Prefix& p, std::uint32_t ts = 0) {
 }
 
 /// The correctness oracle: compile a fresh plane over exactly `live`,
-/// with a routing table rebuilt in canonical order and the SOURCE
-/// classifier's shared ValidSpace handles (bit-identical spaces), then
-/// hand it to `probe` and return its plane_digest(). Any divergence
-/// from the patched plane is therefore a patching bug by construction.
+/// with a routing table built by ingesting it in PrefixId order and the
+/// SOURCE classifier's shared ValidSpace handles (bit-identical spaces),
+/// then hand it to `probe` and return its plane_digest(). Any
+/// divergence from the patched plane is therefore a patching bug by
+/// construction.
 template <typename Probe>
 std::uint64_t fresh_compile_digest(const Classifier& source,
-                                   std::vector<net::Prefix> live,
+                                   const std::vector<net::Prefix>& live,
                                    const FlatClassifier::UpdateApplyOptions& w,
                                    util::ThreadPool* pool, Probe&& probe) {
-  std::sort(live.begin(), live.end());
   bgp::RoutingTableBuilder::Options topts;
   topts.min_length = w.min_length;
   topts.max_length = w.max_length;
@@ -85,10 +89,10 @@ std::uint64_t fresh_compile_digest(const Classifier& source,
 }
 
 std::uint64_t fresh_compile_digest(const Classifier& source,
-                                   std::vector<net::Prefix> live,
+                                   const std::vector<net::Prefix>& live,
                                    const FlatClassifier::UpdateApplyOptions& w,
                                    util::ThreadPool* pool = nullptr) {
-  return fresh_compile_digest(source, std::move(live), w, pool,
+  return fresh_compile_digest(source, live, w, pool,
                               [](const FlatClassifier&) {});
 }
 
@@ -119,15 +123,18 @@ TEST(PlaneUpdate, FirstApplyCanonicalizesAndMatchesFreshCompile) {
   auto& classifier = w->classifier();
   FlatClassifier flat = FlatClassifier::compile(classifier);
 
-  // An empty batch still takes ownership of the route set and renumbers
-  // ingest-order pids into canonical order.
+  // An empty batch takes ownership of the route set and adopts the
+  // source table's ids as they are: no renumbering, no byte change and
+  // no epoch bump.
+  const std::uint64_t compiled = flat.plane_digest();
   const auto stats = flat.apply_updates({});
   EXPECT_TRUE(flat.live());
   EXPECT_EQ(stats.announced, 0u);
   EXPECT_EQ(stats.withdrawn, 0u);
-  EXPECT_TRUE(std::is_sorted(flat.live_prefixes().begin(),
-                             flat.live_prefixes().end()));
-  EXPECT_EQ(flat.live_prefixes().size(), w->table().prefix_count());
+  EXPECT_FALSE(stats.changed);
+  EXPECT_EQ(flat.epoch(), 0u);
+  EXPECT_EQ(flat.live_prefixes(), w->table().prefixes());
+  EXPECT_EQ(flat.plane_digest(), compiled);
 
   FlatClassifier::UpdateApplyOptions uopts;
   const auto& flows = w->trace().flows;
@@ -137,8 +144,6 @@ TEST(PlaneUpdate, FirstApplyCanonicalizesAndMatchesFreshCompile) {
                                    EXPECT_EQ(classify_trace(flat, flows),
                                              classify_trace(oracle, flows));
                                  }));
-  // Classification is untouched by pid renumbering: labels carry
-  // classes, not pids.
   EXPECT_EQ(classify_trace(flat, flows), classify_trace(classifier, flows));
 
   // Re-announcing the whole live set is a pure no-op: no epoch bump, no
@@ -322,6 +327,197 @@ TEST(PlaneUpdate, EpochBumpReclassifiesBufferedFlows) {
       << "the patch must flip member 1's 50.0/16 traffic to spoofed";
 }
 
+TEST(PlaneUpdate, DigestSeesThePrefixIds) {
+  // The oracle is only as strong as plane_digest(): two planes that
+  // differ in nothing but which id each prefix holds must hash apart.
+  Fixture fx;
+  bgp::RoutingTableBuilder b;
+  b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
+  b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
+  const bgp::RoutingTable swapped = b.build();
+  std::vector<std::shared_ptr<const inference::ValidSpace>> spaces = {
+      fx.classifier->shared_space(0)};
+  const Classifier swapped_source(swapped, std::move(spaces));
+  const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
+  EXPECT_EQ(flat.plane_digest(),
+            FlatClassifier::compile(*fx.classifier).plane_digest());
+  EXPECT_NE(flat.plane_digest(),
+            FlatClassifier::compile(swapped_source).plane_digest());
+
+  // Withdrawing and re-announcing 50.0/16 moves 60.0/16 to id 0 and
+  // 50.0/16 to id 1: the same live set, the swapped plane's bytes.
+  FlatClassifier patched = FlatClassifier::compile(*fx.classifier);
+  patched.apply_updates(
+      std::vector<UpdateMessage>{withdraw(pfx("50.0.0.0/16"))});
+  patched.apply_updates(
+      std::vector<UpdateMessage>{announce(pfx("50.0.0.0/16"))});
+  EXPECT_NE(patched.plane_digest(), flat.plane_digest());
+  EXPECT_EQ(patched.plane_digest(),
+            FlatClassifier::compile(swapped_source).plane_digest());
+}
+
+/// Swap-remove fixture: twelve routes whose ids are their ingest order,
+/// two methods, and members holding full, partial and no cover, so the
+/// record bytes and the fallback lane both move with the ids.
+struct SwapFixture {
+  static constexpr std::uint8_t kMaxLength = 28;
+
+  SwapFixture() {
+    bgp::RoutingTableBuilder::Options topts;
+    topts.max_length = kMaxLength;
+    bgp::RoutingTableBuilder b(topts);
+    for (const char* p :
+         {"20.0.0.0/16", "30.0.0.0/16", "20.0.1.0/24", "40.0.0.0/12",
+          "50.0.0.0/16", "60.0.0.0/16", "30.0.5.0/24", "70.0.0.0/16",
+          "80.0.0.0/16", "90.0.0.0/20", "50.0.7.0/24", "100.0.0.0/16"}) {
+      b.ingest_route(pfx(p), bgp::AsPath{65000});
+    }
+    table = b.build();
+    const auto space = [](std::initializer_list<const char*> prefixes) {
+      trie::IntervalSet s;
+      for (const char* p : prefixes) s.add(pfx(p));
+      return s;
+    };
+    std::unordered_map<Asn, trie::IntervalSet> cone;
+    cone.emplace(1, space({"20.0.0.0/16", "30.0.0.0/17", "50.0.7.0/25",
+                           "200.0.0.0/17"}));
+    cone.emplace(2, space({"40.0.0.0/13", "60.0.0.0/16", "90.0.0.0/20",
+                           "210.0.0.0/13"}));
+    cone.emplace(3, space({"70.0.0.128/25", "80.0.0.0/16", "100.0.0.0/17"}));
+    std::unordered_map<Asn, trie::IntervalSet> naive;
+    naive.emplace(1, space({"30.0.0.0/16", "20.0.1.0/25"}));
+    naive.emplace(3, space({"50.0.0.0/16", "70.0.0.0/16"}));
+    naive.emplace(4, space({"100.0.0.0/16"}));
+    classifier = std::make_unique<Classifier>(
+        table, std::vector<inference::ValidSpace>{
+                   inference::ValidSpace(inference::Method::kFullCone,
+                                         std::move(cone)),
+                   inference::ValidSpace(inference::Method::kNaive,
+                                         std::move(naive))});
+  }
+
+  /// Every probe address from every member (5 owns no space at all).
+  static std::vector<net::FlowRecord> probes() {
+    std::vector<net::FlowRecord> flows;
+    for (const char* addr :
+         {"20.0.0.9", "20.0.1.10", "20.0.1.70", "30.0.0.5", "30.0.200.5",
+          "30.0.5.5", "40.1.0.1", "40.9.0.1", "50.0.0.1", "50.0.7.1",
+          "50.0.7.200", "60.0.0.1", "70.0.0.5", "70.0.0.200", "80.0.0.1",
+          "90.0.0.1", "100.0.0.1", "100.0.200.1", "110.0.0.1", "160.0.0.1",
+          "170.0.0.1", "190.0.0.1", "200.0.0.1", "200.0.200.1", "210.1.0.1",
+          "210.9.0.1", "99.9.9.9", "10.0.0.1", "192.168.1.1"}) {
+      for (const Asn member : {1, 2, 3, 4, 5}) {
+        net::FlowRecord f;
+        f.src = pfx(addr).address();
+        f.member_in = member;
+        flows.push_back(f);
+      }
+    }
+    return flows;
+  }
+
+  bgp::RoutingTable table;
+  std::unique_ptr<Classifier> classifier;
+};
+
+TEST(PlaneUpdate, SwapRemoveEdgeCasesMatchFreshCompile) {
+  SwapFixture fx;
+  FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
+  FlatClassifier::UpdateApplyOptions uopts;
+  uopts.max_length = SwapFixture::kMaxLength;
+  const auto probes = SwapFixture::probes();
+  const auto apply = [&](const std::vector<UpdateMessage>& batch) {
+    EXPECT_TRUE(flat.apply_updates(batch, uopts).changed);
+  };
+  // After every batch: the ids the swap-remove rule places, byte
+  // identity with the id-order fresh compile, and label parity.
+  const auto expect_plane = [&](std::initializer_list<const char*> ids,
+                                const char* what) {
+    std::vector<net::Prefix> want;
+    for (const char* p : ids) want.push_back(pfx(p));
+    EXPECT_EQ(flat.live_prefixes(), want) << what;
+    EXPECT_EQ(flat.plane_digest(),
+              fresh_compile_digest(*fx.classifier, flat.live_prefixes(),
+                                   uopts, nullptr,
+                                   [&](const FlatClassifier& oracle) {
+                                     EXPECT_EQ(classify_trace(flat, probes),
+                                               classify_trace(oracle, probes))
+                                         << what;
+                                   }))
+        << what;
+  };
+  ASSERT_GT(flat.stats().partial_rows, 0u);
+
+  // The highest id alone is popped: nothing moves.
+  apply({withdraw(pfx("100.0.0.0/16"))});
+  expect_plane({"20.0.0.0/16", "30.0.0.0/16", "20.0.1.0/24", "40.0.0.0/12",
+                "50.0.0.0/16", "60.0.0.0/16", "30.0.5.0/24", "70.0.0.0/16",
+                "80.0.0.0/16", "90.0.0.0/20", "50.0.7.0/24"},
+               "pop");
+
+  // The two highest ids and a low one: descending order pops 10 and 9
+  // first, so hole 1 is filled by id 8, never by a withdrawn prefix.
+  apply({withdraw(pfx("30.0.0.0/16")), withdraw(pfx("50.0.7.0/24")),
+         withdraw(pfx("90.0.0.0/20"))});
+  expect_plane({"20.0.0.0/16", "80.0.0.0/16", "20.0.1.0/24", "40.0.0.0/12",
+                "50.0.0.0/16", "60.0.0.0/16", "30.0.5.0/24", "70.0.0.0/16"},
+               "two pops and a move");
+
+  // A chained move: 70/16 fills hole 6, is the last id again, and moves
+  // on to hole 3.
+  apply({withdraw(pfx("40.0.0.0/12")), withdraw(pfx("30.0.5.0/24"))});
+  expect_plane({"20.0.0.0/16", "80.0.0.0/16", "20.0.1.0/24", "70.0.0.0/16",
+                "50.0.0.0/16", "60.0.0.0/16"},
+               "chained move");
+
+  // A /26 (overflow lane, no painted id) takes the last id, then moves
+  // into a hole: the overflow lane must find it under its new id.
+  apply({announce(pfx("20.0.1.64/26"))});
+  expect_plane({"20.0.0.0/16", "80.0.0.0/16", "20.0.1.0/24", "70.0.0.0/16",
+                "50.0.0.0/16", "60.0.0.0/16", "20.0.1.64/26"},
+               "overflow announce");
+  apply({withdraw(pfx("80.0.0.0/16"))});
+  expect_plane({"20.0.0.0/16", "20.0.1.64/26", "20.0.1.0/24", "70.0.0.0/16",
+                "50.0.0.0/16", "60.0.0.0/16"},
+               "overflow move");
+
+  // Net growth past the compiled stride (12) restrides every row once.
+  const std::size_t compiled_bytes = flat.stats().bitset_bytes;
+  apply({withdraw(pfx("50.0.0.0/16")), announce(pfx("210.0.0.0/12")),
+         announce(pfx("200.0.0.0/16")), announce(pfx("160.0.0.0/16")),
+         announce(pfx("150.0.0.0/16")), announce(pfx("140.0.0.0/16")),
+         announce(pfx("130.0.0.0/16")), announce(pfx("120.0.0.0/16")),
+         announce(pfx("110.0.0.0/16")), announce(pfx("30.0.0.0/16"))});
+  expect_plane({"20.0.0.0/16", "20.0.1.64/26", "20.0.1.0/24", "70.0.0.0/16",
+                "60.0.0.0/16", "30.0.0.0/16", "110.0.0.0/16", "120.0.0.0/16",
+                "130.0.0.0/16", "140.0.0.0/16", "150.0.0.0/16",
+                "160.0.0.0/16", "200.0.0.0/16", "210.0.0.0/12"},
+               "restride");
+  const std::size_t wide_bytes = flat.stats().bitset_bytes;
+  EXPECT_GT(wide_bytes, compiled_bytes);
+
+  // Net shrink: the popped 200/16 and 210/12 leave their partial bits
+  // (members 1 and 2) behind in now-unused columns.
+  apply({withdraw(pfx("210.0.0.0/12")), withdraw(pfx("200.0.0.0/16")),
+         withdraw(pfx("110.0.0.0/16"))});
+  expect_plane({"20.0.0.0/16", "20.0.1.64/26", "20.0.1.0/24", "70.0.0.0/16",
+                "60.0.0.0/16", "30.0.0.0/16", "160.0.0.0/16", "120.0.0.0/16",
+                "130.0.0.0/16", "140.0.0.0/16", "150.0.0.0/16"},
+               "shrink");
+  EXPECT_EQ(flat.stats().bitset_bytes, wide_bytes);
+
+  // Regrowth into the unused columns: no restride, and their stale bits
+  // must count for nothing.
+  apply({announce(pfx("190.0.0.0/16")), announce(pfx("170.0.0.0/16")),
+         announce(pfx("180.0.0.0/16"))});
+  expect_plane({"20.0.0.0/16", "20.0.1.64/26", "20.0.1.0/24", "70.0.0.0/16",
+                "60.0.0.0/16", "30.0.0.0/16", "160.0.0.0/16", "120.0.0.0/16",
+                "130.0.0.0/16", "140.0.0.0/16", "150.0.0.0/16",
+                "170.0.0.0/16", "180.0.0.0/16", "190.0.0.0/16"},
+               "regrowth");
+  EXPECT_EQ(flat.stats().bitset_bytes, wide_bytes);
+}
+
 // ------------------------------------------------------------- churn fuzz
 
 /// Satellite: 1k-step randomized announce/withdraw churn. After EVERY
@@ -404,9 +600,11 @@ TEST_P(PlaneChurnTest, ChurnMatchesFreshCompileEveryStep) {
     } else {
       ASSERT_EQ(flat.epoch(), last_epoch);
     }
-    ASSERT_TRUE(std::is_sorted(flat.live_prefixes().begin(),
-                               flat.live_prefixes().end()))
-        << "live set must stay canonical, step " << step;
+    ASSERT_EQ(std::set<net::Prefix>(flat.live_prefixes().begin(),
+                                    flat.live_prefixes().end())
+                  .size(),
+              flat.live_prefixes().size())
+        << "live set must hold each prefix once, step " << step;
 
     ASSERT_EQ(flat.plane_digest(),
               fresh_compile_digest(classifier, flat.live_prefixes(), uopts,

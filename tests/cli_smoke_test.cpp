@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "net/trace.hpp"
+#include "service/control.hpp"
 
 namespace {
 
@@ -815,9 +816,14 @@ class ControlClient {
 
   /// Sends `request` and returns every response line (status line last).
   std::vector<std::string> transact(const std::string& request) {
+    return transact_raw(request + "\n");
+  }
+
+  /// Sends `wire` as-is and returns every response line; empty when the
+  /// server has closed the connection.
+  std::vector<std::string> transact_raw(const std::string& wire) {
     std::vector<std::string> lines;
-    const std::string wire = request + "\n";
-    if (::send(fd_, wire.data(), wire.size(), 0) !=
+    if (::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL) !=
         static_cast<ssize_t>(wire.size())) {
       return lines;
     }
@@ -905,13 +911,30 @@ TEST(CliSmoke, ServeEndToEndOverControlSocket) {
   }
   ASSERT_TRUE(up) << slurp(daemon_log);
 
+  {
+    ControlClient first(sock);
+    ASSERT_TRUE(first.connected());
+    const auto submitted = first.transact("submit " + w.trace());
+    ASSERT_FALSE(submitted.empty());
+    EXPECT_EQ(submitted.back().rfind("ok submitted flows=", 0), 0u)
+        << submitted.back();
+  }
+
+  {
+    // A client that never sends a newline is cut off at the request-line
+    // cap, and the daemon serves the next connection as before.
+    ControlClient flood(sock);
+    ASSERT_TRUE(flood.connected());
+    const auto refused = flood.transact_raw(
+        std::string(spoofscope::service::kMaxRequestLine + 1, 'x'));
+    ASSERT_EQ(refused.size(), 1u);
+    EXPECT_EQ(refused[0], "err request line too long");
+    EXPECT_TRUE(flood.transact("health").empty())
+        << "connection stays open after an over-long line";
+  }
+
   ControlClient client(sock);
   ASSERT_TRUE(client.connected());
-
-  const auto submitted = client.transact("submit " + w.trace());
-  ASSERT_FALSE(submitted.empty());
-  EXPECT_EQ(submitted.back().rfind("ok submitted flows=", 0), 0u)
-      << submitted.back();
 
   const auto drained = client.transact("drain");
   ASSERT_FALSE(drained.empty());

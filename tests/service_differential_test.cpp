@@ -20,10 +20,12 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "bgp/mrt_lite.hpp"
 #include "bgp/routing_table.hpp"
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
@@ -32,6 +34,7 @@
 #include "net/trace.hpp"
 #include "service/merge.hpp"
 #include "service/server.hpp"
+#include "util/error_policy.hpp"
 #include "util/rng.hpp"
 
 namespace spoofscope::service {
@@ -52,15 +55,18 @@ using net::pfx;
 constexpr std::size_t kMembers = 10;
 
 /// Ten-member routing view so shard counts {1, 2, 7} all see traffic on
-/// every shard: member N announces 10.N.0.0/16; members 1..8 own their
+/// every shard: member N announces NET.N.0.0/16; members 1..8 own their
 /// announced block as valid space, members 9 and 10 have routed space
 /// but no valid space (their own-source traffic classifies Invalid).
+/// NET defaults to 10, which is RFC 1918 space: every such route lies
+/// under a bogon, so only a public NET makes Valid and Invalid occur.
 struct Fixture {
-  Fixture() {
+  explicit Fixture(std::uint8_t net = 10) {
     bgp::RoutingTableBuilder b;
     std::unordered_map<Asn, trie::IntervalSet> spaces;
     for (std::uint32_t m = 1; m <= kMembers; ++m) {
-      const net::Prefix p = pfx(("10." + std::to_string(m) + ".0.0/16").c_str());
+      const net::Prefix p(
+          Ipv4Addr::from_octets(net, static_cast<std::uint8_t>(m), 0, 0), 16);
       b.ingest_route(p, bgp::AsPath{m});
       if (m <= 8) {
         trie::IntervalSet s;
@@ -91,11 +97,13 @@ StreamingParams detect_params(std::uint32_t skew, SimdKernel simd) {
   return p;
 }
 
-/// Mixed ten-member stream. jitter == 0 keeps timestamps nondecreasing
-/// (the in-order regime where sharding is exact); jitter > 0 wanders
-/// them within the given bound for the reorder-buffer cases.
+/// Mixed ten-member stream over the Fixture of the same NET. jitter == 0
+/// keeps timestamps nondecreasing (the in-order regime where sharding is
+/// exact); jitter > 0 wanders them within the given bound for the
+/// reorder-buffer cases.
 std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n,
-                                         std::uint32_t jitter) {
+                                         std::uint32_t jitter,
+                                         std::uint8_t net = 10) {
   util::Rng rng(seed);
   std::vector<net::FlowRecord> flows;
   flows.reserve(n);
@@ -106,15 +114,15 @@ std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n,
         static_cast<std::uint8_t>(1 + (member % kMembers));
     const std::uint8_t host = static_cast<std::uint8_t>(1 + rng.index(250));
     if (rng.chance(0.5)) {
-      f.src = Ipv4Addr::from_octets(10, member, 0, host);        // own space
+      f.src = Ipv4Addr::from_octets(net, member, 0, host);       // own space
     } else if (rng.chance(0.4)) {
-      f.src = Ipv4Addr::from_octets(10, other, 0, host);         // Invalid
+      f.src = Ipv4Addr::from_octets(net, other, 0, host);        // Invalid
     } else if (rng.chance(0.5)) {
       f.src = Ipv4Addr::from_octets(99, 0, 0, host);             // Unrouted
     } else {
       f.src = Ipv4Addr::from_octets(192, 168, 0, host);          // Bogon
     }
-    f.dst = Ipv4Addr::from_octets(10, other, 0, 1);
+    f.dst = Ipv4Addr::from_octets(net, other, 0, 1);
     const std::uint32_t base = static_cast<std::uint32_t>(i / 4);
     f.ts = jitter == 0 ? base : base + jitter - rng.uniform_u32(0, jitter);
     f.packets = 1 + rng.uniform_u32(0, 3);
@@ -329,6 +337,171 @@ TEST(ServiceDifferential, InProcessBatchSubmitEqualsFileSubmit) {
   EXPECT_EQ(server.merged_alerts(), via_file.alerts);
   EXPECT_EQ(server.stats().merged, via_file.health);
   EXPECT_EQ(server.stats().processed, via_file.processed);
+  server.stop();
+}
+
+bgp::UpdateMessage route_update(bgp::UpdateMessage::Kind kind,
+                                 const net::Prefix& prefix) {
+  bgp::UpdateMessage u;
+  u.kind = kind;
+  u.peer = 65000;
+  u.prefix = prefix;
+  if (kind == bgp::UpdateMessage::Kind::kAnnounce) u.path = bgp::AsPath{65000};
+  return u;
+}
+
+/// Writes `updates` as an MRT-lite churn file; `junk`, when set, is a
+/// malformed line placed after the first update.
+std::string write_churn(const ScratchDir& dir, const std::string& name,
+                        const std::vector<bgp::UpdateMessage>& updates,
+                        const std::optional<std::string>& junk = {}) {
+  const std::string path = dir.file(name);
+  std::ofstream out(path);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    out << bgp::to_mrt_line(updates[i]) << "\n";
+    if (i == 0 && junk) out << *junk << "\n";
+  }
+  return path;
+}
+
+TEST(ServiceDifferential, ReloadUpdatesBetweenSegmentsMatchesOneShotDetect) {
+  // reload-updates is the service's way into the plane patch path: the
+  // sharded fleet, reloading churn files between trace segments, must
+  // equal one StreamingDetector whose own plane takes the same patches
+  // at the same cuts — alerts, merged health and the reload counters.
+  Fixture fx(20);
+  ScratchDir dir("spoofscope_serve_reload");
+  const auto flows = make_stream(9, 4000, 0, 20);
+  const auto params = detect_params(0, SimdKernel::kAuto);
+  using Kind = bgp::UpdateMessage::Kind;
+  // Withdraw routed prefixes and announce /24 more-specifics (one of
+  // them under a withdrawn /16); the inverse file undoes it.
+  const std::vector<bgp::UpdateMessage> churn = {
+      route_update(Kind::kWithdraw, pfx("20.3.0.0/16")),
+      route_update(Kind::kWithdraw, pfx("20.4.0.0/16")),
+      route_update(Kind::kWithdraw, pfx("20.9.0.0/16")),
+      route_update(Kind::kAnnounce, pfx("20.4.0.0/24")),
+      route_update(Kind::kAnnounce, pfx("20.2.0.0/24")),
+      route_update(Kind::kAnnounce, pfx("20.10.0.0/24")),
+  };
+  std::vector<bgp::UpdateMessage> inverse;
+  for (const auto& u : churn) {
+    inverse.push_back(route_update(
+        u.kind == Kind::kAnnounce ? Kind::kWithdraw : Kind::kAnnounce,
+        u.prefix));
+  }
+  const std::vector<bgp::UpdateMessage> damaged_good = {
+      route_update(Kind::kWithdraw, pfx("20.6.0.0/16")),
+      route_update(Kind::kAnnounce, pfx("20.6.0.0/24")),
+      route_update(Kind::kAnnounce, pfx("20.7.0.0/24")),
+  };
+  const std::vector<std::string> reloads = {
+      write_churn(dir, "churn.mrt", churn),
+      write_churn(dir, "inverse.mrt", inverse),
+      write_churn(dir, "damaged.mrt", damaged_good, "UPDATE|A|oops"),
+  };
+  const std::vector<const std::vector<bgp::UpdateMessage>*> applied = {
+      &churn, &inverse, &damaged_good};
+
+  // Four segments; reload i lands between segments i and i + 1.
+  std::vector<std::string> segments;
+  std::vector<std::span<const net::FlowRecord>> cuts;
+  for (std::size_t k = 0; k < 4; ++k) {
+    const std::size_t begin = k * flows.size() / 4;
+    const std::size_t end = (k + 1) * flows.size() / 4;
+    cuts.push_back(std::span(flows).subspan(begin, end - begin));
+    segments.push_back(write_segment(
+        dir, "seg" + std::to_string(k) + ".trace", cuts.back()));
+  }
+
+  // The oracle: one detector, its own plane patched at the same cuts.
+  std::vector<FlatClassifier::UpdateApplyStats> want_stats;
+  std::vector<std::uint64_t> want_epochs;
+  const auto one_shot = [&](const StreamingParams& p) {
+    FlatClassifier plane = FlatClassifier::compile(*fx.classifier);
+    StreamingDetector d(plane, 0, p);
+    RunResult r;
+    const auto sink = [&r](const SpoofingAlert& a) { r.alerts.push_back(a); };
+    want_stats.clear();
+    want_epochs.clear();
+    for (std::size_t k = 0; k < cuts.size(); ++k) {
+      for (const auto& f : cuts[k]) d.ingest(f, sink);
+      if (k < reloads.size()) {
+        want_stats.push_back(plane.apply_updates(*applied[k]));
+        want_epochs.push_back(plane.epoch());
+      }
+    }
+    d.flush(sink);
+    sort_alerts(r.alerts);
+    r.health = d.health();
+    r.processed = d.processed();
+    return r;
+  };
+  // The churn must move the verdicts, or the differential is vacuous.
+  const FlatClassifier unpatched = FlatClassifier::compile(*fx.classifier);
+  const RunResult no_churn = oracle(
+      [&] { return StreamingDetector(unpatched, 0, params); }, flows);
+  ASSERT_FALSE(no_churn.alerts.empty());
+  ASSERT_NE(one_shot(params).alerts, no_churn.alerts);
+
+  // A single shard under reorder skew also has flows buffered across
+  // every cut, which the patch must reclassify.
+  const struct {
+    std::size_t shards;
+    std::uint32_t skew;
+  } configs[] = {{1, 0}, {3, 0}, {1, 30}};
+  for (const auto& c : configs) {
+    const StreamingParams p = detect_params(c.skew, SimdKernel::kAuto);
+    const RunResult expect = one_shot(p);
+    ServerConfig cfg;
+    cfg.shards = c.shards;
+    cfg.params = p;
+    cfg.policy = util::ErrorPolicy::kSkip;
+    Server server(std::make_shared<FlatClassifier>(
+                      FlatClassifier::compile(*fx.classifier)),
+                  cfg);
+    server.start();
+    for (std::size_t k = 0; k < segments.size(); ++k) {
+      server.submit(segments[k]);
+      if (k >= reloads.size()) continue;
+      const ReloadResult r = server.reload_updates(reloads[k]);
+      const auto& want = want_stats[k];
+      EXPECT_EQ(r.stats.announced, want.announced) << "reload " << k;
+      EXPECT_EQ(r.stats.withdrawn, want.withdrawn) << "reload " << k;
+      EXPECT_EQ(r.stats.redundant, want.redundant) << "reload " << k;
+      EXPECT_EQ(r.stats.out_of_range, want.out_of_range) << "reload " << k;
+      EXPECT_TRUE(r.stats.changed) << "reload " << k;
+      EXPECT_EQ(r.epoch, want_epochs[k]) << "reload " << k;
+      EXPECT_EQ(server.plane_epoch(), want_epochs[k]) << "reload " << k;
+      EXPECT_EQ(r.updates, applied[k]->size()) << "reload " << k;
+      EXPECT_EQ(r.rib_lines, 0u) << "reload " << k;
+      // Only the damaged file skips a line; the rest of it applies.
+      EXPECT_EQ(r.ingest.records_ok, applied[k]->size()) << "reload " << k;
+      EXPECT_EQ(r.ingest.records_skipped, k == 2 ? 1u : 0u) << "reload " << k;
+    }
+    server.drain();
+    EXPECT_EQ(server.merged_alerts(), expect.alerts)
+        << "shards=" << c.shards << " skew=" << c.skew;
+    const ServiceStats stats = server.stats();
+    EXPECT_EQ(stats.merged, expect.health)
+        << "shards=" << c.shards << " skew=" << c.skew;
+    EXPECT_EQ(stats.processed, expect.processed);
+    server.stop();
+  }
+
+  // Strict: the damaged file throws before the plane is touched.
+  ServerConfig strict;
+  strict.shards = 3;
+  strict.params = params;
+  Server server(
+      std::make_shared<FlatClassifier>(FlatClassifier::compile(*fx.classifier)),
+      strict);
+  server.start();
+  server.submit(segments[0]);
+  const std::uint64_t epoch = server.plane_epoch();
+  EXPECT_THROW(server.reload_updates(reloads[2]), std::runtime_error);
+  EXPECT_EQ(server.plane_epoch(), epoch);
+  EXPECT_EQ(server.reload_updates(reloads[0]).epoch, epoch + 1);
   server.stop();
 }
 

@@ -23,7 +23,8 @@
 #      parser, which reinterprets mapped cache entries, plus the
 #      streaming-analysis oracle (sketch rank arithmetic, ratio
 #      histogram binning and eviction folds over adversarial batches),
-#      and the aggregation suites (shifts in the member-presence rows)
+#      the aggregation suites (shifts in the member-presence rows) and
+#      the plane-patch suite (partial-bit counter arithmetic)
 #   6. portable build guard: -DSPOOFSCOPE_DISABLE_SIMD=ON compiles only
 #      the scalar batch and decode kernels — what a target with neither
 #      AVX2 nor NEON gets — and the batch and decode differentials must
@@ -190,6 +191,7 @@ UBSAN_SUITES=(
   state_plane_cache_test
   state_delta_chain_test
   state_fault_injection_test
+  classify_plane_update_test
   util_stats_test
   analysis_streaming_oracle_test
 )
@@ -217,6 +219,7 @@ run_suite build-portable "${PORTABLE_SUITES[@]}"
 echo "=== serve smoke: resident daemon over the control socket ==="
 # Boots the sharded service on a generated world and drives every
 # control verb through a real Unix-domain socket session: submit,
+# reload-updates (the world's own UPDATE lines patch the shared plane),
 # health, stats-json, alerts, checkpoint, drain, an unknown verb (must
 # answer "err ..."), then shutdown — and requires a clean daemon exit.
 SERVE_OUT="$(mktemp -d "${TMPDIR:-/tmp}/spoofscope-check-serve.XXXXXX")"
@@ -227,10 +230,11 @@ SERVE_OUT="$(mktemp -d "${TMPDIR:-/tmp}/spoofscope-check-serve.XXXXXX")"
   --socket "${SERVE_OUT}/ctl.sock" --shards 4 \
   --checkpoint-dir "${SERVE_OUT}/ckpt" --checkpoint-every 5000 &
 SERVE_PID=$!
-python3 - "${SERVE_OUT}/ctl.sock" "${SERVE_OUT}/world/ixp.trace" <<'PY'
+python3 - "${SERVE_OUT}/ctl.sock" "${SERVE_OUT}/world/ixp.trace" \
+  "${SERVE_OUT}/world/route-server.mrt" <<'PY'
 import socket, sys, time
 
-sock_path, trace = sys.argv[1], sys.argv[2]
+sock_path, trace, mrt = sys.argv[1], sys.argv[2], sys.argv[3]
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 for _ in range(400):
     try:
@@ -263,18 +267,22 @@ def expect(line, prefix):
     return out
 
 submitted = expect(f"submit {trace}", "ok submitted flows=")
+reloaded = expect(f"reload-updates {mrt}", "ok reloaded announced=")
+if not reloaded[-1].endswith(" epoch=1"):
+    sys.exit(f"FAIL serve smoke: reload-updates left {reloaded[-1]!r}")
 health = expect("health", "ok shards=4 processed=")
 if not health[0].startswith("health: "):
     sys.exit(f"FAIL serve smoke: no health line, got {health[0]!r}")
 stats = expect("stats-json", "ok")
-if '"detector":{' not in stats[0] or '"shards":4' not in stats[0]:
+if ('"detector":{' not in stats[0] or '"shards":4' not in stats[0]
+        or '"plane_epoch":1' not in stats[0]):
     sys.exit(f"FAIL serve smoke: stats-json schema: {stats[0][:200]}")
 alerts = expect("alerts", "ok alerts=")
 expect("checkpoint", "ok checkpoint shards=4")
 expect("drain", "ok drained processed=")
 expect("bogus", "err unknown command: bogus")
 expect("shutdown", "ok shutting-down")
-print(f"serve smoke: {submitted[-1]}; {alerts[-1]}")
+print(f"serve smoke: {submitted[-1]}; {reloaded[-1]}; {alerts[-1]}")
 PY
 wait "${SERVE_PID}"
 rm -rf "${SERVE_OUT}"

@@ -37,8 +37,9 @@ cmake --build "${BUILD_DIR}" --target bench_perf_core -j "$(nproc)"
 # streaming report memory must not scale with trace length, so the 10x
 # growth may exceed the 1x growth only by a fixed slack. Also prints the
 # vector-kernel speedups (classify and decode) whenever the run measured
-# both kernels, and the incremental-patch speedup (BM_FlatPlanePatch vs
-# BM_FlatCompileParallel) whenever the run measured both.
+# both kernels, and gates the incremental-patch speedup (BM_FlatPlanePatch
+# and BM_FlatPlanePatchScattered, each >= 10x the best
+# BM_FlatCompileParallel) whenever the run measured them.
 python3 - "${TMP_JSON}" <<'PY'
 import json, sys
 
@@ -56,11 +57,9 @@ rate = {}
 decode_rate = {}
 growth = {}
 compile_ms = {}
-patch_ms = None
+patch_ms = {}
 prop_rate = {}
-decode_rate = {}
 serve_rate = {}
-decode_rate = {}
 e2e = None
 for b in doc.get("benchmarks", []):
     name = b.get("name", "")
@@ -79,8 +78,8 @@ for b in doc.get("benchmarks", []):
     if name.startswith("BM_FlatCompileParallel/threads:"):
         threads = int(name.split("threads:")[1].split("/")[0])
         compile_ms[threads] = b.get("real_time", 0.0)
-    if name == "BM_FlatPlanePatch":
-        patch_ms = b.get("real_time", 0.0)
+    if name in ("BM_FlatPlanePatch", "BM_FlatPlanePatchScattered"):
+        patch_ms[name] = b.get("real_time", 0.0)
     if name.startswith("BM_BgpPropagationParallel/threads:"):
         threads = int(name.split("threads:")[1].split("/")[0])
         prop_rate[threads] = b.get("items_per_second", 0.0)
@@ -99,10 +98,10 @@ for label, rates in (("kernel", rate), ("decode kernel", decode_rate)):
         if kernel != "scalar" and rates.get("scalar"):
             note = f" ({flows / rates['scalar']:.2f}x scalar)"
         print(f"{label} {kernel}: {flows / 1e6:.1f}M flows/s{note}")
-if patch_ms and compile_ms:
+for name, ms in sorted(patch_ms.items()) if compile_ms else ():
     best = min(compile_ms.values())
-    speedup = best / patch_ms
-    line = (f"plane patch (100-route batch): {patch_ms:.2f}ms vs "
+    speedup = best / ms
+    line = (f"{name} (100-route batch): {ms:.2f}ms vs "
             f"{best:.2f}ms recompile = {speedup:.1f}x")
     if speedup < 10.0:
         sys.exit(f"FAIL incremental-patch check: {line} (want >= 10x)")

@@ -947,8 +947,8 @@ int cmd_serve(const Flags& flags) {
     usage("--checkpoint-every/--resume require --checkpoint-dir");
   }
 
-  // The hub shares the compiled plane so reload-updates can patch it in
-  // place and republish to every shard.
+  // Every shard classifies against the one compiled plane, which
+  // reload-updates patches in place.
   service::Server server(std::move(ctx.plane), scfg);
 
   const auto info = server.start();
