@@ -145,11 +145,53 @@ VennCounts VennBuilder::finish() const {
 
 // --------------------------------------------------------------- port mix
 
-int PortMixBuilder::bucket_of(std::uint16_t port) {
-  for (std::size_t b = 1; b < kPortBuckets.size(); ++b) {
-    if (kPortBuckets[b] == port) return static_cast<int>(b);
+/// A perfect hash of the tracked ports into 16 slots. Every other slot
+/// holds port 0 with bucket 0, so a port that is not tracked maps to
+/// bucket 0 ("other") whichever slot it hashes to.
+struct PortMixBuilder::BucketMap {
+  std::uint32_t mul = 0;
+  std::array<std::uint16_t, 16> port{};
+  std::array<std::uint8_t, 16> bucket{};
+
+  static constexpr std::size_t slot(std::uint16_t port, std::uint32_t mul) {
+    return (port * mul) >> 28;
   }
-  return 0;
+
+  /// The first odd multiplier from the Fibonacci one up that sends the
+  /// tracked ports to distinct slots.
+  static consteval BucketMap build() {
+    for (std::uint32_t mul = 0x9e3779b1u;; mul += 2) {
+      BucketMap m;
+      m.mul = mul;
+      bool distinct = true;
+      for (std::size_t b = 1; b < kPortBuckets.size() && distinct; ++b) {
+        const std::size_t s = slot(kPortBuckets[b], mul);
+        distinct = m.bucket[s] == 0;
+        m.port[s] = kPortBuckets[b];
+        m.bucket[s] = static_cast<std::uint8_t>(b);
+      }
+      if (distinct) return m;
+    }
+  }
+};
+
+/// Transport index by IP protocol, -1 for neither TCP nor UDP: a lookup,
+/// so that the TCP/UDP mix costs no mispredicted branch.
+constexpr auto kTransportOf = [] {
+  std::array<std::int8_t, 256> t;
+  t.fill(-1);
+  t[static_cast<std::uint8_t>(net::Proto::kTcp)] =
+      static_cast<std::int8_t>(Transport::kTcp);
+  t[static_cast<std::uint8_t>(net::Proto::kUdp)] =
+      static_cast<std::int8_t>(Transport::kUdp);
+  return t;
+}();
+
+int PortMixBuilder::bucket_of(std::uint16_t port) {
+  static constexpr BucketMap kMap = BucketMap::build();
+  const std::size_t s = BucketMap::slot(port, kMap.mul);
+  // A mask, not a conditional, so that no compiler makes it a branch.
+  return kMap.bucket[s] & -static_cast<int>(kMap.port[s] == port);
 }
 
 void PortMixBuilder::add(const net::FlowBatch& batch,
@@ -159,14 +201,8 @@ void PortMixBuilder::add(const net::FlowBatch& batch,
   const auto dport = batch.dport();
   const auto packets = batch.packets();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    int transport;
-    if (proto[i] == static_cast<std::uint8_t>(net::Proto::kTcp)) {
-      transport = static_cast<int>(Transport::kTcp);
-    } else if (is_udp(proto[i])) {
-      transport = static_cast<int>(Transport::kUdp);
-    } else {
-      continue;  // Fig 9 covers TCP/UDP only
-    }
+    const int transport = kTransportOf[proto[i]];
+    if (transport < 0) continue;  // Fig 9 covers TCP/UDP only
     const auto c =
         static_cast<int>(classify::Classifier::unpack(labels[i], space_idx_));
     const auto count = [&](Direction dir, std::uint16_t port) {
@@ -314,9 +350,8 @@ void AttackPatternsBuilder::add(const net::FlowBatch& batch,
 
     // Fig 11a: per-destination source uniqueness.
     auto& info = by_dst_[c].touch(dst[i]);
-    info.sources.set_cap(limits_.max_sources_per_destination);
     info.packets += packets[i];
-    info.sources.touch(src[i]);
+    info.sources.insert(src[i], limits_.max_sources_per_destination);
 
     // NTP amplification: Invalid UDP towards port 123.
     if (c != static_cast<int>(TrafficClass::kInvalid)) continue;
@@ -337,9 +372,8 @@ void AttackPatternsBuilder::add(const net::FlowBatch& batch,
 void AttackPatternsBuilder::merge(const AttackPatternsBuilder& other) {
   for (int c = 0; c < kNumClasses; ++c) {
     by_dst_[c].merge(other.by_dst_[c], [this](DstInfo& ours, const DstInfo& theirs) {
-      ours.sources.set_cap(limits_.max_sources_per_destination);
       ours.packets += theirs.packets;
-      ours.sources.merge(theirs.sources, [](char&, const char&) {});
+      ours.sources.merge(theirs.sources, limits_.max_sources_per_destination);
     });
   }
   victims_.merge(other.victims_, [this](VictimAgg& ours, const VictimAgg& theirs) {
@@ -365,16 +399,16 @@ SrcRatioHistogram AttackPatternsBuilder::ratio(std::uint32_t min_sampled_packets
   for (int c = 0; c < kNumClasses; ++c) {
     out.fractions[c].assign(bins, 0.0);
     std::size_t qualifying = 0;
-    for (const std::uint32_t dst : by_dst_[c].sorted_keys()) {
-      const DstInfo& info = *by_dst_[c].find(dst);
-      if (info.packets < min_sampled_packets) continue;
+    // Each bin counts whole destinations (+1.0), exact in any order.
+    by_dst_[c].for_each([&](std::uint32_t, const DstInfo& info) {
+      if (info.packets < min_sampled_packets) return;
       ++qualifying;
       const double r = static_cast<double>(info.sources.size()) /
                        static_cast<double>(info.packets);
       const std::size_t bin = std::min(
           bins - 1, static_cast<std::size_t>(r * static_cast<double>(bins)));
       out.fractions[c][bin] += 1.0;
-    }
+    });
     out.destinations[c] = qualifying;
     if (qualifying > 0) {
       for (auto& f : out.fractions[c]) f /= static_cast<double>(qualifying);
@@ -407,11 +441,13 @@ NtpAnalysis AttackPatternsBuilder::ntp(std::size_t top_victims) const {
     out.top5_member_share = static_cast<double>(top5) / out.trigger_packets;
   }
 
+  // (packets, address) pairs are distinct, so the sort fixes the order
+  // whatever order the table is visited in.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> ranked;
   ranked.reserve(victims_.size());
-  for (const std::uint32_t addr : victims_.sorted_keys()) {
-    ranked.emplace_back(victims_.find(addr)->packets, addr);
-  }
+  victims_.for_each([&](std::uint32_t addr, const VictimAgg& agg) {
+    ranked.emplace_back(agg.packets, addr);
+  });
   std::sort(ranked.rbegin(), ranked.rend());
   for (std::size_t i = 0; i < std::min(top_victims, ranked.size()); ++i) {
     const VictimAgg& agg = *victims_.find(ranked[i].second);
@@ -603,12 +639,11 @@ void IncidentsBuilder::add(const net::FlowBatch& batch,
         is_udp(proto[i]) && dport[i] == net::ports::kNtp;
     ClusterState& c = trigger_shaped ? by_trigger_src_.touch(src[i])
                                      : by_dst_.touch(dst[i]);
-    c.counterparts.set_cap(max_counterparts_);
     c.start_ts = std::min(c.start_ts, ts[i]);
     c.end_ts = std::max(c.end_ts, ts[i]);
     c.packets += packets[i];
     c.bytes += bytes[i];
-    c.counterparts.touch(trigger_shaped ? dst[i] : src[i]);
+    c.counterparts.insert(trigger_shaped ? dst[i] : src[i], max_counterparts_);
     const auto at =
         std::lower_bound(c.members.begin(), c.members.end(), member_in[i]);
     if (at == c.members.end() || *at != member_in[i]) {
@@ -619,12 +654,11 @@ void IncidentsBuilder::add(const net::FlowBatch& batch,
 
 void IncidentsBuilder::merge(const IncidentsBuilder& other) {
   const auto fold = [this](ClusterState& ours, const ClusterState& theirs) {
-    ours.counterparts.set_cap(max_counterparts_);
     ours.start_ts = std::min(ours.start_ts, theirs.start_ts);
     ours.end_ts = std::max(ours.end_ts, theirs.end_ts);
     ours.packets += theirs.packets;
     ours.bytes += theirs.bytes;
-    ours.counterparts.merge(theirs.counterparts, [](char&, const char&) {});
+    ours.counterparts.merge(theirs.counterparts, max_counterparts_);
     std::vector<Asn> members;
     std::set_union(ours.members.begin(), ours.members.end(),
                    theirs.members.begin(), theirs.members.end(),

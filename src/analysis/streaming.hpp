@@ -13,6 +13,9 @@
 //    same deterministic LRU discipline StreamingDetector uses for
 //    member windows: at the cap, the least-recently-touched entry is
 //    evicted, and every eviction is counted;
+//  - distinct counts that nothing reads but their size (sources per
+//    destination, an incident's counterparts) use CappedDistinctSet,
+//    whose size() is the one the capped LRU table would report;
 //  - distribution summaries (packet-size CDFs) use the mergeable
 //    util::QuantileSketch instead of materialized sample vectors;
 //  - the global time series bins are fixed by the window length (or
@@ -64,12 +67,21 @@ namespace spoofscope::analysis {
 /// degraded results are visible rather than silent. max_entries == 0
 /// means unbounded (the oracle-exact configuration).
 ///
-/// Layout: entries live in a dense slab, found through an
-/// open-addressed index of slab positions (linear probing, load <= 1/2,
-/// backward-shift delete) and ordered by an intrusive doubly-linked
-/// recency list (head = least recently touched). A touch of a present
-/// key is one probe plus a list splice; nothing allocates once the slab
-/// and index have grown to the table's working size.
+/// Layout: an index and two dense arrays by slab position.
+///  - index_: open-addressed {key, slab position} slots (Fibonacci
+///    hashing, linear probing, load <= 1/2, backward-shift delete), so
+///    probing and deletion compare keys without reading a slab entry;
+///  - nodes_: each entry's key and its links in the doubly-linked
+///    recency list (head = least recently touched), apart from the
+///    values so a splice touches no value;
+///  - values_: the values themselves.
+/// A touch of a present key is one probe plus a list splice; nothing
+/// allocates once the arrays have grown to the table's working size.
+/// A new key at the cap takes over the list head's slab position and
+/// recycles its value in place: a Value with a clear() member is
+/// cleared (which must leave it equal to Value{} while keeping its
+/// storage, so a nested table or vector is not freed and allocated
+/// again); any other Value is assigned Value{}.
 ///
 /// A reference returned by touch() (or a pointer from find()) stays
 /// valid only until the next touch(), set_cap() or merge() on the same
@@ -90,44 +102,45 @@ class BoundedTable {
   Value& touch(const Key& key) {
     if (index_.empty()) grow_index();
     std::size_t slot = probe(key);
-    if (index_[slot] != kNil) {
-      const std::uint32_t pos = index_[slot];
+    if (index_[slot].pos != kNil) {
+      const std::uint32_t pos = index_[slot].pos;
       if (pos != tail_) {
         unlink(pos);
         link_back(pos);
       }
-      return slab_[pos].value;
+      return values_[pos];
     }
-    if (max_entries_ != 0 && slab_.size() >= max_entries_) {
-      // Recycle the victim's slab slot for the new key.
+    if (max_entries_ != 0 && nodes_.size() >= max_entries_) {
+      // Recycle the victim's slab position and value for the new key.
       const std::uint32_t pos = head_;
       unindex(pos);
       unlink(pos);
       ++evictions_;
-      slab_[pos].key = key;
-      slab_[pos].value = Value{};
-      index_[probe(key)] = pos;
+      nodes_[pos].key = key;
+      recycle(values_[pos]);
+      index_[probe(key)] = {key, pos};
       link_back(pos);
-      return slab_[pos].value;
+      return values_[pos];
     }
-    if (2 * (slab_.size() + 1) > index_.size()) {
+    if (2 * (nodes_.size() + 1) > index_.size()) {
       grow_index();
       slot = probe(key);
     }
-    const auto pos = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back().key = key;
-    index_[slot] = pos;
+    const auto pos = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back({key, kNil, kNil});
+    values_.emplace_back();
+    index_[slot] = {key, pos};
     link_back(pos);
-    return slab_[pos].value;
+    return values_[pos];
   }
 
   const Value* find(const Key& key) const {
     if (index_.empty()) return nullptr;
-    const std::uint32_t pos = index_[probe(key)];
-    return pos == kNil ? nullptr : &slab_[pos].value;
+    const std::uint32_t pos = index_[probe(key)].pos;
+    return pos == kNil ? nullptr : &values_[pos];
   }
 
-  std::size_t size() const { return slab_.size(); }
+  std::size_t size() const { return nodes_.size(); }
   std::size_t cap() const { return max_entries_; }
   std::uint64_t evictions() const { return evictions_; }
 
@@ -135,20 +148,42 @@ class BoundedTable {
   /// least-recently-touched entries immediately.
   void set_cap(std::size_t max_entries) {
     max_entries_ = max_entries;
-    while (max_entries_ != 0 && slab_.size() > max_entries_) {
+    while (max_entries_ != 0 && nodes_.size() > max_entries_) {
       erase(head_);
       ++evictions_;
     }
   }
 
-  /// Keys in ascending order — the deterministic iteration order every
-  /// finish() uses.
+  /// Back to the state of BoundedTable{} (unbounded, no evictions),
+  /// keeping the storage: what touch() does to a nested table it
+  /// recycles.
+  void clear() {
+    for (Slot& s : index_) s.pos = kNil;
+    nodes_.clear();
+    values_.clear();
+    head_ = tail_ = kNil;
+    evictions_ = 0;
+    max_entries_ = 0;
+  }
+
+  /// Keys in ascending order — the deterministic iteration order of
+  /// every finish() whose result depends on the order.
   std::vector<Key> sorted_keys() const {
     std::vector<Key> keys;
-    keys.reserve(slab_.size());
-    for (const Entry& e : slab_) keys.push_back(e.key);
+    keys.reserve(nodes_.size());
+    for (const Node& n : nodes_) keys.push_back(n.key);
     std::sort(keys.begin(), keys.end());
     return keys;
+  }
+
+  /// Calls fn(key, value) for every entry in slab order: deterministic,
+  /// but not key order, so only for folds whose result does not depend
+  /// on the order (counts, exact sums, input to a total-order sort).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t pos = 0; pos < nodes_.size(); ++pos) {
+      fn(nodes_[pos].key, values_[pos]);
+    }
   }
 
   /// Folds `other` into this table in ascending key order; `fold(ours,
@@ -164,12 +199,23 @@ class BoundedTable {
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  struct Entry {
+  struct Slot {
+    Key key{};
+    std::uint32_t pos = kNil;  ///< slab position; kNil: empty slot
+  };
+  struct Node {
     Key key{};
     std::uint32_t prev = kNil;  ///< towards the least recently touched
     std::uint32_t next = kNil;  ///< towards the most recently touched
-    Value value{};              // value-initialize: Value may be a bare scalar
   };
+
+  static void recycle(Value& v) {
+    if constexpr (requires { v.clear(); }) {
+      v.clear();
+    } else {
+      v = Value{};  // value-initialize: Value may be a bare scalar
+    }
+  }
 
   /// Home slot of `key`: Fibonacci hashing of the folded key bits.
   std::size_t home(const Key& key) const {
@@ -181,7 +227,7 @@ class BoundedTable {
   /// The slot holding `key`, or the empty slot that ends its probe run.
   std::size_t probe(const Key& key) const {
     std::size_t s = home(key);
-    while (index_[s] != kNil && slab_[index_[s]].key != key) {
+    while (index_[s].pos != kNil && index_[s].key != key) {
       s = (s + 1) & (index_.size() - 1);
     }
     return s;
@@ -189,19 +235,19 @@ class BoundedTable {
 
   /// The slot holding slab position `pos`.
   std::size_t slot_of(std::uint32_t pos) const {
-    std::size_t s = home(slab_[pos].key);
-    while (index_[s] != pos) s = (s + 1) & (index_.size() - 1);
+    std::size_t s = home(nodes_[pos].key);
+    while (index_[s].pos != pos) s = (s + 1) & (index_.size() - 1);
     return s;
   }
 
   void grow_index() {
     const std::size_t size = std::max<std::size_t>(16, 2 * index_.size());
     shift_ = 64 - std::countr_zero(size);
-    index_.assign(size, kNil);
-    for (std::uint32_t pos = 0; pos < slab_.size(); ++pos) {
-      std::size_t s = home(slab_[pos].key);
-      while (index_[s] != kNil) s = (s + 1) & (size - 1);
-      index_[s] = pos;
+    index_.assign(size, Slot{});
+    for (std::uint32_t pos = 0; pos < nodes_.size(); ++pos) {
+      std::size_t s = home(nodes_[pos].key);
+      while (index_[s].pos != kNil) s = (s + 1) & (size - 1);
+      index_[s] = {nodes_[pos].key, pos};
     }
   }
 
@@ -210,29 +256,29 @@ class BoundedTable {
   void unindex(std::uint32_t pos) {
     const std::size_t mask = index_.size() - 1;
     std::size_t hole = slot_of(pos);
-    for (std::size_t j = (hole + 1) & mask; index_[j] != kNil;
+    for (std::size_t j = (hole + 1) & mask; index_[j].pos != kNil;
          j = (j + 1) & mask) {
       // Movable iff the hole lies on the path from its home slot to j.
-      const std::size_t h = home(slab_[index_[j]].key);
+      const std::size_t h = home(index_[j].key);
       if (((j - h) & mask) >= ((j - hole) & mask)) {
         index_[hole] = index_[j];
         hole = j;
       }
     }
-    index_[hole] = kNil;
+    index_[hole].pos = kNil;
   }
 
   void unlink(std::uint32_t pos) {
-    const Entry& e = slab_[pos];
-    (e.prev == kNil ? head_ : slab_[e.prev].next) = e.next;
-    (e.next == kNil ? tail_ : slab_[e.next].prev) = e.prev;
+    const Node& n = nodes_[pos];
+    (n.prev == kNil ? head_ : nodes_[n.prev].next) = n.next;
+    (n.next == kNil ? tail_ : nodes_[n.next].prev) = n.prev;
   }
 
   void link_back(std::uint32_t pos) {
-    Entry& e = slab_[pos];
-    e.prev = tail_;
-    e.next = kNil;
-    (tail_ == kNil ? head_ : slab_[tail_].next) = pos;
+    Node& n = nodes_[pos];
+    n.prev = tail_;
+    n.next = kNil;
+    (tail_ == kNil ? head_ : nodes_[tail_].next) = pos;
     tail_ = pos;
   }
 
@@ -240,24 +286,111 @@ class BoundedTable {
   void erase(std::uint32_t pos) {
     unindex(pos);
     unlink(pos);
-    const auto last = static_cast<std::uint32_t>(slab_.size() - 1);
+    const auto last = static_cast<std::uint32_t>(nodes_.size() - 1);
     if (pos != last) {
-      index_[slot_of(last)] = pos;
-      slab_[pos] = std::move(slab_[last]);
-      const Entry& e = slab_[pos];
-      (e.prev == kNil ? head_ : slab_[e.prev].next) = pos;
-      (e.next == kNil ? tail_ : slab_[e.next].prev) = pos;
+      index_[slot_of(last)].pos = pos;
+      nodes_[pos] = nodes_[last];
+      values_[pos] = std::move(values_[last]);
+      const Node& n = nodes_[pos];
+      (n.prev == kNil ? head_ : nodes_[n.prev].next) = pos;
+      (n.next == kNil ? tail_ : nodes_[n.next].prev) = pos;
     }
-    slab_.pop_back();
+    nodes_.pop_back();
+    values_.pop_back();
   }
 
   std::size_t max_entries_ = 0;
   std::uint64_t evictions_ = 0;
-  std::vector<Entry> slab_;
-  std::vector<std::uint32_t> index_;  ///< slab positions; size a power of 2
-  int shift_ = 64;                    ///< 64 - log2(index_.size())
-  std::uint32_t head_ = kNil;         ///< least recently touched
-  std::uint32_t tail_ = kNil;         ///< most recently touched
+  std::vector<Slot> index_;  ///< size a power of 2
+  std::vector<Node> nodes_;  ///< by slab position
+  std::vector<Value> values_;  ///< by slab position
+  int shift_ = 64;             ///< 64 - log2(index_.size())
+  std::uint32_t head_ = kNil;  ///< least recently touched
+  std::uint32_t tail_ = kNil;  ///< most recently touched
+};
+
+/// The number of distinct u32 keys inserted, saturating at a cap: what
+/// size() of a BoundedTable<std::uint32_t, char> capped at `cap` reports
+/// after the same inserts (touches) and merges, without its recency
+/// list. That table's size never falls under a fixed cap: below it
+/// nothing is evicted, and at it each new key evicts one and admits
+/// one; a merge touches the other side's keys in, so it gives
+/// min(cap, |ours ∪ theirs|), and a side already at the cap forces it.
+/// So the set stores keys until it holds `cap` of them, and from then
+/// on size() stays at `cap` and nothing more is stored. A saturated set
+/// holds exactly `cap` keys, so a merge needs no saturation case:
+/// inserting the other side's keys saturates ours whenever theirs is.
+/// For sets that nothing reads but size() and whose evictions are
+/// counted nowhere (Fig 11a's sources per destination, an incident's
+/// counterparts). cap 0 = unbounded; every call on one set, and on the
+/// sets merged into it, must pass the same cap.
+///
+/// Layout: one open-addressed array of keys (Fibonacci hashing, linear
+/// probing, load <= 1/2, no deletion); kEmpty marks a free slot, and
+/// the key equal to kEmpty is held by a flag.
+class CappedDistinctSet {
+ public:
+  void insert(std::uint32_t key, std::size_t cap) {
+    if (cap != 0 && size_ >= cap) return;  // saturated
+    if (key == kEmpty) {
+      size_ += has_empty_key_ ? 0 : 1;
+      has_empty_key_ = true;
+      return;
+    }
+    if (2 * (size_ + 1) > slots_.size()) grow();  // load <= 1/2
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = home(key);
+    while (slots_[s] != kEmpty) {
+      if (slots_[s] == key) return;
+      s = (s + 1) & mask;
+    }
+    slots_[s] = key;
+    ++size_;
+  }
+
+  /// size() becomes min(cap, |ours ∪ theirs|).
+  void merge(const CappedDistinctSet& other, std::size_t cap) {
+    if (other.has_empty_key_) insert(kEmpty, cap);
+    for (const std::uint32_t k : other.slots_) {
+      if (k != kEmpty) insert(k, cap);
+    }
+  }
+
+  std::size_t size() const { return size_; }
+
+  /// Back to empty, keeping the storage (recycled by BoundedTable).
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+    size_ = 0;
+    has_empty_key_ = false;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0;
+
+  std::size_t home(std::uint32_t key) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  void grow() {
+    std::vector<std::uint32_t> old(std::max<std::size_t>(8, 2 * slots_.size()),
+                                   kEmpty);
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    const std::size_t mask = slots_.size() - 1;
+    for (const std::uint32_t k : old) {
+      if (k == kEmpty) continue;
+      std::size_t s = home(k);
+      while (slots_[s] != kEmpty) s = (s + 1) & mask;
+      slots_[s] = k;
+    }
+  }
+
+  std::vector<std::uint32_t> slots_;  ///< size 0 or a power of 2
+  std::size_t size_ = 0;              ///< keys stored, the flag's included
+  int shift_ = 64;                    ///< 64 - log2(slots_.size())
+  bool has_empty_key_ = false;        ///< key kEmpty inserted
 };
 
 /// State caps for one streaming report. 0 = unbounded. unbounded() is
@@ -354,6 +487,9 @@ class PortMixBuilder {
       net::ports::kItalkGame,
       net::ports::kSteam,
       net::ports::kCod};
+  struct BucketMap;
+  /// kPortBuckets' index of `port`, 0 if untracked: one branch-free
+  /// table lookup (it runs twice per TCP or UDP flow).
   static int bucket_of(std::uint16_t port);
 
   std::size_t space_idx_;
@@ -429,13 +565,22 @@ class AttackPatternsBuilder {
   std::uint64_t evictions() const;
 
  private:
+  // clear() recycles an evicted entry in place (BoundedTable).
   struct DstInfo {
     std::uint64_t packets = 0;
-    BoundedTable<std::uint32_t, char> sources;
+    CappedDistinctSet sources;
+    void clear() {
+      packets = 0;
+      sources.clear();
+    }
   };
   struct VictimAgg {
     std::uint64_t packets = 0;
     BoundedTable<std::uint32_t, std::uint64_t> per_amplifier;
+    void clear() {
+      packets = 0;
+      per_amplifier.clear();
+    }
   };
 
   std::size_t space_idx_;
@@ -486,6 +631,10 @@ class AmplificationBuilder {
     /// its timestamp.
     std::vector<Bin> bins;
     Bin& at(std::size_t bin);
+    void clear() {  // recycles an evicted pair in place (BoundedTable)
+      trigger = response = false;
+      bins.clear();
+    }
   };
   std::size_t bin_of(std::uint32_t ts) const;
 
@@ -523,8 +672,15 @@ class IncidentsBuilder {
     std::uint32_t end_ts = 0;
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
-    BoundedTable<std::uint32_t, char> counterparts;
+    CappedDistinctSet counterparts;
     std::vector<Asn> members;  ///< ascending, distinct
+    void clear() {  // recycles an evicted cluster in place (BoundedTable)
+      start_ts = ~0u;
+      end_ts = 0;
+      packets = bytes = 0;
+      counterparts.clear();
+      members.clear();
+    }
   };
 
   std::size_t space_idx_;

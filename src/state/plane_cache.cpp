@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <regex>
+#include <system_error>
 #include <vector>
 
 #include "net/bogon.hpp"
@@ -48,6 +50,32 @@ struct Fnv64 {
 
 [[noreturn]] void corrupt(const std::string& what, const std::string& ctx = {}) {
   throw SnapshotError(util::ErrorKind::kParse, what, ctx);
+}
+
+/// True for exactly the names entry_path() gives another payload
+/// version: "plane-<16 lowercase hex>-v<N>.snap", N not
+/// kPlanePayloadVersion.
+bool retired_entry_name(const std::string& name) {
+  static const std::regex kEntry("plane-[0-9a-f]{16}-v([0-9]{1,9})\\.snap");
+  std::smatch m;
+  return std::regex_match(name, m, kEntry) &&
+         std::stoul(m[1].str()) != kPlanePayloadVersion;
+}
+
+/// Deletes the entries of retired payload versions in `dir`, which no
+/// version of this binary reads; best effort, like the directory
+/// creation before a store.
+void remove_retired_entries(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::error_code ignored;
+    if (it->is_regular_file(ignored) &&
+        retired_entry_name(it->path().filename().string())) {
+      fs::remove(it->path(), ignored);
+    }
+  }
 }
 
 }  // namespace
@@ -318,6 +346,7 @@ void PlaneCache::store(const classify::FlatClassifier& plane,
     writer.add_section(kSecRecords, b.take());
   }
   writer.write_atomic(entry_path(source_digest));
+  remove_retired_entries(dir_);
 }
 
 }  // namespace spoofscope::state

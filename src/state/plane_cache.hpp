@@ -22,6 +22,12 @@
 // on demand rather than copied. Snapshots store host-native (little-
 // endian) lanes; on a big-endian host the cache degrades to
 // compile-always rather than byte-swapping 64 MiB.
+//
+// Retention: every store deletes the directory's entries of other
+// payload versions (exactly the names entry_path() gives them), which
+// no version of this binary reads. Entries for distinct source digests
+// of the current version still accumulate, one per routing-table and
+// valid-space state ever compiled (each about 90 MiB at paper scale).
 #pragma once
 
 #include <cstdint>

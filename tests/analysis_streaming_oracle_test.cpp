@@ -9,7 +9,8 @@
 // traces to the clean-survivor-restricted oracle, determinism under
 // finite caps, golden digests of whole (evicting and production)
 // reports, and the BoundedTable LRU eviction discipline itself, against
-// the map + recency-set table it replaced.
+// the map + recency-set table it replaced, which also stands as the
+// reference for CappedDistinctSet's size().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1654,6 +1655,136 @@ TEST(BoundedTableTest, NestedSlabTablesMatchReferenceTables) {
           << "seed=" << seed << " round=" << round << " recapped";
     }
   }
+}
+
+// An entry evicted at the cap is recycled in place: a nested table comes
+// back as BoundedTable{} (unbounded, no evictions, empty) whatever its
+// cap and evictions were, and keeps working as a fresh one would.
+TEST(BoundedTableTest, RecycledNestedTableEqualsFreshOne) {
+  BoundedTable<std::uint32_t, BoundedTable<std::uint32_t, std::uint64_t>> outer(1);
+  auto& first = outer.touch(1);
+  first.set_cap(2);
+  for (std::uint32_t k = 0; k < 5; ++k) first.touch(k) = k;
+  ASSERT_EQ(first.evictions(), 3u);
+
+  auto& recycled = outer.touch(2);  // evicts key 1, recycling its table
+  EXPECT_EQ(outer.evictions(), 1u);
+  EXPECT_EQ(recycled.size(), 0u);
+  EXPECT_EQ(recycled.cap(), 0u);
+  EXPECT_EQ(recycled.evictions(), 0u);
+  EXPECT_TRUE(recycled.sorted_keys().empty());
+  for (std::uint32_t k = 0; k < 5; ++k) EXPECT_EQ(recycled.find(k), nullptr);
+  for (std::uint32_t k = 10; k < 40; ++k) recycled.touch(k) = k;
+  EXPECT_EQ(recycled.size(), 30u);
+  EXPECT_EQ(recycled.evictions(), 0u);
+  ASSERT_NE(recycled.find(39), nullptr);
+  EXPECT_EQ(*recycled.find(39), 39u);
+}
+
+/// Random steps on a CappedDistinctSet and the capped reference table
+/// whose size() it stands for: inserts over a key domain that holds 0
+/// and 0xFFFFFFFF, merges with sets built by their own (possibly
+/// merging) step sequences, so either side may be saturated, and
+/// recycling. Checks size() after every step.
+struct DistinctSetOps {
+  using Ref = ReferenceTable<std::uint32_t, char>;
+  util::Rng rng;
+  std::size_t cap;
+  std::uint64_t domain;
+  std::size_t merges_into_saturated = 0;
+  std::size_t merges_of_saturated = 0;
+
+  std::uint32_t key() {
+    const std::uint64_t k = rng.uniform_u64(0, domain - 1);
+    if (k == 0) return 0;
+    if (k == 1) return 0xFFFFFFFFu;
+    return static_cast<std::uint32_t>(k * 0x9e3779b9u);  // spread over u32
+  }
+
+  void run(CappedDistinctSet& got, Ref& want, std::size_t steps, int depth) {
+    for (std::size_t i = 0; i < steps; ++i) {
+      const std::uint64_t op = rng.index(100);
+      if (op < 88 || depth == 2) {
+        const std::uint32_t k = key();
+        got.insert(k, cap);
+        want.touch(k);
+      } else if (op < 97) {
+        CappedDistinctSet got_other;
+        Ref want_other(cap);
+        run(got_other, want_other, rng.index(3 * cap + 8), depth + 1);
+        const auto saturated = [&](std::size_t n) { return cap != 0 && n == cap; };
+        merges_into_saturated += saturated(want.size());
+        merges_of_saturated += saturated(want_other.size());
+        got.merge(got_other, cap);
+        want.merge(want_other, [](char&, const char&) {});
+      } else {
+        got.clear();  // recycled, as BoundedTable recycles an evicted value
+        want = Ref(cap);
+      }
+      ASSERT_EQ(got.size(), want.size())
+          << "cap=" << cap << " domain=" << domain << " depth=" << depth
+          << " step=" << i;
+    }
+  }
+};
+
+// Differential: size() equals the capped LRU table's size() at every
+// step, for caps {0, 1, 2, 8, 64} over key domains that stay below the
+// cap, cross it and dwarf it.
+TEST(CappedDistinctSetTest, SizeMatchesCappedReferenceTable) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const std::size_t cap : {0u, 1u, 2u, 8u, 64u}) {
+      for (const std::uint64_t domain : {3u, 12u, 100u, 1000u}) {
+        DistinctSetOps ops{util::Rng(seed * 131 + cap * 7 + domain), cap, domain};
+        CappedDistinctSet got;
+        DistinctSetOps::Ref want(cap);
+        ops.run(got, want, 1500, 0);
+        if (HasFatalFailure()) return;
+        if (cap != 0 && domain > cap) {
+          EXPECT_GT(ops.merges_into_saturated, 0u) << cap << " " << domain;
+          EXPECT_GT(ops.merges_of_saturated, 0u) << cap << " " << domain;
+        }
+      }
+    }
+  }
+}
+
+// A saturated side forces the cap onto every set it is merged into,
+// also through a chain of merges; below the cap a merge counts the
+// union, not the sum; a recycled set counts from zero again.
+TEST(CappedDistinctSetTest, MergeSaturationAndRecycling) {
+  constexpr std::size_t kCap = 8;
+  CappedDistinctSet full;
+  for (std::uint32_t k = 0; k < 20; ++k) full.insert(k, kCap);
+  EXPECT_EQ(full.size(), kCap);
+
+  CappedDistinctSet via_merge;
+  via_merge.insert(0xFFFFFFFFu, kCap);
+  via_merge.merge(full, kCap);
+  EXPECT_EQ(via_merge.size(), kCap);
+
+  CappedDistinctSet small;
+  small.insert(0, kCap);
+  small.merge(via_merge, kCap);
+  EXPECT_EQ(small.size(), kCap);
+
+  CappedDistinctSet a, b;
+  for (std::uint32_t k = 0; k < 5; ++k) a.insert(k, kCap);
+  for (std::uint32_t k = 3; k < 6; ++k) b.insert(k, kCap);
+  a.merge(b, kCap);
+  EXPECT_EQ(a.size(), 6u);  // {0..5}: below the cap, exact
+  for (std::uint32_t k = 3; k < 9; ++k) b.insert(k, kCap);
+  a.merge(b, kCap);
+  EXPECT_EQ(a.size(), kCap);  // |{0..8}| = 9 > cap
+
+  full.clear();
+  EXPECT_EQ(full.size(), 0u);
+  for (const std::uint32_t k : {0u, 0xFFFFFFFFu, 7u, 7u, 0u}) full.insert(k, kCap);
+  EXPECT_EQ(full.size(), 3u);
+
+  CappedDistinctSet unbounded;
+  for (std::uint32_t k = 0; k < 5000; ++k) unbounded.insert(k * 2654435761u, 0);
+  EXPECT_EQ(unbounded.size(), 5000u);
 }
 
 TEST(BoundedTableTest, MergeFoldsValuesAndAccumulatesEvictions) {

@@ -53,20 +53,22 @@ using net::Ipv4Addr;
 using net::pfx;
 
 constexpr std::size_t kMembers = 10;
+/// First octet of every routed prefix: public space, so no route lies
+/// under a bogon and the stream's own-space sources classify Valid or
+/// Invalid.
+constexpr std::uint8_t kNet = 20;
 
 /// Ten-member routing view so shard counts {1, 2, 7} all see traffic on
-/// every shard: member N announces NET.N.0.0/16; members 1..8 own their
+/// every shard: member N announces 20.N.0.0/16; members 1..8 own their
 /// announced block as valid space, members 9 and 10 have routed space
 /// but no valid space (their own-source traffic classifies Invalid).
-/// NET defaults to 10, which is RFC 1918 space: every such route lies
-/// under a bogon, so only a public NET makes Valid and Invalid occur.
 struct Fixture {
-  explicit Fixture(std::uint8_t net = 10) {
+  Fixture() {
     bgp::RoutingTableBuilder b;
     std::unordered_map<Asn, trie::IntervalSet> spaces;
     for (std::uint32_t m = 1; m <= kMembers; ++m) {
       const net::Prefix p(
-          Ipv4Addr::from_octets(net, static_cast<std::uint8_t>(m), 0, 0), 16);
+          Ipv4Addr::from_octets(kNet, static_cast<std::uint8_t>(m), 0, 0), 16);
       b.ingest_route(p, bgp::AsPath{m});
       if (m <= 8) {
         trie::IntervalSet s;
@@ -97,13 +99,12 @@ StreamingParams detect_params(std::uint32_t skew, SimdKernel simd) {
   return p;
 }
 
-/// Mixed ten-member stream over the Fixture of the same NET. jitter == 0
-/// keeps timestamps nondecreasing (the in-order regime where sharding is
+/// Mixed ten-member stream over the Fixture. jitter == 0 keeps
+/// timestamps nondecreasing (the in-order regime where sharding is
 /// exact); jitter > 0 wanders them within the given bound for the
 /// reorder-buffer cases.
 std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n,
-                                         std::uint32_t jitter,
-                                         std::uint8_t net = 10) {
+                                         std::uint32_t jitter) {
   util::Rng rng(seed);
   std::vector<net::FlowRecord> flows;
   flows.reserve(n);
@@ -114,15 +115,15 @@ std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n,
         static_cast<std::uint8_t>(1 + (member % kMembers));
     const std::uint8_t host = static_cast<std::uint8_t>(1 + rng.index(250));
     if (rng.chance(0.5)) {
-      f.src = Ipv4Addr::from_octets(net, member, 0, host);       // own space
+      f.src = Ipv4Addr::from_octets(kNet, member, 0, host);      // own space
     } else if (rng.chance(0.4)) {
-      f.src = Ipv4Addr::from_octets(net, other, 0, host);        // Invalid
+      f.src = Ipv4Addr::from_octets(kNet, other, 0, host);       // Invalid
     } else if (rng.chance(0.5)) {
       f.src = Ipv4Addr::from_octets(99, 0, 0, host);             // Unrouted
     } else {
       f.src = Ipv4Addr::from_octets(192, 168, 0, host);          // Bogon
     }
-    f.dst = Ipv4Addr::from_octets(net, other, 0, 1);
+    f.dst = Ipv4Addr::from_octets(kNet, other, 0, 1);
     const std::uint32_t base = static_cast<std::uint32_t>(i / 4);
     f.ts = jitter == 0 ? base : base + jitter - rng.uniform_u32(0, jitter);
     f.packets = 1 + rng.uniform_u32(0, 3);
@@ -132,6 +133,21 @@ std::vector<net::FlowRecord> make_stream(std::uint64_t seed, std::size_t n,
     flows.push_back(f);
   }
   return flows;
+}
+
+/// The stream's trie verdicts include Valid and Invalid flows, so a
+/// differential over it sees every class, not only Bogon and Unrouted.
+::testing::AssertionResult sees_valid_and_invalid(
+    const Fixture& fx, std::span<const net::FlowRecord> flows) {
+  std::size_t valid = 0, invalid = 0;
+  for (const classify::Label l : classify_trace(*fx.classifier, flows)) {
+    const auto c = Classifier::unpack(l, 0);
+    valid += c == classify::TrafficClass::kValid;
+    invalid += c == classify::TrafficClass::kInvalid;
+  }
+  if (valid > 0 && invalid > 0) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << valid << " Valid and " << invalid << " Invalid flows";
 }
 
 struct RunResult {
@@ -216,6 +232,7 @@ TEST(ServiceDifferential, ShardedServeIsBitIdenticalToOneShotDetect) {
   };
   for (const std::uint64_t seed : {5u, 6u}) {
     const auto flows = make_stream(seed, 4000, 0);
+    ASSERT_TRUE(sees_valid_and_invalid(fx, flows)) << "seed " << seed;
     // The plane every server and oracle classifies through must agree
     // with the trie oracle it was compiled from, flow by flow.
     ASSERT_EQ(classify::classify_trace(flat, flows),
@@ -245,6 +262,7 @@ TEST(ServiceDifferential, SegmentedSubmitEqualsWholeTrace) {
   Fixture fx;
   ScratchDir dir("spoofscope_serve_seg");
   const auto flows = make_stream(5, 4000, 0);
+  ASSERT_TRUE(sees_valid_and_invalid(fx, flows));
   const auto params = detect_params(0, SimdKernel::kAuto);
   const std::string whole = write_segment(dir, "whole.trace", flows);
   std::vector<std::string> segments;
@@ -271,6 +289,7 @@ TEST(ServiceDifferential, SingleShardMatchesOneShotUnderReorderSkew) {
   Fixture fx;
   ScratchDir dir("spoofscope_serve_skew1");
   const auto flows = make_stream(7, 4000, 40);  // jitter can exceed skew
+  ASSERT_TRUE(sees_valid_and_invalid(fx, flows));
   const auto params = detect_params(30, SimdKernel::kAuto);
   const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
   const RunResult expect =
@@ -291,6 +310,7 @@ TEST(ServiceDifferential, ShardingUnderSkewOnInOrderTraceKeepsAlerts) {
   Fixture fx;
   ScratchDir dir("spoofscope_serve_skewN");
   const auto flows = make_stream(8, 4000, 0);
+  ASSERT_TRUE(sees_valid_and_invalid(fx, flows));
   const auto params = detect_params(30, SimdKernel::kAuto);
   const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
   RunResult expect =
@@ -313,6 +333,7 @@ TEST(ServiceDifferential, InProcessBatchSubmitEqualsFileSubmit) {
   Fixture fx;
   ScratchDir dir("spoofscope_serve_batch");
   const auto flows = make_stream(5, 4000, 0);
+  ASSERT_TRUE(sees_valid_and_invalid(fx, flows));
   const auto params = detect_params(0, SimdKernel::kAuto);
   const std::string trace = write_segment(dir, "whole.trace", flows);
   const RunResult via_file = run_server(fx, 4, params, {trace});
@@ -369,9 +390,9 @@ TEST(ServiceDifferential, ReloadUpdatesBetweenSegmentsMatchesOneShotDetect) {
   // sharded fleet, reloading churn files between trace segments, must
   // equal one StreamingDetector whose own plane takes the same patches
   // at the same cuts — alerts, merged health and the reload counters.
-  Fixture fx(20);
+  Fixture fx;
   ScratchDir dir("spoofscope_serve_reload");
-  const auto flows = make_stream(9, 4000, 0, 20);
+  const auto flows = make_stream(9, 4000, 0);
   const auto params = detect_params(0, SimdKernel::kAuto);
   using Kind = bgp::UpdateMessage::Kind;
   // Withdraw routed prefixes and announce /24 more-specifics (one of

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -212,6 +213,40 @@ TEST(PlaneCache, CorruptEntriesAreRejectedOrRecompiledNeverServed) {
     EXPECT_TRUE(again.hit);
     EXPECT_EQ(again.plane.plane_digest(), fresh_digest);
   }
+}
+
+TEST(PlaneCache, StoreRemovesRetiredVersionEntriesOnly) {
+  // No version of this binary reads another payload version's entry, so
+  // a store deletes those (about 90 MiB each at paper scale) and nothing
+  // else: current-version entries of other digests and every file whose
+  // name is not exactly an entry name stay.
+  Fixture fx;
+  ScratchDir dir("spoofscope_plane_cache_retire");
+  PlaneCache cache(dir.str());
+  fs::create_directories(dir.str());
+  const std::string current = cache.entry_path(0x0123456789abcdefull);
+  const std::string stem = current.substr(0, current.rfind("-v"));
+  const std::vector<std::string> retired = {stem + "-v1.snap",
+                                            stem + "-v12.snap"};
+  ASSERT_EQ(std::count(retired.begin(), retired.end(), current), 0);
+  const std::vector<std::string> kept = {
+      current,
+      dir.str() + "/notes.txt",
+      stem + "-v1.snap.tmp",
+      stem + "-v.snap",
+      stem + "-vx1.snap",
+      dir.str() + "/plane-0123-v1.snap",
+      dir.str() + "/plane-0123456789ABCDEF-v1.snap",
+  };
+  for (const std::string& path : kept) std::ofstream(path) << "keep";
+  for (const std::string& path : retired) std::ofstream(path) << "retired";
+
+  auto miss = cache.load_or_compile(*fx.classifier, nullptr);
+  EXPECT_FALSE(miss.hit);
+  ASSERT_TRUE(miss.stored);
+  for (const std::string& path : retired) EXPECT_FALSE(fs::exists(path)) << path;
+  for (const std::string& path : kept) EXPECT_TRUE(fs::exists(path)) << path;
+  EXPECT_TRUE(cache.load_or_compile(*fx.classifier, nullptr).hit);
 }
 
 TEST(PlaneCache, DigestIsStableAcrossEquivalentRebuilds) {

@@ -4,7 +4,11 @@
 #   2. Release build (-O3, what perfbench measures; tier-1 is -O2) over
 #      the decode and aggregation suites, so the optimised group-verify
 #      to per-record resync hand-off and the member-presence rows run
-#      on damaged input, not just the clean traces perfbench feeds them
+#      on damaged input, not just the clean traces perfbench feeds them,
+#      and over the report-builder suites (streaming oracle with its
+#      golden report digests, the analysis and incident suites, the
+#      quantile sketch), so the optimised tables and sketch must still
+#      produce every report byte
 #   3. ThreadSanitizer build, running the concurrency-sensitive suites
 #      (the parallel classification oracles including the plane-vs-trie
 #      and batch differentials, the thread pool, the streaming detector
@@ -105,9 +109,13 @@ RELEASE_SUITES=(
   classify_test
   classify_batch_oracle_test
   classify_parallel_oracle_test
+  analysis_streaming_oracle_test
+  analysis_test
+  analysis_incidents_test
+  util_stats_test
 )
 
-echo "=== Release (-O3): decode + aggregation suites ==="
+echo "=== Release (-O3): decode, aggregation and report-builder suites ==="
 cmake -S "${REPO_ROOT}" -B "${REPO_ROOT}/build-release" \
   -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${REPO_ROOT}/build-release" -j "${JOBS}" \
