@@ -505,6 +505,54 @@ void batch_decode_kernel(benchmark::State& state, util::SimdKernel kernel) {
   state.SetItemsProcessed(records);
 }
 
+/// One packet-size sample of TrafficCharBuilder: the class sketch it
+/// goes to, the flow's mean packet size and its capped weight.
+struct SketchAdd {
+  int cls = 0;
+  double value = 0.0;
+  std::uint32_t weight = 0;
+};
+
+/// The sketch stream TrafficCharBuilder::add derives from the labelled
+/// bench batches (same mean, same weight cap of 16; built once per
+/// binary).
+const std::vector<SketchAdd>& world_sketch_stream() {
+  static const std::vector<SketchAdd> stream = [] {
+    std::vector<SketchAdd> s;
+    const auto& d = world_labelled_batches();
+    for (std::size_t b = 0; b < d.batches.size(); ++b) {
+      const auto packets = d.batches[b].packets();
+      const auto bytes = d.batches[b].bytes();
+      for (std::size_t i = 0; i < d.batches[b].size(); ++i) {
+        if (packets[i] == 0) continue;
+        const auto c = classify::Classifier::unpack(d.labels[b][i], 0);
+        s.push_back({static_cast<int>(c),
+                     static_cast<double>(bytes[i]) / packets[i],
+                     std::min(packets[i], 16u)});
+      }
+    }
+    return s;
+  }();
+  return stream;
+}
+
+void sketch_stream_kernel(benchmark::State& state, util::SimdKernel kernel) {
+  // The traffic builder's four per-class QuantileSketches over the bench
+  // trace's stream, with the compaction kernel pinned: the network sort
+  // and bitonic merge against the run sort and two-pointer merge.
+  const auto& stream = world_sketch_stream();
+  const std::size_t k = analysis::ReportLimits::production().sketch_k;
+  for (auto _ : state) {
+    std::vector<util::QuantileSketch> sketches(
+        analysis::kNumClasses, util::QuantileSketch(k, kernel));
+    for (const SketchAdd& a : stream) sketches[a.cls].add(a.value, a.weight);
+    benchmark::DoNotOptimize(sketches.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stream.size()));
+}
+
 const int kKernelBenchesRegistered = [] {
   for (const auto k : classify::usable_simd_kernels()) {
     const std::string name = std::string("BM_FlatClassifyBatchKernel/simd:") +
@@ -513,13 +561,20 @@ const int kKernelBenchesRegistered = [] {
         name.c_str(),
         [k](benchmark::State& st) { flat_classify_batch_kernel(st, k); })
         ->Unit(benchmark::kMillisecond);
-    // Decode has no NEON kernel (a NEON selection decodes scalar).
+    // Decode and the sketch have no NEON kernel (a NEON selection runs
+    // their scalar code).
     if (k == util::SimdKernel::kNeon) continue;
     const std::string decode = std::string("BM_BatchDecodeKernel/simd:") +
                                util::simd_kernel_name(k);
     benchmark::RegisterBenchmark(
         decode.c_str(),
         [k](benchmark::State& st) { batch_decode_kernel(st, k); })
+        ->Unit(benchmark::kMillisecond);
+    const std::string sketch = std::string("BM_SketchStreamKernel/simd:") +
+                               util::simd_kernel_name(k);
+    benchmark::RegisterBenchmark(
+        sketch.c_str(),
+        [k](benchmark::State& st) { sketch_stream_kernel(st, k); })
         ->Unit(benchmark::kMillisecond);
   }
   return 0;

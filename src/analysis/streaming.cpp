@@ -210,7 +210,6 @@ void PortMixBuilder::add(const net::FlowBatch& batch,
       const int b = bucket_of(port);
       counts_[c][transport][d][b] += packets[i];
       seen_[c][transport][d] |= static_cast<std::uint8_t>(1u << b);
-      totals_[c][transport][d] += packets[i];
     };
     count(Direction::kDst, dport[i]);
     count(Direction::kSrc, sport[i]);
@@ -225,7 +224,6 @@ void PortMixBuilder::merge(const PortMixBuilder& other) {
           counts_[c][t][d][b] += other.counts_[c][t][d][b];
         }
         seen_[c][t][d] |= other.seen_[c][t][d];
-        totals_[c][t][d] += other.totals_[c][t][d];
       }
     }
   }
@@ -237,7 +235,10 @@ PortMix PortMixBuilder::finish() const {
     for (int t = 0; t < 2; ++t) {
       for (int d = 0; d < 2; ++d) {
         auto& dst = out.shares[c][t][d];
-        const double total = totals_[c][t][d];
+        // Integer-valued sums below 2^53: exact in any order, so this is
+        // the packet total a running sum would hold.
+        double total = 0.0;
+        for (const double n : counts_[c][t][d]) total += n;
         for (std::size_t b = 0; b < kPortBuckets.size(); ++b) {
           if (total > 0 && (seen_[c][t][d] >> b & 1u) != 0) {
             dst.push_back({kPortBuckets[b], counts_[c][t][d][b] / total});
@@ -255,16 +256,31 @@ PortMix PortMixBuilder::finish() const {
 
 // ----------------------------------------------------- traffic character
 
+namespace {
+
+/// One empty sketch per class, all on `simd`. Built in place rather than
+/// assigned over default-constructed ones, which would resolve kAuto
+/// (and read SPOOFSCOPE_SIMD) whatever `simd` asks for.
+std::array<util::QuantileSketch, kNumClasses> class_sketches(
+    std::size_t k, util::SimdKernel simd) {
+  static_assert(kNumClasses == 4);
+  const util::QuantileSketch empty(k, simd);
+  return {empty, empty, empty, empty};
+}
+
+}  // namespace
+
 TrafficCharBuilder::TrafficCharBuilder(std::size_t space_idx,
                                        std::uint32_t window_seconds,
                                        std::uint32_t bin_seconds,
                                        std::size_t sketch_k,
-                                       double small_threshold)
+                                       double small_threshold,
+                                       util::SimdKernel simd)
     : space_idx_(space_idx),
       window_seconds_(window_seconds),
       bin_seconds_(bin_seconds),
-      small_threshold_(small_threshold) {
-  for (auto& s : sketches_) s = util::QuantileSketch(sketch_k);
+      small_threshold_(small_threshold),
+      sketches_(class_sketches(sketch_k, simd)) {
   if (window_seconds_ > 0) {
     const std::size_t bins = (window_seconds_ + bin_seconds_ - 1) / bin_seconds_;
     for (auto& s : series_) s.assign(bins, 0.0);
@@ -314,14 +330,14 @@ void TrafficCharBuilder::merge(const TrafficCharBuilder& other) {
 }
 
 TrafficCharSummary TrafficCharBuilder::finish() const {
-  TrafficCharSummary out;
-  out.series.bin_seconds = bin_seconds_;
-  out.series.series = series_;
+  std::array<double, kNumClasses> small_fraction{};
   for (int c = 0; c < kNumClasses; ++c) {
-    out.small_packet_fraction[c] = total_[c] > 0 ? small_[c] / total_[c] : 0.0;
+    small_fraction[c] = total_[c] > 0 ? small_[c] / total_[c] : 0.0;
   }
-  out.size_sketch = sketches_;
-  return out;
+  // Copy-initialised, never default-constructed: see class_sketches().
+  return {.series = {.bin_seconds = bin_seconds_, .series = series_},
+          .small_packet_fraction = small_fraction,
+          .size_sketch = sketches_};
 }
 
 // --------------------------------------------------------- attack patterns
@@ -720,7 +736,7 @@ StreamingReport::StreamingReport(std::size_t space_count, ReportOptions opts)
       venn_(opts.space_idx, opts.limits.max_members),
       ports_(opts.space_idx),
       traffic_(opts.space_idx, opts.window_seconds, opts.bin_seconds,
-               opts.limits.sketch_k, opts.small_packet_threshold),
+               opts.limits.sketch_k, opts.small_packet_threshold, opts.simd),
       attacks_(opts.space_idx, opts.limits),
       amplification_(opts.space_idx, opts.window_seconds, opts.bin_seconds,
                      opts.limits.max_pairs),
@@ -758,21 +774,25 @@ std::uint64_t StreamingReport::evictions() const {
 }
 
 ReportResult StreamingReport::finish() const {
-  ReportResult r;
-  r.aggregate = aggregate_.build();
-  r.member_counts = members_.finish();
-  r.venn = venn_.finish();
+  // Designated, so the traffic summary's sketches are never
+  // default-constructed (see class_sketches()).
+  ReportResult r{
+      .aggregate = aggregate_.build(),
+      .member_counts = members_.finish(),
+      .venn = venn_.finish(),
+      .strategy_counts = {},
+      .ports = ports_.finish(),
+      .traffic = traffic_.finish(),
+      .src_ratio = attacks_.ratio(opts_.ratio_min_packets, opts_.ratio_bins),
+      .ntp = attacks_.ntp(opts_.top_victims),
+      .amplification = amplification_.finish(),
+      .incidents = incidents_.finish(),
+      .flows = flows_,
+      .evictions = evictions(),
+  };
   for (const auto& mc : r.member_counts) {
     ++r.strategy_counts[static_cast<int>(deduce_strategy(mc))];
   }
-  r.ports = ports_.finish();
-  r.traffic = traffic_.finish();
-  r.src_ratio = attacks_.ratio(opts_.ratio_min_packets, opts_.ratio_bins);
-  r.ntp = attacks_.ntp(opts_.top_victims);
-  r.amplification = amplification_.finish();
-  r.incidents = incidents_.finish();
-  r.flows = flows_;
-  r.evictions = evictions();
   return r;
 }
 

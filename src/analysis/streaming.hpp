@@ -497,7 +497,6 @@ class PortMixBuilder {
   /// Bit b set: bucket b has seen a flow (a 0-packet flow included),
   /// which is what gives the port an entry in finish().
   std::uint8_t seen_[kNumClasses][2][2] = {};
-  double totals_[kNumClasses][2][2] = {};
 };
 
 // ----------------------------------------------------- traffic character
@@ -520,7 +519,8 @@ class TrafficCharBuilder {
                               std::uint32_t window_seconds = 0,
                               std::uint32_t bin_seconds = 3600,
                               std::size_t sketch_k = 256,
-                              double small_threshold = 60.0);
+                              double small_threshold = 60.0,
+                              util::SimdKernel simd = util::SimdKernel::kAuto);
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
   void merge(const TrafficCharBuilder& other);
@@ -705,6 +705,9 @@ struct ReportOptions {
   std::size_t top_victims = 10;
   double small_packet_threshold = 60.0;
   const ixp::Ixp* ixp = nullptr;     ///< member types (nullptr: kOther)
+  /// Packet-size sketch compaction kernel (every kernel leaves the same
+  /// sketch state, so the report does not depend on it).
+  util::SimdKernel simd = util::SimdKernel::kAuto;
 };
 
 struct ReportResult {

@@ -1,15 +1,16 @@
 // SIMD kernel selection shared by every vectorized hot path: the trace
-// decoder (net::MappedTraceReader) and the flat plane's batch classifier
-// (classify::FlatClassifier::classify_batch) resolve their kernel through
-// the same request -> concrete mapping, so one --simd value or one
-// SPOOFSCOPE_SIMD setting pins both layers at once.
+// decoder (net::MappedTraceReader), the flat plane's batch classifier
+// (classify::FlatClassifier::classify_batch) and the quantile sketch's
+// compaction (util::QuantileSketch) resolve their kernel through the
+// same request -> concrete mapping, so one --simd value or one
+// SPOOFSCOPE_SIMD setting pins every layer at once.
 //
 // Compile-time availability is controlled by feature macros so the tree
 // builds on targets with neither AVX2 nor NEON (and with
 // -DSPOOFSCOPE_DISABLE_SIMD=ON, which forces the portable build on any
 // host — tools/check.sh uses this as the non-x86 compile guard). A layer
-// without a kernel for the resolved ISA (decode has no NEON kernel) runs
-// its scalar code under that selection.
+// without a kernel for the resolved ISA (decode and the sketch have no
+// NEON kernel) runs its scalar code under that selection.
 #pragma once
 
 #include <cstdint>

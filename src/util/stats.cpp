@@ -1,9 +1,10 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+
+#include "util/stats_kernels.hpp"
 
 namespace spoofscope::util {
 
@@ -114,106 +115,135 @@ double LogHistogram::bin_lo(std::size_t i) const {
 
 namespace {
 
-/// Appends `count` copies of `value`, extending the last run if equal.
-template <typename Run>
-void append_run(std::vector<Run>& runs, double value, std::uint64_t count) {
-  if (!runs.empty() && runs.back().value == value) {
-    runs.back().count += count;
-  } else {
-    runs.push_back({value, count});
+/// Arrival runs of level 0: (value, length) in arrival order.
+using ArrivalRuns = std::vector<std::pair<double, std::size_t>>;
+
+/// The scalar level-0 sort. Level 0 arrives in runs of equal values (an
+/// add of weight w stores w copies), so this sorts the runs and writes
+/// them back: std::sort over the runs, not over every value. `v` must
+/// have kSlack writable slots past v[n - 1].
+template <std::size_t kSlack>
+void sort_by_runs(double* v, std::size_t n, ArrivalRuns& runs) {
+  // Branch-free run detection: slot r + 1 is rewritten until a value
+  // differs from the one before it, which opens run r + 1 there.
+  runs.resize(n + 1);
+  runs[0] = {v[0], 0};
+  std::size_t r = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    runs[r + 1] = {v[i], i};
+    r += v[i] != v[i - 1];
   }
+  const std::size_t count = r + 1;
+  runs[count].second = n;
+  for (std::size_t j = 0; j < count; ++j) {
+    runs[j].second = runs[j + 1].second - runs[j].second;
+  }
+  std::sort(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(count),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Write kSlack copies at a time: a run of up to kSlack values costs
+  // one fixed block of stores, and the next run overwrites the excess.
+  double* out = v;
+  for (std::size_t j = 0; j < count; ++j) {
+    const auto [x, length] = runs[j];
+    for (std::size_t i = 0; i < length; i += kSlack) {
+      for (std::size_t s = 0; s < kSlack; ++s) out[i + s] = x;
+    }
+    out += length;
+  }
+  runs.clear();
+}
+
+/// Branch-free two-pointer merge of sorted a[0, na) and b[0, nb).
+void merge_scalar(const double* a, std::size_t na, const double* b,
+                  std::size_t nb, double* out) {
+  std::size_t i = 0, j = 0;
+  while (i < na && j < nb) {
+    const bool take_b = b[j] < a[i];
+    *out++ = std::min(a[i], b[j]);
+    j += take_b;
+    i += !take_b;
+  }
+  out = std::copy(a + i, a + na, out);
+  std::copy(b + j, b + nb, out);
+}
+
+/// Sorts level 0's v[0, n) on the AVX2 kernel where it was chosen and
+/// covers n, else on the scalar one.
+template <std::size_t kSlack>
+void sort_level0([[maybe_unused]] bool avx2, double* v, std::size_t n,
+                 ArrivalRuns& runs) {
+#if SPOOFSCOPE_KERNEL_AVX2
+  if (avx2 && sketch::avx2_sorts(n)) {
+    sketch::sort_avx2(v, n);
+    return;
+  }
+#endif
+  sort_by_runs<kSlack>(v, n, runs);
+}
+
+/// Merges the sorted a and b into out, on the AVX2 kernel where it was
+/// chosen and covers the sizes, else on the scalar one.
+void merge_levels([[maybe_unused]] bool avx2, std::span<const double> a,
+                  std::span<const double> b, double* out) {
+#if SPOOFSCOPE_KERNEL_AVX2
+  if (avx2 && sketch::avx2_merges(a.size(), b.size())) {
+    sketch::merge_avx2(a.data(), b.data(), b.size(), out);
+    return;
+  }
+#endif
+  merge_scalar(a.data(), a.size(), b.data(), b.size(), out);
 }
 
 }  // namespace
 
-QuantileSketch::QuantileSketch(std::size_t k) : k_(std::max<std::size_t>(k, 8)) {
+QuantileSketch::QuantileSketch(std::size_t k, SimdKernel kernel)
+    : k_(std::max<std::size_t>(k, 8)),
+      avx2_(resolve_simd_kernel(kernel) == SimdKernel::kAvx2) {
   if (k_ % 2 != 0) ++k_;
-  levels_.emplace_back();
+  levels_.emplace_back(k_ + kSlack);
   parity_.push_back(0);
 }
 
-void QuantileSketch::add(double x, std::uint64_t weight) {
-  // Every level stays below k between calls, so single inserts could
-  // only compact when one fills level 0: append up to that point in one
-  // run, then cascade exactly as the filling insert would.
-  while (weight > 0) {
-    Level& l0 = levels_[0];
-    const std::uint64_t n = std::min<std::uint64_t>(weight, k_ - l0.size);
-    append_run(l0.runs, x, n);
-    l0.size += n;
-    count_ += n;
-    weight -= n;
-    for (std::size_t l = 0; l < levels_.size() && levels_[l].size >= k_; ++l) {
-      compact(l);
-    }
-  }
+void QuantileSketch::reject_nan() {
+  throw std::invalid_argument("QuantileSketch::add: NaN sample");
 }
 
-void QuantileSketch::compact(std::size_t level) {
-  if (level == 0) {
-    std::sort(levels_[0].runs.begin(), levels_[0].runs.end(),
-              [](const Run& a, const Run& b) { return a.value < b.value; });
-  }
-  // Promote every other element of the sorted even-length prefix with
-  // doubled weight; an odd straggler (possible after merge) stays put.
-  const std::uint64_t size = levels_[level].size;
-  const std::uint64_t pairs = size / 2;
-  if (pairs == 0) return;
-  if (level + 1 >= levels_.size()) {
-    levels_.emplace_back();  // may reallocate levels_: take refs after
-    parity_.push_back(0);
-  }
-  auto& runs = levels_[level].runs;
-  const std::uint64_t offset = parity_[level];
-  parity_[level] ^= 1;
-  // Sorted positions below m that get promoted: offset, offset + 2, ...
-  const auto promoted_below = [offset](std::uint64_t m) {
-    return (m + 1 - offset) / 2;
-  };
-  std::uint64_t first = 0;  // sorted position of the run's first copy
-  for (const Run& r : runs) {
-    const std::uint64_t end = std::min(first + r.count, 2 * pairs);
-    if (end > first) {
-      const std::uint64_t n = promoted_below(end) - promoted_below(first);
-      if (n > 0) append_run(promoted_, r.value, n);
+void QuantileSketch::compact_full_levels() {
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    const std::size_t n = l == 0 ? fill_ : levels_[l].size();
+    if (n < k_) continue;
+    double* v = levels_[l].data();
+    if (l == 0) sort_level0<kSlack>(avx2_, v, n, runs_);
+    // Promote every other value of the sorted even-length prefix with
+    // doubled weight; an odd straggler (the largest value) stays put.
+    const std::size_t offset = parity_[l];
+    parity_[l] ^= 1;
+    promoted_.resize(n / 2);
+    for (std::size_t i = 0; i < n / 2; ++i) promoted_[i] = v[2 * i + offset];
+    v[0] = v[n - 1];
+    if (l == 0) {
+      fill_ = n % 2;
+    } else {
+      levels_[l].resize(n % 2);
     }
-    first += r.count;
+    if (l + 1 == levels_.size()) {
+      levels_.emplace_back();
+      parity_.push_back(0);
+    }
+    merge_sorted(l + 1, promoted_);
+    promoted_.clear();
+    // Keeping one of each weight-w pair shifts any rank by at most w.
+    error_bound_ += std::uint64_t{1} << l;
   }
-  const double top = runs.back().value;
-  runs.clear();
-  levels_[level].size = size % 2;
-  if (size % 2 != 0) runs.push_back({top, 1});
-  merge_sorted(level + 1, promoted_);
-  promoted_.clear();
-  // Keeping one of each weight-w pair shifts any rank by at most w.
-  error_bound_ += std::uint64_t{1} << level;
 }
 
 void QuantileSketch::merge_sorted(std::size_t level,
-                                  std::span<const Run> incoming) {
-  auto& runs = levels_[level].runs;
-  // Merge from the back into the grown vector, then coalesce equal
-  // neighbours.
-  std::size_t ours = runs.size();
-  std::size_t theirs = incoming.size();
-  runs.resize(ours + theirs);
-  for (std::size_t out = runs.size(); theirs > 0;) {
-    if (ours > 0 && incoming[theirs - 1].value < runs[ours - 1].value) {
-      runs[--out] = runs[--ours];
-    } else {
-      runs[--out] = incoming[--theirs];
-    }
-  }
-  std::size_t last = 0;
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].value == runs[last].value) {
-      runs[last].count += runs[i].count;
-    } else {
-      runs[++last] = runs[i];
-    }
-  }
-  if (!runs.empty()) runs.resize(last + 1);
-  for (const Run& r : incoming) levels_[level].size += r.count;
+                                  std::span<const double> incoming) {
+  auto& values = levels_[level];
+  merged_.resize(values.size() + incoming.size());
+  merge_levels(avx2_, values, incoming, merged_.data());
+  values.swap(merged_);
+  merged_.clear();
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -226,26 +256,22 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     levels_.emplace_back();
     parity_.push_back(0);
   }
-  const Level& their0 = other.levels_[0];
-  levels_[0].runs.insert(levels_[0].runs.end(), their0.runs.begin(),
-                         their0.runs.end());
-  levels_[0].size += their0.size;
+  // Level 0: their arrivals after ours, keeping kSlack spare slots.
+  const std::size_t fill = fill_ + other.fill_;
+  if (levels_[0].size() < fill + kSlack) levels_[0].resize(fill + kSlack);
+  std::copy_n(other.levels_[0].data(), other.fill_, levels_[0].data() + fill_);
+  fill_ = fill;
   for (std::size_t l = 1; l < other.levels_.size(); ++l) {
-    merge_sorted(l, other.levels_[l].runs);
+    merge_sorted(l, other.levels_[l]);
   }
-  for (std::size_t l = 0; l < levels_.size(); ++l) {
-    while (levels_[l].size >= k_) compact(l);
-  }
+  compact_full_levels();
 }
 
 std::vector<std::pair<double, std::uint64_t>> QuantileSketch::weighted() const {
-  // One pair per run: equal values are adjacent after the sort, so the
-  // quantile walk sees the same cumulative weight at every value change.
   std::vector<std::pair<double, std::uint64_t>> out;
+  out.reserve(retained());
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    for (const Run& r : levels_[l].runs) {
-      out.emplace_back(r.value, r.count << l);
-    }
+    for (const double x : level(l)) out.emplace_back(x, std::uint64_t{1} << l);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -253,13 +279,10 @@ std::vector<std::pair<double, std::uint64_t>> QuantileSketch::weighted() const {
 
 double QuantileSketch::quantile(double q) const {
   if (count_ == 0) return 0.0;
-  if (exact()) {
-    std::vector<double> xs;
-    xs.reserve(levels_[0].size);
-    for (const Run& r : levels_[0].runs) xs.insert(xs.end(), r.count, r.value);
-    return util::quantile(xs, q);
-  }
+  if (exact()) return util::quantile(level(0), q);
   q = std::clamp(q, 0.0, 1.0);
+  // Equal values are adjacent after the sort, so the walk crosses each
+  // value change at the same cumulative weight however they are split.
   const auto items = weighted();
   const double pos = q * static_cast<double>(count_ - 1);
   std::uint64_t cum = 0;
@@ -273,16 +296,17 @@ double QuantileSketch::quantile(double q) const {
 std::uint64_t QuantileSketch::rank(double x) const {
   std::uint64_t r = 0;
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    for (const Run& run : levels_[l].runs) {
-      if (run.value <= x) r += run.count << l;
-    }
+    const auto values = level(l);
+    const auto below = std::count_if(values.begin(), values.end(),
+                                     [x](double v) { return v <= x; });
+    r += static_cast<std::uint64_t>(below) << l;
   }
   return r;
 }
 
 std::size_t QuantileSketch::retained() const {
   std::size_t n = 0;
-  for (const auto& level : levels_) n += level.size;
+  for (std::size_t l = 0; l < levels_.size(); ++l) n += level(l).size();
   return n;
 }
 

@@ -2,10 +2,15 @@
 // empirical CDF/CCDF construction, and linear/log-binned histograms.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
+
+#include "util/simd.hpp"
 
 namespace spoofscope::util {
 
@@ -93,10 +98,13 @@ class LogHistogram {
 /// sequence — no randomness, no hash order — so two runs over the same
 /// stream produce bit-identical summaries.
 ///
-/// Levels hold runs of equal values. Level 0 keeps its runs in arrival
-/// order (a weighted add is one run) and sorts them by value when it
-/// compacts; every higher level stays sorted, so a compaction merges
-/// the promoted runs into it instead of sorting the level.
+/// Every level is a flat array of values. Level 0 keeps its values in
+/// arrival order (a weighted add stores that many copies) and is sorted
+/// when it compacts; every higher level stays sorted, so a compaction
+/// merges the promoted values into it instead of sorting the level. The
+/// sort and the merge run on the SIMD kernel chosen at construction
+/// (util::resolve_simd_kernel); every kernel leaves the same values,
+/// bit for bit, on every level, so the kernel changes speed only.
 ///
 /// Guarantees:
 ///  - Exact mode: while count() < exact_threshold() no compaction has
@@ -112,14 +120,23 @@ class LogHistogram {
 ///  - merge() folds another sketch in (same k required); counts add,
 ///    error bounds add, and all merged rank estimates stay within the
 ///    combined bound regardless of merge grouping.
+///  - NaN is rejected: it has no rank, and a sort or merge over it
+///    would leave a level unsorted. -0.0 is stored as +0.0: the two
+///    compare equal, and a min/max network may hand back either one.
 class QuantileSketch {
  public:
   /// `k` is the per-level buffer capacity (rounded up to an even value,
-  /// minimum 8): larger k = smaller error, more memory.
-  explicit QuantileSketch(std::size_t k = 256);
+  /// minimum 8): larger k = smaller error, more memory. `kernel` picks
+  /// the compaction kernel through util::resolve_simd_kernel (a kernel
+  /// this host cannot run throws std::runtime_error); a kernel without
+  /// a sketch implementation (neon) compacts with the scalar one.
+  explicit QuantileSketch(std::size_t k = 256,
+                          SimdKernel kernel = SimdKernel::kAuto);
 
   /// Inserts one sample; `weight` folds that many identical samples in,
-  /// with the same result as `weight` single inserts.
+  /// with the same result as `weight` single inserts. -0.0 is stored as
+  /// +0.0. Throws std::invalid_argument, leaving the sketch as it was,
+  /// if x is NaN.
   void add(double x, std::uint64_t weight = 1);
 
   /// Folds `other` into this sketch. Throws std::invalid_argument if
@@ -149,32 +166,63 @@ class QuantileSketch {
   /// Values currently held across all levels (the memory footprint).
   std::size_t retained() const;
 
- private:
-  /// `count` copies of `value`.
-  struct Run {
-    double value = 0.0;
-    std::uint64_t count = 0;
-  };
-  /// Level i holds weight-2^i values. Level 0's runs are in arrival
-  /// order; higher levels are sorted with equal values coalesced.
-  struct Level {
-    std::vector<Run> runs;
-    std::uint64_t size = 0;  ///< values held: the sum of run counts
-  };
+  /// Number of levels; level l holds weight-2^l values.
+  std::size_t levels() const { return levels_.size(); }
 
-  void compact(std::size_t level);
-  /// Merges the sorted `incoming` runs into sorted level `level`.
-  void merge_sorted(std::size_t level, std::span<const Run> incoming);
+  /// Level l's values: level 0 in arrival order, higher levels sorted.
+  std::span<const double> level(std::size_t l) const {
+    return l == 0 ? std::span<const double>(levels_[0].data(), fill_)
+                  : std::span<const double>(levels_[l]);
+  }
+
+  /// The offset (0 or 1) level l's next compaction promotes from.
+  unsigned parity(std::size_t l) const { return parity_[l]; }
+
+ private:
+  /// Level 0 keeps this many spare slots past its fill, so an add of
+  /// weight <= kSlack stores kSlack copies without a branch and then
+  /// counts only the ones that fit.
+  static constexpr std::size_t kSlack = 16;
+
+  [[noreturn]] static void reject_nan();
+  /// Compacts every level holding >= k values, bottom-up; a level's
+  /// promoted values are merged into the level above before that level
+  /// is checked.
+  void compact_full_levels();
+  /// Merges the sorted `incoming` values into sorted level `level`.
+  void merge_sorted(std::size_t level, std::span<const double> incoming);
   /// All retained (value, weight) pairs, sorted by value.
   std::vector<std::pair<double, std::uint64_t>> weighted() const;
 
   std::size_t k_;
+  bool avx2_;  ///< compact with the AVX2 kernels (else the scalar ones)
   std::uint64_t count_ = 0;
   std::uint64_t error_bound_ = 0;
-  std::vector<Level> levels_;
+  std::size_t fill_ = 0;  ///< values in level 0
+  /// Level l's values. levels_[0] is level 0's buffer: fill_ values in
+  /// arrival order, then at least kSlack spare slots.
+  std::vector<std::vector<double>> levels_;
   std::vector<std::uint8_t> parity_;  ///< per-level alternating offset
-  std::vector<Run> promoted_;  ///< compact() scratch; empty between calls
+  /// Compaction scratch, empty between calls: the promoted values, the
+  /// merge output and the scalar sort's arrival runs.
+  std::vector<double> promoted_, merged_;
+  std::vector<std::pair<double, std::size_t>> runs_;
 };
+
+inline void QuantileSketch::add(double x, std::uint64_t weight) {
+  if (std::isnan(x)) reject_nan();
+  x += 0.0;  // -0.0 + 0.0 is +0.0
+  while (weight > 0) {
+    double* slot = levels_[0].data() + fill_;
+    for (std::size_t i = 0; i < kSlack; ++i) slot[i] = x;
+    const std::size_t n = std::min<std::uint64_t>(
+        std::min<std::uint64_t>(weight, kSlack), k_ - fill_);
+    fill_ += n;
+    count_ += n;
+    weight -= n;
+    if (fill_ == k_) compact_full_levels();
+  }
+}
 
 /// Pearson correlation of two equal-length samples; 0 for degenerate input.
 double pearson(std::span<const double> xs, std::span<const double> ys);

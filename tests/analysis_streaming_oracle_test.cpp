@@ -36,6 +36,7 @@
 #include "net/trace_format.hpp"
 #include "scenario/scenario.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spoofscope::analysis {
@@ -1349,20 +1350,25 @@ TEST_P(StreamingOracleTest, GoldenReportDigestsHold) {
                    [&](const GoldenReport& g) { return g.seed == GetParam(); });
   ASSERT_NE(golden, std::end(kGoldenReports));
   const std::uint32_t window = w.params().workload.window_seconds;
-  const auto run = [&](const ReportLimits& limits) {
-    auto opts = base_options(w, 0, window);
-    opts.limits = limits;
-    StreamingReport report(w.classifier().space_count(), opts);
-    feed(report, w.trace().flows, w.labels(), 4096);
-    return report.finish();
-  };
+  // Every sketch kernel must produce the same bytes.
+  for (const util::SimdKernel kernel : util::usable_simd_kernels()) {
+    const auto run = [&](const ReportLimits& limits) {
+      auto opts = base_options(w, 0, window);
+      opts.limits = limits;
+      opts.simd = kernel;
+      StreamingReport report(w.classifier().space_count(), opts);
+      feed(report, w.trace().flows, w.labels(), 4096);
+      return report.finish();
+    };
 
-  const auto capped = run(capped_limits());
-  const auto production = run(ReportLimits::production());
-  EXPECT_EQ(capped.evictions, golden->capped_evictions);
-  EXPECT_EQ(ReportDigest(capped).value(), golden->capped_digest);
-  EXPECT_EQ(production.evictions, 0u);
-  EXPECT_EQ(ReportDigest(production).value(), golden->production_digest);
+    SCOPED_TRACE(util::simd_kernel_name(kernel));
+    const auto capped = run(capped_limits());
+    const auto production = run(ReportLimits::production());
+    EXPECT_EQ(capped.evictions, golden->capped_evictions);
+    EXPECT_EQ(ReportDigest(capped).value(), golden->capped_digest);
+    EXPECT_EQ(production.evictions, 0u);
+    EXPECT_EQ(ReportDigest(production).value(), golden->production_digest);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingOracleTest,

@@ -22,6 +22,7 @@
 #include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/trace.hpp"
@@ -36,10 +37,12 @@ struct RunResult {
   std::string output;  ///< stdout + stderr interleaved
 };
 
-/// Runs the CLI with `args`, capturing combined output.
-RunResult run_cli(const std::string& args, const fs::path& capture) {
-  const std::string cmd = std::string(SPOOFSCOPE_CLI_BIN) + " " + args + " > " +
-                          capture.string() + " 2>&1";
+/// Runs the CLI with `args`, capturing combined output; `env` holds
+/// NAME=value assignments for the CLI's environment alone.
+RunResult run_cli(const std::string& args, const fs::path& capture,
+                  const std::string& env = "") {
+  const std::string cmd = env + " " + std::string(SPOOFSCOPE_CLI_BIN) + " " +
+                          args + " > " + capture.string() + " 2>&1";
   const int raw = std::system(cmd.c_str());
   RunResult r;
   r.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
@@ -207,14 +210,22 @@ TEST(CliSmoke, ClassifyProducesIdenticalLabelsOnBothEngines) {
 TEST(CliSmoke, ReportRunsEndToEndOnBothEngines) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  const auto r = run_cli("report --mrt " + w.mrt() + " --trace " + w.trace() +
-                             " --rpsl " + w.rpsl(),
-                         w.log);
-  ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("NTP amplification"), std::string::npos);
-  EXPECT_EQ(fnv1a64(filter_lines(r.output, {"classified "}, /*keep=*/false)),
-            kGoldenReportBody)
-      << r.output;
+  // --simd scalar also pins the packet-size sketch's compaction kernel;
+  // no kernel may move a report byte. An explicit --simd wins over
+  // SPOOFSCOPE_SIMD, which only steers auto: the pinned run must not
+  // even parse the variable's bogus value.
+  const std::pair<std::string, std::string> runs[] = {
+      {"", ""}, {" --simd scalar", "SPOOFSCOPE_SIMD=bogus"}};
+  for (const auto& [flags, env] : runs) {
+    const auto r = run_cli("report --mrt " + w.mrt() + " --trace " +
+                               w.trace() + " --rpsl " + w.rpsl() + flags,
+                           w.log, env);
+    ASSERT_EQ(r.exit_code, 0) << env << flags << "\n" << r.output;
+    EXPECT_NE(r.output.find("NTP amplification"), std::string::npos);
+    EXPECT_EQ(fnv1a64(filter_lines(r.output, {"classified "}, /*keep=*/false)),
+              kGoldenReportBody)
+        << env << flags << "\n" << r.output;
+  }
 }
 
 TEST(CliSmoke, GarbageThreadsFlagIsRejected) {
@@ -296,7 +307,7 @@ TEST(CliSmoke, StatsJsonSchemaOnClassify) {
   // file (MRT, RPSL, trace) carrying the IngestStats schema.
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"sources\":["), std::string::npos);
-  for (const std::string path : {w.mrt(), w.rpsl(), bad.string()}) {
+  for (const std::string& path : {w.mrt(), w.rpsl(), bad.string()}) {
     EXPECT_NE(json.find("\"path\":\"" + path + "\""), std::string::npos)
         << json;
   }

@@ -109,8 +109,8 @@ struct Pipeline {
   StreamingParams params;
   std::vector<net::FlowRecord> flows;
   std::vector<bgp::UpdateMessage> updates = make_updates();
-  std::string base;        ///< delta-chain base checkpoint path
-  std::string final_ckpt;  ///< where the end-of-run full save lands
+  std::string base = {};        ///< delta-chain base checkpoint path
+  std::string final_ckpt = {};  ///< where the end-of-run full save lands
   std::size_t every = 150;
 
   /// Applies every not-yet-applied update with timestamp <= ts as one

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace spoofscope::util {
 namespace {
@@ -415,6 +418,11 @@ class ReferenceSketch {
     return r;
   }
 
+  std::size_t levels() const { return levels_.size(); }
+  /// Level l in insertion order (level 0 in arrival order).
+  const std::vector<double>& level(std::size_t l) const { return levels_[l]; }
+  unsigned parity(std::size_t l) const { return parity_[l]; }
+
  private:
   void compact(std::size_t level) {
     std::sort(levels_[level].begin(), levels_[level].end());
@@ -445,8 +453,36 @@ class ReferenceSketch {
   std::vector<std::uint8_t> parity_;
 };
 
-/// Every observable of the sketch equals the reference's. Values compare
-/// with ==, so which of -0.0 and +0.0 a sort put first cannot matter.
+/// Values compare with ==: the reference keeps -0.0 as it was added,
+/// the sketch stores it as +0.0.
+void expect_same_values(std::span<const double> got,
+                        std::span<const double> want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " i=" << i;
+  }
+}
+
+/// Values compare bit for bit, so the sign of a zero counts.
+void expect_same_bits(std::span<const double> got,
+                      std::span<const double> want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " i=" << i << " got=" << got[i] << " want=" << want[i];
+  }
+}
+
+std::vector<double> sorted_copy(std::span<const double> xs) {
+  std::vector<double> out(xs.begin(), xs.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every observable of the sketch equals the reference's, and every
+/// level holds the reference's multiset with its parity.
 void expect_same_as_reference(const QuantileSketch& got,
                               const ReferenceSketch& want,
                               std::vector<double> probes,
@@ -454,6 +490,17 @@ void expect_same_as_reference(const QuantileSketch& got,
   ASSERT_EQ(got.count(), want.count()) << what;
   ASSERT_EQ(got.retained(), want.retained()) << what;
   ASSERT_EQ(got.rank_error_bound(), want.rank_error_bound()) << what;
+  ASSERT_EQ(got.levels(), want.levels()) << what;
+  for (std::size_t l = 0; l < got.levels(); ++l) {
+    const std::string at = what + " level=" + std::to_string(l);
+    ASSERT_EQ(got.parity(l), want.parity(l)) << at;
+    expect_same_values(sorted_copy(got.level(l)), sorted_copy(want.level(l)),
+                       at);
+    if (l > 0) {
+      ASSERT_TRUE(std::is_sorted(got.level(l).begin(), got.level(l).end()))
+          << at;
+    }
+  }
   for (int i = 0; i <= 100; ++i) {
     const double q = i / 100.0;
     ASSERT_EQ(got.quantile(q), want.quantile(q)) << what << " q=" << q;
@@ -510,23 +557,30 @@ WeightedStream unique_stream(const char* order, std::size_t n) {
 
 constexpr std::size_t kReferenceKs[] = {8, 10, 64, 256};
 
-// The run-aware compactor must reproduce the one-sample-per-insert
-// compactor exactly, including mid-stream, where weighted adds have
-// split runs across level-0 fills.
+/// "k=<k> <kernel>": the context of a per-kernel, per-k failure.
+std::string case_name(std::size_t k, SimdKernel kernel) {
+  return "k=" + std::to_string(k) + " " + simd_kernel_name(kernel);
+}
+
+// The flat compactor must reproduce the one-sample-per-insert compactor
+// exactly on every kernel, including mid-stream, where weighted adds
+// have split runs across level-0 fills.
 TEST(QuantileSketch, RunAwareCompactorMatchesReferenceOnWeightedStreams) {
-  for (const std::size_t k : kReferenceKs) {
-    for (const std::uint64_t seed : {1u, 2u, 3u}) {
-      const auto stream = duplicate_heavy(seed * 101 + k, 6000);
-      QuantileSketch got(k);
-      ReferenceSketch want(k);
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        got.add(stream[i].first, stream[i].second);
-        want.add(stream[i].first, stream[i].second);
-        if (i % 499 == 0 || i + 1 == stream.size()) {
-          expect_same_as_reference(got, want, values_of(stream),
-                                   "k=" + std::to_string(k) +
-                                       " seed=" + std::to_string(seed) +
-                                       " i=" + std::to_string(i));
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    for (const std::size_t k : kReferenceKs) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        const auto stream = duplicate_heavy(seed * 101 + k, 6000);
+        QuantileSketch got(k, kernel);
+        ReferenceSketch want(k);
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+          got.add(stream[i].first, stream[i].second);
+          want.add(stream[i].first, stream[i].second);
+          if (i % 499 == 0 || i + 1 == stream.size()) {
+            expect_same_as_reference(got, want, values_of(stream),
+                                     case_name(k, kernel) +
+                                         " seed=" + std::to_string(seed) +
+                                         " i=" + std::to_string(i));
+          }
         }
       }
     }
@@ -534,18 +588,20 @@ TEST(QuantileSketch, RunAwareCompactorMatchesReferenceOnWeightedStreams) {
 }
 
 TEST(QuantileSketch, RunAwareCompactorMatchesReferenceOnUniqueStreams) {
-  for (const std::size_t k : kReferenceKs) {
-    for (const char* order :
-         {"shuffled", "ascending", "descending", "sawtooth"}) {
-      const auto stream = unique_stream(order, 20000);
-      QuantileSketch got(k);
-      ReferenceSketch want(k);
-      for (const auto& [x, w] : stream) {
-        got.add(x, w);
-        want.add(x, w);
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    for (const std::size_t k : kReferenceKs) {
+      for (const char* order :
+           {"shuffled", "ascending", "descending", "sawtooth"}) {
+        const auto stream = unique_stream(order, 20000);
+        QuantileSketch got(k, kernel);
+        ReferenceSketch want(k);
+        for (const auto& [x, w] : stream) {
+          got.add(x, w);
+          want.add(x, w);
+        }
+        expect_same_as_reference(got, want, values_of(stream),
+                                 case_name(k, kernel) + " " + order);
       }
-      expect_same_as_reference(got, want, values_of(stream),
-                               "k=" + std::to_string(k) + " " + order);
     }
   }
 }
@@ -553,38 +609,167 @@ TEST(QuantileSketch, RunAwareCompactorMatchesReferenceOnUniqueStreams) {
 // Merges leave odd stragglers on any level and unsorted level-0 content;
 // adds after a merge must then compact exactly as the reference does.
 TEST(QuantileSketch, RunAwareCompactorMatchesReferenceAcrossMerges) {
-  for (const std::size_t k : kReferenceKs) {
-    QuantileSketch got(k);
-    ReferenceSketch want(k);
-    std::vector<double> probes;
-    Rng rng(k);
-    for (std::size_t part = 0; part < 9; ++part) {
-      // Odd, part-dependent lengths so levels end at odd sizes.
-      const auto stream =
-          part % 3 == 2 ? unique_stream("shuffled", 37 * k / 8 + 2 * part + 1)
-                        : duplicate_heavy(part * 7 + k, 5 * k + 2 * part + 1);
-      QuantileSketch got_part(k);
-      ReferenceSketch want_part(k);
-      for (const auto& [x, w] : stream) {
-        got_part.add(x, w);
-        want_part.add(x, w);
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    for (const std::size_t k : kReferenceKs) {
+      QuantileSketch got(k, kernel);
+      ReferenceSketch want(k);
+      std::vector<double> probes;
+      Rng rng(k);
+      for (std::size_t part = 0; part < 9; ++part) {
+        // Odd, part-dependent lengths so levels end at odd sizes.
+        const auto stream =
+            part % 3 == 2
+                ? unique_stream("shuffled", 37 * k / 8 + 2 * part + 1)
+                : duplicate_heavy(part * 7 + k, 5 * k + 2 * part + 1);
+        QuantileSketch got_part(k, kernel);
+        ReferenceSketch want_part(k);
+        for (const auto& [x, w] : stream) {
+          got_part.add(x, w);
+          want_part.add(x, w);
+        }
+        const auto values = values_of(stream);
+        probes.insert(probes.end(), values.begin(), values.end());
+        got.merge(got_part);
+        want.merge(want_part);
+        const std::string what =
+            case_name(k, kernel) + " part=" + std::to_string(part);
+        expect_same_as_reference(got, want, probes, what + " merged");
+        // Keep adding into the merged sketch.
+        for (int i = 0; i < 5; ++i) {
+          const double x = static_cast<double>(rng.uniform_u32(0, 50));
+          const std::uint64_t w = 1 + rng.index(16);
+          got.add(x, w);
+          want.add(x, w);
+          probes.push_back(x);
+        }
+        expect_same_as_reference(got, want, probes, what + " added");
       }
-      const auto values = values_of(stream);
-      probes.insert(probes.end(), values.begin(), values.end());
-      got.merge(got_part);
-      want.merge(want_part);
-      const std::string what =
-          "k=" + std::to_string(k) + " part=" + std::to_string(part);
-      expect_same_as_reference(got, want, probes, what + " merged");
-      // Keep adding into the merged sketch.
-      for (int i = 0; i < 5; ++i) {
-        const double x = static_cast<double>(rng.uniform_u32(0, 50));
-        const std::uint64_t w = 1 + rng.index(16);
-        got.add(x, w);
-        want.add(x, w);
-        probes.push_back(x);
+    }
+  }
+}
+
+/// Every level of `got` holds exactly `want`'s values, bit for bit, in
+/// the same order (level 0 in arrival order, the others sorted), with
+/// the same parity, and the two agree on count and bound.
+void expect_same_levels(const QuantileSketch& got, const QuantileSketch& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.count(), want.count()) << what;
+  ASSERT_EQ(got.rank_error_bound(), want.rank_error_bound()) << what;
+  ASSERT_EQ(got.levels(), want.levels()) << what;
+  for (std::size_t l = 0; l < got.levels(); ++l) {
+    const std::string at = what + " level=" + std::to_string(l);
+    ASSERT_EQ(got.parity(l), want.parity(l)) << at;
+    expect_same_bits(got.level(l), want.level(l), at);
+  }
+}
+
+/// Every add weighs 1: level 0 fills with single values, one run each
+/// when they differ.
+WeightedStream weight_one(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  WeightedStream s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s.emplace_back(static_cast<double>(rng.uniform_u32(0, 1500)), 1);
+  }
+  return s;
+}
+
+// Each SIMD kernel must leave the scalar kernel's sketch state: the same
+// values, bit for bit, in the same order on every level, after plain
+// streams (the weighted one holds -0.0) and after merge chains that
+// leave odd stragglers on several levels.
+TEST(QuantileSketch, SimdKernelsLeaveTheScalarKernelsLevels) {
+  if (usable_simd_kernels().size() == 1) {
+    GTEST_SKIP() << "only the scalar kernel is usable here";
+  }
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    if (kernel == SimdKernel::kScalar) continue;
+    for (const std::size_t k : kReferenceKs) {
+      const std::pair<const char*, WeightedStream> streams[] = {
+          {"weighted", duplicate_heavy(k + 5, 30 * k)},
+          {"unique", unique_stream("shuffled", 30 * k)},
+          {"weight-1", weight_one(k + 9, 30 * k)},
+      };
+      for (const auto& [name, stream] : streams) {
+        QuantileSketch got(k, kernel), want(k, SimdKernel::kScalar);
+        for (const auto& [x, w] : stream) {
+          got.add(x, w);
+          want.add(x, w);
+        }
+        expect_same_levels(got, want, case_name(k, kernel) + " " + name);
       }
-      expect_same_as_reference(got, want, probes, what + " added");
+      // A merge chain over odd-length parts of all three kinds.
+      QuantileSketch got(k, kernel), want(k, SimdKernel::kScalar);
+      bool straggler = false;
+      for (std::size_t part = 0; part < 12; ++part) {
+        const std::size_t n = 3 * k + 2 * part + 1;
+        const auto& [name, stream] = streams[part % 3];
+        QuantileSketch got_part(k, kernel), want_part(k, SimdKernel::kScalar);
+        for (std::size_t i = part; i < part + n && i < stream.size(); ++i) {
+          got_part.add(stream[i].first, stream[i].second);
+          want_part.add(stream[i].first, stream[i].second);
+        }
+        got.merge(got_part);
+        want.merge(want_part);
+        got.add(static_cast<double>(part), 1 + part);
+        want.add(static_cast<double>(part), 1 + part);
+        expect_same_levels(got, want,
+                           case_name(k, kernel) + " merge part=" +
+                               std::to_string(part) + " " + name);
+        for (std::size_t l = 1; l < got.levels(); ++l) {
+          straggler = straggler || got.level(l).size() % 2 != 0;
+        }
+      }
+      EXPECT_TRUE(straggler) << case_name(k, kernel)
+                             << ": the chain left no odd level";
+    }
+  }
+}
+
+// NaN has no rank; a sort or a min/max network over it leaves levels
+// unsorted or duplicates its neighbours. add() refuses it up front.
+TEST(QuantileSketch, AddRejectsNanAndKeepsItsState) {
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    QuantileSketch got(64, kernel), want(64, kernel);
+    const auto stream = duplicate_heavy(17, 400);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      got.add(stream[i].first, stream[i].second);
+      want.add(stream[i].first, stream[i].second);
+      if (i % 7 == 3) {
+        EXPECT_THROW(got.add(std::nan(""), 1 + i % 16), std::invalid_argument);
+        EXPECT_THROW(got.add(-std::nan("")), std::invalid_argument);
+      }
+    }
+    expect_same_levels(got, want, simd_kernel_name(kernel));
+  }
+}
+
+// -0.0 == +0.0, and a min/max network may return either on a tie; the
+// sketch stores every zero as +0.0, so no kernel can return -0.0.
+TEST(QuantileSketch, StoresNegativeZeroAsPositiveZero) {
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    for (const std::size_t k : kReferenceKs) {
+      const std::string what = case_name(k, kernel);
+      QuantileSketch exact(k, kernel), sketched(k, kernel), part(k, kernel);
+      exact.add(-0.0, 3);
+      ASSERT_TRUE(exact.exact()) << what;
+      for (std::size_t i = 0; i < 40 * k; ++i) {
+        const double x = i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : 1.0;
+        sketched.add(x, 1 + i % 16);
+        part.add(-0.0, 1 + i % 5);
+      }
+      sketched.merge(part);
+      ASSERT_FALSE(sketched.exact()) << what;
+      for (const QuantileSketch* sk : {&exact, &sketched}) {
+        for (std::size_t l = 0; l < sk->levels(); ++l) {
+          for (const double x : sk->level(l)) {
+            ASSERT_FALSE(std::signbit(x)) << what << " level=" << l;
+          }
+        }
+        EXPECT_EQ(sk->quantile(0.0), 0.0) << what;
+        EXPECT_FALSE(std::signbit(sk->quantile(0.0))) << what;
+        EXPECT_FALSE(std::signbit(sk->quantile(0.5))) << what;
+      }
     }
   }
 }

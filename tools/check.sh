@@ -30,8 +30,9 @@
 #      the aggregation suites (shifts in the member-presence rows) and
 #      the plane-patch suite (partial-bit counter arithmetic)
 #   6. portable build guard: -DSPOOFSCOPE_DISABLE_SIMD=ON compiles only
-#      the scalar batch and decode kernels — what a target with neither
-#      AVX2 nor NEON gets — and the batch and decode differentials must
+#      the scalar batch, decode and quantile-sketch kernels — what a
+#      target with neither AVX2 nor NEON gets — and the batch, decode
+#      and sketch differentials (with the golden report digests) must
 #      still pass on it
 #   7. serve smoke: the resident sharded daemon boots on a generated
 #      world and every control verb is driven through a real socket
@@ -52,10 +53,10 @@
 #      1000-step sweep (SPOOFSCOPE_CHURN_STEPS) against the fresh-compile
 #      digest oracle
 #
-# The batch-classification and decode suites run twice per stage: once
-# with SPOOFSCOPE_SIMD=auto (the vector kernels this host supports) and
-# once pinned to SPOOFSCOPE_SIMD=scalar, so every sanitizer inspects
-# both sides of the kernel differential.
+# The batch-classification, decode and quantile-sketch suites run twice
+# per stage: once with SPOOFSCOPE_SIMD=auto (the vector kernels this
+# host supports) and once pinned to SPOOFSCOPE_SIMD=scalar, so every
+# sanitizer inspects both sides of the kernel differential.
 #
 # Usage: tools/check.sh
 set -euo pipefail
@@ -63,15 +64,17 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc)"
 
-# Suites that drive FlatClassifier::classify_batch or the trace decoder
-# (MappedTraceReader::next_batch) and therefore get the auto/scalar
-# double run.
+# Suites that drive FlatClassifier::classify_batch, the trace decoder
+# (MappedTraceReader::next_batch) or QuantileSketch's compaction kernels
+# and therefore get the auto/scalar double run.
 BATCH_SUITES=(
   classify_batch_oracle_test
   classify_simd_kernel_test
   classify_flat_oracle_test
   net_trace_batch_test
   robustness_differential_test
+  util_stats_test
+  analysis_streaming_oracle_test
 )
 
 is_batch_suite() {
@@ -215,6 +218,8 @@ PORTABLE_SUITES=(
   classify_simd_kernel_test
   net_trace_batch_test
   robustness_differential_test
+  util_stats_test
+  analysis_streaming_oracle_test
 )
 
 echo "=== portable guard: scalar-only build (SPOOFSCOPE_DISABLE_SIMD) ==="

@@ -36,10 +36,11 @@ cmake --build "${BUILD_DIR}" --target bench_perf_core -j "$(nproc)"
 # (resident-set delta across the bench loop) per trace multiplier;
 # streaming report memory must not scale with trace length, so the 10x
 # growth may exceed the 1x growth only by a fixed slack. Also prints the
-# vector-kernel speedups (classify and decode) whenever the run measured
-# both kernels, and gates the incremental-patch speedup (BM_FlatPlanePatch
-# and BM_FlatPlanePatchScattered, each >= 10x the best
-# BM_FlatCompileParallel) whenever the run measured them.
+# vector-kernel speedups (classify, decode and the report's packet-size
+# sketch) whenever the run measured both kernels, and gates the
+# incremental-patch speedup (BM_FlatPlanePatch and
+# BM_FlatPlanePatchScattered, each >= 10x the best BM_FlatCompileParallel)
+# whenever the run measured them.
 python3 - "${TMP_JSON}" <<'PY'
 import json, sys
 
@@ -55,6 +56,7 @@ print(f"OK provenance check: spoofscope_build_type={build}")
 
 rate = {}
 decode_rate = {}
+sketch_rate = {}
 growth = {}
 compile_ms = {}
 patch_ms = {}
@@ -75,6 +77,9 @@ for b in doc.get("benchmarks", []):
     if name.startswith("BM_BatchDecodeKernel/simd:"):
         kernel = name.split("simd:")[1].split("/")[0]
         decode_rate[kernel] = b.get("items_per_second", 0.0)
+    if name.startswith("BM_SketchStreamKernel/simd:"):
+        kernel = name.split("simd:")[1].split("/")[0]
+        sketch_rate[kernel] = b.get("items_per_second", 0.0)
     if name.startswith("BM_FlatCompileParallel/threads:"):
         threads = int(name.split("threads:")[1].split("/")[0])
         compile_ms[threads] = b.get("real_time", 0.0)
@@ -92,12 +97,14 @@ if 1 in growth and 10 in growth:
         sys.exit(f"FAIL constant-memory check: {line} "
                  f"(10x grew >{SLACK_KB}KB past 1x)")
     print(f"OK constant-memory check: {line}")
-for label, rates in (("kernel", rate), ("decode kernel", decode_rate)):
-    for kernel, flows in sorted(rates.items()):
+for label, rates, unit in (("kernel", rate, "flows"),
+                           ("decode kernel", decode_rate, "flows"),
+                           ("sketch kernel", sketch_rate, "adds")):
+    for kernel, items in sorted(rates.items()):
         note = ""
         if kernel != "scalar" and rates.get("scalar"):
-            note = f" ({flows / rates['scalar']:.2f}x scalar)"
-        print(f"{label} {kernel}: {flows / 1e6:.1f}M flows/s{note}")
+            note = f" ({items / rates['scalar']:.2f}x scalar)"
+        print(f"{label} {kernel}: {items / 1e6:.1f}M {unit}/s{note}")
 for name, ms in sorted(patch_ms.items()) if compile_ms else ():
     best = min(compile_ms.values())
     speedup = best / ms

@@ -168,9 +168,10 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "concurrency and takes minutes of CPU). --scale-factor N divides\n"
       "the AS population by N — e.g. a sanitizer run exercising every\n"
       "chunk-parallel code path at affordable cost.\n"
-      "--simd selects the SIMD kernel of trace decoding and of the plane's\n"
-      "batch classification alike (default auto = best this build + CPU\n"
-      "supports; decode has no neon kernel and runs scalar under it).\n"
+      "--simd selects the SIMD kernel of trace decoding, of the plane's\n"
+      "batch classification and of report's packet-size sketch alike\n"
+      "(default auto = best this build + CPU supports; decode and the\n"
+      "sketch have no neon kernel and run scalar under it).\n"
       "Kernels are bit-identical; the knob changes throughput only.\n"
       "Requesting a kernel this host cannot run is an error, not a silent\n"
       "fallback.\n"
@@ -593,6 +594,7 @@ int cmd_classify(const Flags& flags, bool report) {
   if (report) {
     analysis::ReportOptions opts;
     opts.limits = analysis::ReportLimits::production();
+    opts.simd = simd;
     streaming.emplace(ctx.plane->space_count(), opts);
   }
   net::FlowBatch batch;
