@@ -23,6 +23,7 @@
 #include "asgraph/full_cone.hpp"
 #include "bgp/collector.hpp"
 #include "bgp/message.hpp"
+#include "bgp/mrt_lite.hpp"
 #include "bgp/simulator.hpp"
 #include "classify/flat_classifier.hpp"
 #include "classify/pipeline.hpp"
@@ -384,6 +385,52 @@ void BM_WorkloadGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMillisecond);
+
+// --- MRT-lite ingest ---------------------------------------------------------
+
+/// The bench world's route-server feed as MRT-lite text, written once
+/// with write_mrt: the records `spoofscope generate` puts in
+/// route-server.mrt for the same world.
+const std::string& world_mrt_text() {
+  static const std::string text = [] {
+    const auto& w = world();
+    const bgp::Simulator sim(w.topology());
+    const auto plan = bgp::make_announcement_plan(
+        w.topology(), w.params().plan, w.params().seed ^ 0xb1a);
+    std::vector<bgp::CollectorSpec> specs(1);
+    specs[0].name = "ixp-route-server";
+    specs[0].feeders = w.ixp().route_server_feeders();
+    specs[0].full_feed = false;
+    util::ThreadPool pool(0);
+    std::vector<bgp::MrtRecord> records;
+    bgp::propagate_collect(
+        sim, plan, specs, pool,
+        [&records](std::size_t, const bgp::MrtRecord& r) {
+          records.push_back(r);
+        });
+    std::ostringstream out;
+    bgp::write_mrt(out, records);
+    return out.str();
+  }();
+  return text;
+}
+
+void BM_ReadMrt(benchmark::State& state) {
+  // Set-up's first layer: parse the route-server feed into records
+  // (fields, dotted quads and AS paths are tokenized in place).
+  const std::string& text = world_mrt_text();
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    std::istringstream in(text);
+    const auto parsed = bgp::read_mrt(in);
+    records += static_cast<std::int64_t>(parsed.size());
+    benchmark::DoNotOptimize(parsed.data());
+  }
+  state.SetItemsProcessed(records);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadMrt)->Unit(benchmark::kMillisecond);
 
 // --- batched data plane ------------------------------------------------------
 

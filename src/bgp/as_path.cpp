@@ -10,12 +10,23 @@ namespace spoofscope::bgp {
 std::optional<AsPath> AsPath::parse(std::string_view s) {
   s = util::trim(s);
   if (s.empty()) return AsPath();
+  // Tokens are read in place between single spaces; the space count
+  // bounds the hop count, so the path allocates once.
   std::vector<Asn> hops;
-  for (const auto tok : util::split(s, ' ')) {
-    if (tok.empty()) continue;  // tolerate double spaces
+  hops.reserve(static_cast<std::size_t>(std::count(s.begin(), s.end(), ' ')) + 1);
+  std::size_t pos = 0;
+  while (pos < s.size()) {
+    if (s[pos] == ' ') {  // tolerate double spaces
+      ++pos;
+      continue;
+    }
+    const std::size_t end = std::min(s.find(' ', pos), s.size());
     std::uint32_t asn;
-    if (!util::parse_u32(tok, asn) || asn == net::kNoAsn) return std::nullopt;
+    if (!util::parse_u32(s.substr(pos, end - pos), asn) || asn == net::kNoAsn) {
+      return std::nullopt;
+    }
     hops.push_back(asn);
+    pos = end;
   }
   if (hops.empty()) return std::nullopt;
   return AsPath(std::move(hops));

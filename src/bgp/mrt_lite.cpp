@@ -1,5 +1,7 @@
 #include "bgp/mrt_lite.hpp"
 
+#include <array>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -34,10 +36,39 @@ net::Prefix parse_prefix(std::string_view line, std::string_view tok) {
 }
 
 AsPath parse_path(std::string_view line, std::string_view tok) {
-  const auto p = AsPath::parse(tok);
+  auto p = AsPath::parse(tok);
   if (!p || p->empty()) fail(line, "bad AS path");
-  return *p;
+  return std::move(*p);
 }
+
+/// The most fields any record type takes (UPDATE|A).
+constexpr std::size_t kMaxFields = 6;
+
+/// A line's '|'-separated fields, read in place: the first kMaxFields
+/// are kept, and `count` stops at kMaxFields + 1 (every longer line
+/// fails the same field-count checks).
+struct Fields {
+  std::array<std::string_view, kMaxFields> f;
+  std::size_t count = 0;
+
+  explicit Fields(std::string_view line) {
+    std::size_t start = 0;
+    while (true) {
+      const std::size_t bar = line.find('|', start);
+      // substr clamps: at npos the field runs to the end of the line.
+      if (count < kMaxFields) f[count] = line.substr(start, bar - start);
+      ++count;
+      if (bar == std::string_view::npos || count > kMaxFields) return;
+      start = bar + 1;
+    }
+  }
+
+  std::string_view operator[](std::size_t i) const { return f[i]; }
+  std::size_t size() const { return count; }
+};
+
+/// Bytes per stream read in read_mrt.
+constexpr std::size_t kReadBlock = std::size_t{1} << 16;
 
 }  // namespace
 
@@ -56,9 +87,7 @@ std::string to_mrt_line(const UpdateMessage& u) {
 }
 
 MrtRecord parse_mrt_line(std::string_view line) {
-  const auto fields = util::split(line, '|');
-  if (fields.empty()) fail(line, "empty record");
-
+  const Fields fields(line);
   if (fields[0] == "TABLE_DUMP") {
     if (fields.size() != 5) fail(line, "TABLE_DUMP needs 5 fields");
     RibEntry e;
@@ -109,12 +138,11 @@ std::vector<MrtRecord> read_mrt(std::istream& in, util::ErrorPolicy policy,
   util::IngestStats local;
   if (!stats) stats = &local;
   std::vector<MrtRecord> out;
-  std::string line;
   std::size_t lineno = 0;
-  while (std::getline(in, line)) {
+  const auto parse_line = [&](std::string_view line) {
     ++lineno;
     const auto trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
+    if (trimmed.empty() || trimmed.front() == '#') return;
     try {
       out.push_back(parse_mrt_line(trimmed));
       stats->ok();
@@ -125,7 +153,35 @@ std::vector<MrtRecord> read_mrt(std::istream& in, util::ErrorPolicy policy,
       }
       stats->skip(util::ErrorKind::kParse, trimmed.size());
     }
+  };
+  // The stream is read in blocks and each '\n'-terminated line parsed
+  // where it lies; only a line that straddles two blocks is copied
+  // (into `carry`). The lines are exactly std::getline's: a final line
+  // without a newline counts, an empty tail after the last one does not.
+  std::string block(kReadBlock, '\0');
+  std::string carry;
+  while (in) {
+    in.read(block.data(), static_cast<std::streamsize>(block.size()));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    std::size_t start = 0;
+    while (start < got) {
+      const void* nl = std::memchr(block.data() + start, '\n', got - start);
+      if (nl == nullptr) break;
+      const auto end =
+          static_cast<std::size_t>(static_cast<const char*>(nl) - block.data());
+      const std::string_view line(block.data() + start, end - start);
+      if (carry.empty()) {
+        parse_line(line);
+      } else {
+        carry.append(line);
+        parse_line(carry);
+        carry.clear();
+      }
+      start = end + 1;
+    }
+    carry.append(block.data() + start, got - start);
   }
+  if (!carry.empty()) parse_line(carry);
   return out;
 }
 

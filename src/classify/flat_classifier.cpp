@@ -239,6 +239,7 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
   const auto paint_stripes = [&](std::size_t stripe_begin,
                                  std::size_t stripe_end) {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> covered;
+    std::vector<std::uint32_t> overflow_blocks;
     for (std::size_t s = stripe_begin; s < stripe_end; ++s) {
       std::uint32_t* stripe = flat.base_.data() + s * kStripeBlocks;
       const auto& ops = stripe_ops[s];
@@ -261,13 +262,24 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
         if (std::size_t{hi} + 1 > next) next = std::size_t{hi} + 1;
       }
       if (next < kStripeBlocks) std::fill(stripe + next, stripe + kStripeBlocks, 0u);
+      overflow_blocks.clear();
       for (const auto& op : ops) {
         std::fill(stripe + (op.begin - stripe_base),
                   stripe + (op.end - stripe_base) + 1, op.entry);
+        if ((op.entry >> kKindShift) == kKindOverflow) {
+          overflow_blocks.push_back(op.begin - stripe_base);
+        }
       }
+      // Only an overflow op writes an overflow entry, and each marks one
+      // block: the stripe's overflow slots are the distinct marked
+      // blocks that no later op painted over.
+      std::sort(overflow_blocks.begin(), overflow_blocks.end());
+      overflow_blocks.erase(
+          std::unique(overflow_blocks.begin(), overflow_blocks.end()),
+          overflow_blocks.end());
       std::size_t overflow = 0;
-      for (std::size_t i = 0; i < kStripeBlocks; ++i) {
-        if ((stripe[i] >> kKindShift) == kKindOverflow) ++overflow;
+      for (const std::uint32_t b : overflow_blocks) {
+        if ((stripe[b] >> kKindShift) == kKindOverflow) ++overflow;
       }
       overflow_per_stripe[s] = overflow;
     }
@@ -298,17 +310,29 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
   // One zeroed element of tail padding keeps the vector kernels' 32-bit
   // record gathers in bounds at the last real record; every size that
   // shapes behaviour (digest, snapshot save, stats) counts
-  // members * prefixes explicitly.
+  // members * prefixes explicitly. The rows start unwritten: each lane
+  // of the row build zeroes its own rows.
   const std::size_t record_count = flat.members_.size() * flat.num_prefixes_;
-  flat.records_.assign(record_count + 1, 0);
+  flat.records_.resize(record_count + 1);
+  flat.records_[record_count] = 0;
   flat.records_view_ = flat.records_.data();
   flat.records_gather_safe_ = true;
   flat.fallback_.assign(flat.members_.size() * num_spaces, nullptr);
 
-  // Address-ordered prefix ranges: each (member, space) row is built by a
-  // single merge scan of this list against the member's sorted disjoint
-  // interval set — O(prefixes + intervals) per row instead of two
-  // binary searches per (row, prefix) pair.
+  // Each (member, space) row is built from the member's intervals, not
+  // by visiting every prefix. Prefixes sit in tree pre-order (first
+  // address ascending, the covering prefix before the more-specifics
+  // that share its first address), each linked to its nearest covering
+  // prefix. A prefix is full when one interval contains it and partial
+  // when intervals overlap it but none contains it (intervals are
+  // disjoint and non-adjacent, so at most one interval can contain it).
+  // For an interval [lo, hi] the prefixes it touches are
+  //   - those starting inside it: full if they also end inside it,
+  //     partial otherwise;
+  //   - those starting before lo and reaching lo: partial. They all
+  //     contain lo, so they lie on the parent chain of the last prefix
+  //     starting before lo.
+  // A row costs O(intervals * log prefixes + overlaps), not O(prefixes).
   struct PrefixRange {
     std::uint32_t first;
     std::uint32_t last;
@@ -321,8 +345,24 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
   });
   std::sort(ordered.begin(), ordered.end(),
             [](const PrefixRange& a, const PrefixRange& b) {
-              return a.first != b.first ? a.first < b.first : a.last < b.last;
+              return a.first != b.first ? a.first < b.first : a.last > b.last;
             });
+  constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
+  struct PrefixNode {
+    std::uint32_t last;
+    std::uint32_t pid;
+    std::uint32_t parent;  ///< index of the nearest covering prefix
+  };
+  std::vector<std::uint32_t> firsts(ordered.size());
+  std::vector<PrefixNode> nodes(ordered.size());
+  std::vector<std::uint32_t> open;  // the prefixes covering the current one
+  for (std::uint32_t i = 0; i < ordered.size(); ++i) {
+    const PrefixRange& pr = ordered[i];
+    while (!open.empty() && nodes[open.back()].last < pr.first) open.pop_back();
+    firsts[i] = pr.first;
+    nodes[i] = {pr.last, pr.pid, open.empty() ? kNoParent : open.back()};
+    open.push_back(i);
+  }
 
   // Each member's record row (all methods interleaved) is written by
   // exactly one lane, so the fan-out is race-free and deterministic.
@@ -330,29 +370,40 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
     for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
       const Asn member = flat.members_[slot];
       std::uint16_t* row = flat.records_.data() + slot * flat.num_prefixes_;
+      std::fill(row, row + flat.num_prefixes_, std::uint16_t{0});
       for (std::size_t s = 0; s < num_spaces; ++s) {
         const trie::IntervalSet* space = flat.spaces_[s]->space_of(member);
         if (!space || space->empty()) continue;
-        const auto& ivs = space->intervals();
         const std::uint16_t full_bit = static_cast<std::uint16_t>(1u << s);
         const std::uint16_t part_bit = static_cast<std::uint16_t>(1u << (8 + s));
-        std::size_t j = 0;
-        for (const auto& pr : ordered) {
-          // Intervals ending before this prefix can never cover a later
-          // one either (prefixes are visited in ascending first()).
-          while (j < ivs.size() && ivs[j].hi < pr.first) ++j;
-          if (j == ivs.size()) break;
-          if (ivs[j].lo > pr.last) continue;  // gap: no overlap
-          // ivs[j] is the only interval that can contain pr.first, so
-          // full coverage is decidable from it alone; any other overlap
-          // is partial.
-          if (ivs[j].lo <= pr.first && ivs[j].hi >= pr.last) {
-            row[pr.pid] |= full_bit;
-          } else {
-            row[pr.pid] |= part_bit;
-            flat.fallback_[slot * num_spaces + s] = space;
+        bool partial = false;
+        // Intervals ascend, so each search starts where the last ended.
+        auto from = firsts.begin();
+        for (const auto& iv : space->intervals()) {
+          const auto begin = std::lower_bound(from, firsts.end(), iv.lo);
+          const auto end = std::upper_bound(begin, firsts.end(), iv.hi);
+          if (begin != firsts.begin()) {
+            for (std::uint32_t k = static_cast<std::uint32_t>(
+                     begin - firsts.begin() - 1);
+                 k != kNoParent; k = nodes[k].parent) {
+              if (nodes[k].last >= iv.lo) {
+                row[nodes[k].pid] |= part_bit;
+                partial = true;
+              }
+            }
           }
+          for (auto it = begin; it != end; ++it) {
+            const PrefixNode& n = nodes[it - firsts.begin()];
+            if (n.last <= iv.hi) {
+              row[n.pid] |= full_bit;
+            } else {
+              row[n.pid] |= part_bit;
+              partial = true;
+            }
+          }
+          from = end;
         }
+        if (partial) flat.fallback_[slot * num_spaces + s] = space;
       }
     }
   };

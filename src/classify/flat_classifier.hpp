@@ -84,8 +84,10 @@ class FlatClassifier {
                                         ///< the interval-set fallback lane
   };
 
-  /// Compiles `source` into the flat plane. O(2^24) table fill plus
-  /// O(members * prefixes * log) bitset construction.
+  /// Compiles `source` into the flat plane. O(2^24) table fill, an
+  /// O(prefixes * log prefixes) pre-order sort, then per (member,
+  /// method) row O(intervals * log prefixes + overlapping prefixes)
+  /// record construction.
   static FlatClassifier compile(const Classifier& source);
 
   /// Parallel compile: the per-member bitset rows are independent, so
@@ -395,7 +397,7 @@ class FlatClassifier {
   std::uint32_t compute_block_entry(std::uint32_t block) const;
 
   /// Fresh membership record for (member's spaces, prefix): the same
-  /// full/partial decision the compile merge scan makes, via one binary
+  /// full/partial decision the compile's row build makes, via one binary
   /// search per space.
   std::uint16_t fresh_record_bits(
       const trie::IntervalSet* const* member_spaces, const net::Prefix& p) const;

@@ -141,10 +141,10 @@ std::uint32_t FlatClassifier::compute_block_entry(std::uint32_t block) const {
 
 std::uint16_t FlatClassifier::fresh_record_bits(
     const trie::IntervalSet* const* member_spaces, const net::Prefix& p) const {
-  // Same decision the compile merge scan makes for one (row, prefix)
-  // pair: the first interval ending at or after the prefix start is the
-  // only one that can fully contain it; any overlap short of full
-  // containment is partial.
+  // Same decision the compile's row build makes for one (row, prefix)
+  // pair, reached from the prefix side: the first interval ending at or
+  // after the prefix start is the only one that can fully contain it;
+  // any overlap short of full containment is partial.
   std::uint16_t bits = 0;
   for (std::size_t s = 0; s < spaces_.size(); ++s) {
     const trie::IntervalSet* space = member_spaces[s];

@@ -5,8 +5,9 @@
 // each swap-remove edge case (pops, chained moves, a moved overflow-lane
 // prefix, restride, shrink and regrowth), after thousand-step randomized
 // churn (including overflow-lane lengths and unaligned valid-space
-// extends), and when the starting plane was mmapped out of a PlaneCache
-// entry.
+// extends), when the starting plane was mmapped out of a PlaneCache
+// entry, and after withdrawing and re-announcing every prefix of worlds
+// built to stress the compile's interval-driven row build.
 // The oracle classifier shares the source's ValidSpace handles, so any
 // digest difference is the patch path's fault, never the inputs'.
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "bgp/routing_table.hpp"
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
+#include "net/bogon.hpp"
 #include "net/prefix.hpp"
 #include "scenario/scenario.hpp"
 #include "state/plane_cache.hpp"
@@ -516,6 +518,246 @@ TEST(PlaneUpdate, SwapRemoveEdgeCasesMatchFreshCompile) {
                 "170.0.0.0/16", "180.0.0.0/16", "190.0.0.0/16"},
                "regrowth");
   EXPECT_EQ(flat.stats().bitset_bytes, wide_bytes);
+}
+
+// ------------------------------------------------ row-build differential
+
+/// partial_rows and overflow_slots as the compile's definitions state
+/// them, counted the slow way: a (member, space) row is partial when an
+/// interval overlaps some prefix that no single interval contains; a /24
+/// block is an overflow slot when the last paint covering it is an
+/// overflow mark (routed prefixes longer than /24 mark their first block,
+/// bogons paint after them in bogon_prefixes() order).
+struct BruteStats {
+  std::size_t partial_rows = 0;
+  std::size_t overflow_slots = 0;
+};
+
+BruteStats brute_force_stats(const Classifier& source,
+                             const std::vector<net::Prefix>& prefixes) {
+  BruteStats out;
+  std::set<Asn> members;
+  for (std::size_t s = 0; s < source.space_count(); ++s) {
+    for (const Asn m : source.space(s).members()) members.insert(m);
+  }
+  for (const Asn m : members) {
+    for (std::size_t s = 0; s < source.space_count(); ++s) {
+      const trie::IntervalSet* space = source.space(s).space_of(m);
+      if (space == nullptr) continue;
+      const auto& ivs = space->intervals();
+      const bool partial = std::any_of(
+          prefixes.begin(), prefixes.end(), [&](const net::Prefix& p) {
+            const bool overlap = std::any_of(
+                ivs.begin(), ivs.end(), [&](const trie::Interval& iv) {
+                  return iv.lo <= p.last() && iv.hi >= p.first();
+                });
+            const bool full = std::any_of(
+                ivs.begin(), ivs.end(), [&](const trie::Interval& iv) {
+                  return iv.lo <= p.first() && iv.hi >= p.last();
+                });
+            return overlap && !full;
+          });
+      if (partial) ++out.partial_rows;
+    }
+  }
+  std::set<std::uint32_t> marked;
+  for (const auto& p : prefixes) {
+    if (p.length() > 24) marked.insert(p.first() >> 8);
+  }
+  std::set<std::uint32_t> candidates = marked;
+  for (const auto& b : net::bogon_prefixes()) {
+    if (b.length() > 24) candidates.insert(b.first() >> 8);
+  }
+  for (const std::uint32_t block : candidates) {
+    bool overflow = marked.count(block) != 0;
+    for (const auto& b : net::bogon_prefixes()) {
+      const std::uint32_t first = b.first() >> 8;
+      const std::uint32_t last = b.length() <= 24 ? b.last() >> 8 : first;
+      if (first <= block && block <= last) overflow = b.length() > 24;
+    }
+    if (overflow) ++out.overflow_slots;
+  }
+  return out;
+}
+
+/// A row-build world: routes ingested in the given order and two methods
+/// of per-member interval sets.
+struct RowWorld {
+  RowWorld(const std::vector<net::Prefix>& routes,
+           std::unordered_map<Asn, trie::IntervalSet> cone,
+           std::unordered_map<Asn, trie::IntervalSet> naive) {
+    uopts.min_length = 0;
+    uopts.max_length = 28;
+    bgp::RoutingTableBuilder::Options topts;
+    topts.min_length = uopts.min_length;
+    topts.max_length = uopts.max_length;
+    bgp::RoutingTableBuilder b(topts);
+    for (const auto& p : routes) b.ingest_route(p, bgp::AsPath{65000});
+    table = b.build();
+    classifier = std::make_unique<Classifier>(
+        table, std::vector<inference::ValidSpace>{
+                   inference::ValidSpace(inference::Method::kFullCone,
+                                         std::move(cone)),
+                   inference::ValidSpace(inference::Method::kNaive,
+                                         std::move(naive))});
+  }
+  bgp::RoutingTable table;
+  std::unique_ptr<Classifier> classifier;
+  FlatClassifier::UpdateApplyOptions uopts;
+};
+
+/// The row build against fresh_record_bits: withdrawing every prefix and
+/// re-announcing them all makes the patch path recompute every record
+/// column by binary search, which must land on the compile's bytes; the
+/// stats of both planes must match the brute-force counts.
+void expect_rows_match_patch_path(const RowWorld& w, const char* what) {
+  SCOPED_TRACE(what);
+  const Classifier& source = *w.classifier;
+  const auto& routes = w.table.prefixes();
+  const BruteStats brute = brute_force_stats(source, routes);
+  util::ThreadPool pool(2);
+  FlatClassifier flat = FlatClassifier::compile(source);
+  EXPECT_EQ(FlatClassifier::compile(source, pool).plane_digest(),
+            flat.plane_digest());
+  EXPECT_EQ(flat.stats().partial_rows, brute.partial_rows);
+  EXPECT_EQ(flat.stats().overflow_slots, brute.overflow_slots);
+
+  std::vector<UpdateMessage> gone, back;
+  for (const auto& p : routes) {
+    gone.push_back(withdraw(p));
+    back.push_back(announce(p));
+  }
+  ASSERT_EQ(flat.apply_updates(gone, w.uopts).withdrawn, routes.size());
+  ASSERT_TRUE(flat.live_prefixes().empty());
+  EXPECT_EQ(flat.stats().partial_rows, 0u);
+  ASSERT_EQ(flat.apply_updates(back, w.uopts).announced, routes.size());
+  EXPECT_EQ(flat.stats().partial_rows, brute.partial_rows);
+  EXPECT_EQ(flat.stats().overflow_slots, brute.overflow_slots);
+  EXPECT_EQ(flat.plane_digest(),
+            fresh_compile_digest(source, flat.live_prefixes(), w.uopts, &pool,
+                                 [&](const FlatClassifier& fresh) {
+                                   EXPECT_EQ(fresh.stats().partial_rows,
+                                             brute.partial_rows);
+                                   EXPECT_EQ(fresh.stats().overflow_slots,
+                                             brute.overflow_slots);
+                                 }));
+}
+
+trie::IntervalSet intervals(
+    std::initializer_list<std::pair<std::uint32_t, std::uint32_t>> ranges) {
+  trie::IntervalSet s;
+  for (const auto& [lo, hi] : ranges) s.add(lo, hi);
+  return s;
+}
+
+std::uint32_t addr(const char* a) { return pfx(a).first(); }
+
+TEST(PlaneUpdate, RowBuildMatchesPatchPathOnEdgeWorld) {
+  // Nested prefixes sharing first addresses (/0, 0/8; 10/8 down to a
+  // /26), prefixes past /24 (overflow), the ends of the address space,
+  // and intervals that start, end or abut every kind of boundary. The
+  // /0 puts every interval start on some prefix's parent chain.
+  std::vector<net::Prefix> routes;
+  for (const char* p :
+       {"10.0.0.0/16", "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/24",
+        "10.0.0.0/26", "10.0.0.64/26", "10.0.1.0/24", "10.1.0.0/16",
+        "10.255.255.0/24", "11.0.0.0/8", "0.0.0.0/8", "255.0.0.0/8",
+        "255.255.255.0/24", "255.255.255.240/28", "20.0.0.0/24",
+        "20.0.1.0/24", "20.0.2.0/23", "20.0.0.128/25"}) {
+    routes.push_back(pfx(p));
+  }
+  std::unordered_map<Asn, trie::IntervalSet> cone;
+  // Touches address 0, and exactly one routed /16 with its children.
+  cone.emplace(1, intervals({{0, 255},
+                             {addr("10.0.0.0"), addr("10.0.255.255")}}));
+  // Starts on a /26 inside a /24, ends on the next /24; touches
+  // 0xFFFFFFFF.
+  cone.emplace(2, intervals({{addr("10.0.0.64"), addr("10.0.1.255")},
+                             {addr("255.255.255.0"), 0xFFFFFFFFu}}));
+  // Adjacent halves merge into one interval covering 10.0.0/24 whole.
+  cone.emplace(3, intervals({{addr("10.0.0.0"), addr("10.0.0.127")},
+                             {addr("10.0.0.128"), addr("10.0.0.255")}}));
+  cone.emplace(4, trie::IntervalSet{});  // known member, empty space
+  // Ends one address before 10/8; starts mid /16; ends one address
+  // before 20.0.1/24 after covering 20.0.0/24 and its /25.
+  cone.emplace(5, intervals({{addr("9.255.255.0"), addr("9.255.255.255")},
+                             {addr("10.0.2.0"), addr("10.0.255.255")},
+                             {addr("20.0.0.0"), addr("20.0.0.255")},
+                             {addr("20.0.2.1"), addr("20.0.3.255")}}));
+  // Gaps of one address between intervals: nothing is full that spans
+  // them.
+  cone.emplace(7, intervals({{addr("20.0.0.0"), addr("20.0.0.254")},
+                             {addr("20.0.1.0"), addr("20.0.1.255")},
+                             {addr("20.0.2.0"), addr("20.0.2.255")},
+                             {addr("20.0.3.1"), addr("20.0.3.255")}}));
+  std::unordered_map<Asn, trie::IntervalSet> naive;
+  naive.emplace(2, intervals({{0, 0xFFFFFFFFu}}));  // the whole space
+  naive.emplace(4, trie::IntervalSet{});
+  naive.emplace(6, intervals({{addr("10.0.0.0"), addr("10.0.0.63")}}));
+  naive.emplace(8, intervals({{0xFFFFFFFFu, 0xFFFFFFFFu}}));
+  const RowWorld w(routes, std::move(cone), std::move(naive));
+  expect_rows_match_patch_path(w, "edge world");
+}
+
+TEST(PlaneUpdate, RowBuildMatchesPatchPathOnRandomWorlds) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
+    util::Rng rng(seed * 0x9e3779b97f4a7c15ull);
+    // A prefix forest: random /8-/19 roots (short enough to nest
+    // deeply, long enough that repainting them stays cheap), then
+    // children that often share their parent's first address, down to
+    // /28.
+    std::set<net::Prefix> set;
+    std::vector<net::Prefix> order;
+    const auto add = [&](const net::Prefix& p) {
+      if (set.insert(p).second) order.push_back(p);
+    };
+    for (int i = 0; i < 24; ++i) {
+      add(net::Prefix(Ipv4Addr(rng.next_u32()),
+                      static_cast<std::uint8_t>(8 + rng.index(12))));
+    }
+    for (int i = 0; i < 400; ++i) {
+      const net::Prefix parent = order[rng.index(order.size())];
+      if (parent.length() >= 28) continue;
+      const std::uint8_t len = static_cast<std::uint8_t>(
+          parent.length() + 1 + rng.index(28 - parent.length()));
+      const std::uint32_t offset =
+          rng.chance(0.4) ? 0
+                          : rng.next_u32() &
+                                ~net::Prefix::mask_for(parent.length());
+      add(net::Prefix(Ipv4Addr(parent.first() + offset), len));
+    }
+    // Interval ends drawn from prefix boundaries, one address either
+    // side of them, the ends of the space, and anywhere.
+    const auto endpoint = [&]() -> std::uint32_t {
+      const net::Prefix& p = order[rng.index(order.size())];
+      switch (rng.index(7)) {
+        case 0: return p.first();
+        case 1: return p.last();
+        case 2: return p.first() - 1;
+        case 3: return p.last() + 1;
+        case 4: return rng.chance(0.5) ? 0u : 0xFFFFFFFFu;
+        case 5: return p.first() + (p.last() - p.first()) / 2;
+        default: return rng.next_u32();
+      }
+    };
+    const auto space = [&]() {
+      std::vector<trie::Interval> ivs;
+      const std::size_t n = rng.index(12);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t lo = endpoint(), hi = endpoint();
+        if (lo > hi) std::swap(lo, hi);
+        ivs.push_back({lo, hi});
+      }
+      return trie::IntervalSet::from_intervals(std::move(ivs));
+    };
+    std::unordered_map<Asn, trie::IntervalSet> cone, naive;
+    for (Asn m = 1; m <= 14; ++m) {
+      if (m % 5 != 0) cone.emplace(m, space());  // may come out empty
+      if (m % 3 != 0) naive.emplace(m, space());
+    }
+    const RowWorld w(order, std::move(cone), std::move(naive));
+    expect_rows_match_patch_path(w, ("seed " + std::to_string(seed)).c_str());
+  }
 }
 
 // ------------------------------------------------------------- churn fuzz

@@ -8,7 +8,9 @@
 #      and over the report-builder suites (streaming oracle with its
 #      golden report digests, the analysis and incident suites, the
 #      quantile sketch), so the optimised tables and sketch must still
-#      produce every report byte
+#      produce every report byte, and over the plane-vs-trie oracle and
+#      the plane-patch suite, so the compile's interval-driven member
+#      rows are checked at -O3 too
 #   3. ThreadSanitizer build, running the concurrency-sensitive suites
 #      (the parallel classification oracles including the plane-vs-trie
 #      and batch differentials, the thread pool, the streaming detector
@@ -18,9 +20,11 @@
 #      across pools)
 #   4. AddressSanitizer build, same suites plus the trie/interval code,
 #      the byte-level corruption/resync and batch-decode paths, the
-#      snapshot container + checkpoint/plane-cache fuzz suites, and the
+#      snapshot container + checkpoint/plane-cache fuzz suites, the
 #      bounded-table/quantile-sketch analysis suites (LRU eviction and
-#      compactor reallocation are where lifetime bugs would hide)
+#      compactor reallocation are where lifetime bugs would hide), and
+#      the MRT-lite, AS path and dotted-quad suites (their parsers index
+#      string_views in place)
 #   5. UndefinedBehaviorSanitizer build over the parser fuzz and
 #      robustness suites (the code that chews on hostile bytes),
 #      including the mmap/batch reader differential and the snapshot
@@ -116,9 +120,11 @@ RELEASE_SUITES=(
   analysis_test
   analysis_incidents_test
   util_stats_test
+  classify_flat_oracle_test
+  classify_plane_update_test
 )
 
-echo "=== Release (-O3): decode, aggregation and report-builder suites ==="
+echo "=== Release (-O3): decode, aggregation, report-builder and plane suites ==="
 cmake -S "${REPO_ROOT}" -B "${REPO_ROOT}/build-release" \
   -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${REPO_ROOT}/build-release" -j "${JOBS}" \
@@ -164,6 +170,9 @@ ASAN_SUITES=(
   trie_property_test
   classify_test
   parser_fuzz_test
+  bgp_mrt_lite_test
+  bgp_as_path_test
+  net_ipv4_test
   robustness_differential_test
   classify_streaming_degraded_test
   net_trace_batch_test

@@ -71,6 +71,8 @@
 // matches the routing view and valid spaces, compiling (and storing)
 // only on a miss. Every command rejects flags it does not read.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -473,6 +475,62 @@ int cmd_generate(const Flags& flags) {
   return 0;
 }
 
+/// Distinct ASNs: one open-addressed array (Fibonacci hashing, linear
+/// probing, load <= 1/2) where kNoAsn marks a free slot and a flag holds
+/// kNoAsn itself. A flow costs one probe, not a tree insert; sorted()
+/// orders the few distinct keys once at the end.
+class AsnSet {
+ public:
+  void insert(net::Asn asn) {
+    if (asn == net::kNoAsn) {
+      has_no_asn_ = true;
+      return;
+    }
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = home(asn);
+    while (slots_[s] != net::kNoAsn) {
+      if (slots_[s] == asn) return;
+      s = (s + 1) & mask;
+    }
+    slots_[s] = asn;
+    ++size_;
+  }
+
+  std::vector<net::Asn> sorted() const {
+    std::vector<net::Asn> out;
+    out.reserve(size_ + 1);
+    if (has_no_asn_) out.push_back(net::kNoAsn);
+    for (const net::Asn a : slots_) {
+      if (a != net::kNoAsn) out.push_back(a);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::size_t home(net::Asn asn) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(asn) * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  void grow() {
+    std::vector<net::Asn> old(std::max<std::size_t>(64, 2 * slots_.size()),
+                              net::kNoAsn);
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    size_ = 0;
+    for (const net::Asn a : old) {
+      if (a != net::kNoAsn) insert(a);
+    }
+  }
+
+  std::vector<net::Asn> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64;
+  bool has_no_asn_ = false;
+};
+
 /// First pass over the mapped trace: the distinct injecting members
 /// (needed to build valid spaces) without materializing the flows.
 /// A strict-mode throw mid-trace is deliberately swallowed here (after
@@ -487,7 +545,7 @@ std::vector<net::Asn> scan_members(const net::MappedTrace& trace,
                                    classify::SimdKernel simd) {
   net::MappedTraceReader reader(trace, policy, nullptr, simd);
   net::FlowBatch batch;
-  std::set<net::Asn> members;
+  AsnSet members;
   try {
     while (reader.next_batch(batch, kChunkFlows) > 0) {
       for (const net::Asn m : batch.member_in()) members.insert(m);
@@ -497,7 +555,7 @@ std::vector<net::Asn> scan_members(const net::MappedTrace& trace,
   } catch (const std::exception&) {
     for (const net::Asn m : batch.member_in()) members.insert(m);
   }
-  return {members.begin(), members.end()};
+  return members.sorted();
 }
 
 /// Everything classify/report/detect/serve share: the routing view
