@@ -29,7 +29,6 @@
 #include "classify/pipeline.hpp"
 #include "classify/streaming.hpp"
 #include "service/server.hpp"
-#include "state/plane_cache.hpp"
 #include "net/flow_batch.hpp"
 #include "net/mapped_trace.hpp"
 #include "net/trace.hpp"
@@ -872,22 +871,6 @@ void BM_DetectorRestore(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_DetectorRestore)->Unit(benchmark::kMillisecond);
-
-void BM_FlatPlaneCacheLoad(benchmark::State& state) {
-  // The cache-hit cold start (mmap + checksum/digest validation) — the
-  // number to hold against BM_FlatCompile, which is what a cold start
-  // costs without the cache.
-  const auto dir = state_scratch("spoofscope-bench-plane-cache");
-  std::filesystem::remove_all(dir);
-  state::PlaneCache cache(dir.string());
-  cache.load_or_compile(world().classifier(), nullptr);  // populate
-  for (auto _ : state) {
-    auto loaded = cache.load_or_compile(world().classifier(), nullptr);
-    benchmark::DoNotOptimize(loaded.plane);
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_FlatPlaneCacheLoad)->Unit(benchmark::kMillisecond);
 
 // --- resident service --------------------------------------------------------
 

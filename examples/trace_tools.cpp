@@ -4,8 +4,8 @@
 // the artifacts and verify the classification reproduces bit-for-bit.
 // The trace comes back through the zero-copy path (MappedTrace +
 // batched SoA decode), and the durable state plane rounds the story
-// out: the compiled flat plane is cached on disk and the streaming
-// detector checkpoints mid-stream and resumes bit-identically.
+// out: the streaming detector checkpoints mid-stream and resumes
+// bit-identically.
 // This is how spoofscope would be used against real captured data.
 //
 //   $ ./trace_tools [output-dir]
@@ -23,7 +23,6 @@
 #include "net/mapped_trace.hpp"
 #include "net/trace.hpp"
 #include "scenario/scenario.hpp"
-#include "state/plane_cache.hpp"
 #include "util/format.hpp"
 
 int main(int argc, char** argv) {
@@ -117,30 +116,17 @@ int main(int argc, char** argv) {
             << ")\n";
 
   // --- durable state ----------------------------------------------------------
-  // Compiled-plane cache: the first load compiles the DIR-24-8 plane and
-  // stores it; the second mmaps the entry back. The digest check proves
-  // the cached plane is the compile, not an approximation of it.
-  state::PlaneCache cache((dir / "plane-cache").string());
-  const auto first = cache.load_or_compile(world->classifier(), nullptr);
-  const auto second = cache.load_or_compile(world->classifier(), nullptr);
-  std::cout << "plane:  first load " << (first.stored ? "compiled+stored" : "hit")
-            << ", second load " << (second.hit ? "cache hit" : "miss") << " ("
-            << (first.plane.plane_digest() == second.plane.plane_digest()
-                ? "digests equal"
-                : "DIGEST MISMATCH")
-            << ")\n";
-
-  // Detector checkpoint/resume on the cached plane: run A straight
-  // through; run B checkpoints at mid-stream, a fresh detector restores
-  // the checkpoint and finishes the second half. Alerts and health must
-  // agree bit-for-bit.
+  // Detector checkpoint/resume on the compiled DIR-24-8 plane: run A
+  // straight through; run B checkpoints at mid-stream, a fresh detector
+  // restores the checkpoint and finishes the second half. Alerts and
+  // health must agree bit-for-bit.
   const std::size_t full_idx =
       scenario::Scenario::space_index(inference::Method::kFullConeOrg);
   classify::StreamingParams sp;
   sp.min_spoofed_packets = 30;
   sp.min_share = 0.02;
   const std::span<const net::FlowRecord> flows(original);
-  const classify::FlatClassifier& plane = second.plane;
+  const auto plane = classify::FlatClassifier::compile(world->classifier());
   classify::StreamingDetector straight(plane, full_idx, sp);
   const auto uninterrupted = straight.run(flows);
 

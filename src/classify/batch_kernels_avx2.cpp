@@ -19,11 +19,9 @@
 //
 // Tails shorter than the vector width fall off the 8-wide loops into the
 // scalar per-row path inside the same tile, so any batch size is legal
-// and labels never depend on n mod 8. On planes where a 32-bit gather at
-// the last record could overread the backing storage (mapped snapshots
-// pin the records section flush against the file end),
-// records_gather_safe_ is false and pass C loads records scalar into the
-// same lanes — identical labels, narrower loads.
+// and labels never depend on n mod 8. The record gather loads 32 bits
+// per 16-bit record; the plane's one element of tail padding keeps the
+// load at the last record in bounds.
 #include "classify/batch_kernels.hpp"
 
 #if SPOOFSCOPE_KERNEL_AVX2
@@ -72,8 +70,8 @@ inline void prefetch_ro(const void* p) { __builtin_prefetch(p, 0, 1); }
 void FlatClassifier::kernel_avx2(const std::uint32_t* src, const Asn* member,
                                  std::size_t n, Label* out) const {
   Scratch& sc = scratch();
-  const std::uint32_t* base = base_view_;
-  const std::uint16_t* recs = records_view_;
+  const std::uint32_t* base = base_.data();
+  const std::uint16_t* recs = records_.data();
   const std::uint32_t stride = static_cast<std::uint32_t>(record_stride_);
 
   const __m256i v_payload = _mm256_set1_epi32(static_cast<int>(kPayloadMask));
@@ -154,24 +152,11 @@ void FlatClassifier::kernel_avx2(const std::uint32_t* src, const Asn* member,
       const __m256i m_gather = _mm256_and_si256(m_routed, m_known);
       const __m256i v_off =
           _mm256_add_epi32(_mm256_mullo_epi32(v_slot, v_stride), v_pid);
-      __m256i v_rec;
-      if (records_gather_safe_) {
-        // Masked 32-bit gather over the 16-bit records (scale 2); masked
-        // lanes are never dereferenced, the high half is discarded below.
-        v_rec = _mm256_mask_i32gather_epi32(
-            v_zero, reinterpret_cast<const int*>(recs), v_off, m_gather, 2);
-        v_rec = _mm256_and_si256(v_rec, _mm256_set1_epi32(0xFFFF));
-      } else {
-        alignas(32) std::uint32_t off[8];
-        alignas(32) std::uint32_t gm[8];
-        alignas(32) std::uint32_t tmp[8];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(off), v_off);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(gm), m_gather);
-        for (std::size_t j = 0; j < 8; ++j) {
-          tmp[j] = gm[j] ? recs[off[j]] : 0u;
-        }
-        v_rec = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
-      }
+      // Masked 32-bit gather over the 16-bit records (scale 2); masked
+      // lanes are never dereferenced, the high half is discarded below.
+      __m256i v_rec = _mm256_mask_i32gather_epi32(
+          v_zero, reinterpret_cast<const int*>(recs), v_off, m_gather, 2);
+      v_rec = _mm256_and_si256(v_rec, _mm256_set1_epi32(0xFFFF));
       // Bit-spread the full-coverage mask (bit k -> bit 2k) and OR over
       // the all-Invalid pattern: Invalid (0b10) flips to Valid (0b11)
       // per fully-covered method — the vector form of classify_routed.

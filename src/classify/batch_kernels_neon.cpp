@@ -50,8 +50,8 @@ inline void prefetch_ro(const void* p) { __builtin_prefetch(p, 0, 1); }
 void FlatClassifier::kernel_neon(const std::uint32_t* src, const Asn* member,
                                  std::size_t n, Label* out) const {
   Scratch& sc = scratch();
-  const std::uint32_t* base = base_view_;
-  const std::uint16_t* recs = records_view_;
+  const std::uint32_t* base = base_.data();
+  const std::uint16_t* recs = records_.data();
   const std::uint32_t stride = static_cast<std::uint32_t>(record_stride_);
 
   const uint32x4_t v_zero = vdupq_n_u32(0);

@@ -45,8 +45,8 @@ using Label = std::uint16_t;
 ///
 /// This is the reference implementation of Fig 3, not a runtime engine:
 /// every production path classifies through a FlatClassifier compiled
-/// from it. It is the compile input (and the PlaneCache digest source)
-/// and the oracle the differential tests pin the plane against.
+/// from it. It is the compile input and the oracle the differential
+/// tests pin the plane against.
 ///
 /// The valid spaces are held by shared_ptr<const>: constructing a
 /// Classifier from already-shared spaces is O(1) per space (no deep copy

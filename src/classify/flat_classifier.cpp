@@ -53,11 +53,10 @@ std::uint64_t load_lane64(const std::uint8_t* p) {
 /// lanes. Per stripe step, xor + odd multiply stay bijective and every
 /// input byte lands in exactly one stripe, and the final fold is
 /// bijective in each stripe, so any single damaged byte changes the
-/// digest; the stripes break the serial multiply dependency chain.
-/// plane_digest() walks the ~90 MiB plane on every cache-validated
-/// load, so this is load-bearing for cold-start time. Fed in pieces, it
-/// hashes their concatenation: a patched plane's record rows hash
-/// exactly like a compiled plane's contiguous ones. A whole digest is
+/// digest; the stripes break the serial multiply dependency chain, so
+/// the test oracles that digest whole ~90 MiB planes stay fast. Fed in
+/// pieces, it hashes their concatenation: a patched plane's record rows
+/// hash exactly like a compiled plane's contiguous ones. A whole digest is
 /// one stream: chaining short streams through their seeds is not
 /// sound, because an input too short to reach stripes 1-3 folds the
 /// seed away (one zero byte maps every seed to the same digest).
@@ -234,7 +233,6 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
 
   static_assert(kBaseEntries == kNumStripes * kStripeBlocks);
   flat.base_.resize(kBaseEntries);
-  flat.base_view_ = flat.base_.data();
   std::array<std::size_t, kNumStripes> overflow_per_stripe{};
   const auto paint_stripes = [&](std::size_t stripe_begin,
                                  std::size_t stripe_end) {
@@ -315,8 +313,6 @@ FlatClassifier FlatClassifier::compile_impl(const Classifier& source,
   const std::size_t record_count = flat.members_.size() * flat.num_prefixes_;
   flat.records_.resize(record_count + 1);
   flat.records_[record_count] = 0;
-  flat.records_view_ = flat.records_.data();
-  flat.records_gather_safe_ = true;
   flat.fallback_.assign(flat.members_.size() * num_spaces, nullptr);
 
   // Each (member, space) row is built from the member's intervals, not
@@ -431,7 +427,7 @@ TrafficClass FlatClassifier::class_in_space(net::Ipv4Addr src,
                                             std::uint32_t pid,
                                             std::uint32_t slot,
                                             std::size_t space_idx) const {
-  const std::uint16_t rec = records_view_[slot * record_stride_ + pid];
+  const std::uint16_t rec = records_[slot * record_stride_ + pid];
   if (rec & (1u << space_idx)) return TrafficClass::kValid;
   if ((rec & (1u << (8 + space_idx))) &&
       fallback_[slot * spaces_.size() + space_idx]->contains(src)) {
@@ -443,7 +439,7 @@ TrafficClass FlatClassifier::class_in_space(net::Ipv4Addr src,
 Label FlatClassifier::classify_routed(net::Ipv4Addr src, std::uint32_t pid,
                                       const MemberView& view) const {
   if (!view.known()) return all_invalid_;
-  const std::uint16_t rec = records_view_[view.slot_ * record_stride_ + pid];
+  const std::uint16_t rec = records_[view.slot_ * record_stride_ + pid];
   std::uint32_t valid = rec & 0xFFu;
   if (std::uint32_t partial = rec >> 8; partial != 0) [[unlikely]] {
     const trie::IntervalSet* const* fb =
@@ -478,7 +474,7 @@ Label FlatClassifier::classify_overflow(net::Ipv4Addr src,
 
 Label FlatClassifier::classify_all(net::Ipv4Addr src,
                                    const MemberView& view) const {
-  const std::uint32_t entry = base_view_[src.value() >> 8];
+  const std::uint32_t entry = base_[src.value() >> 8];
   switch (entry >> kKindShift) {
     case kKindUnrouted: return all_unrouted_;
     case kKindBogon: return all_bogon_;
@@ -489,7 +485,7 @@ Label FlatClassifier::classify_all(net::Ipv4Addr src,
 
 TrafficClass FlatClassifier::classify(net::Ipv4Addr src, const MemberView& view,
                                       std::size_t space_idx) const {
-  const std::uint32_t entry = base_view_[src.value() >> 8];
+  const std::uint32_t entry = base_[src.value() >> 8];
   switch (entry >> kKindShift) {
     case kKindUnrouted: return TrafficClass::kUnrouted;
     case kKindBogon: return TrafficClass::kBogon;
@@ -510,7 +506,7 @@ void FlatClassifier::kernel_scalar(const std::uint32_t* src, const Asn* member,
   // reads are prefetched a fixed distance ahead so consecutive random
   // /24 lookups overlap instead of serializing on memory latency.
   std::unordered_map<Asn, MemberView> views;
-  const std::uint32_t* base = base_view_;
+  const std::uint32_t* base = base_.data();
   Asn last_member = net::kNoAsn;
   const MemberView* last_view = nullptr;
   for (std::size_t i = 0; i < n; ++i) {
@@ -630,9 +626,9 @@ std::vector<Label> FlatClassifier::classify_batch(
 
 std::uint64_t FlatClassifier::plane_digest() const {
   Fnv64 f;
-  f.update(base_view_, kBaseEntries * sizeof(std::uint32_t));
+  f.update(base_.data(), kBaseEntries * sizeof(std::uint32_t));
   for (std::size_t slot = 0; slot < members_.size(); ++slot) {
-    f.update(records_view_ + slot * record_stride_,
+    f.update(records_.data() + slot * record_stride_,
              num_prefixes_ * sizeof(std::uint16_t));
   }
   f.update(members_.data(), members_.size() * sizeof(Asn));

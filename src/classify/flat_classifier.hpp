@@ -44,11 +44,6 @@
 
 namespace spoofscope::net {
 class FlowBatch;
-class MappedTrace;
-}
-
-namespace spoofscope::state {
-class PlaneCache;
 }
 
 namespace spoofscope::classify {
@@ -207,10 +202,7 @@ class FlatClassifier {
 
   /// Applies one announce/withdraw batch in place. Only the batch's net
   /// effect lands (an announce+withdraw pair inside one batch cancels).
-  /// Bumps epoch() iff the live set changed. Requires an owned or
-  /// cache-loaded plane either way: a mapped plane is copied out of its
-  /// snapshot first (ensure_owned), so the cache entry on disk is never
-  /// written through.
+  /// Bumps epoch() iff the live set changed.
   UpdateApplyStats apply_updates(std::span<const bgp::UpdateMessage> batch,
                                  const UpdateApplyOptions& opts);
   UpdateApplyStats apply_updates(std::span<const bgp::UpdateMessage> batch) {
@@ -239,11 +231,6 @@ class FlatClassifier {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// The plane cache (state::PlaneCache) rebuilds a FlatClassifier from
-  /// a digest-validated snapshot, pointing the hot-path views into the
-  /// mapped file instead of owned storage.
-  friend class spoofscope::state::PlaneCache;
-
   FlatClassifier() = default;
 
   /// Entries in the base-class table (one per /24 block).
@@ -319,8 +306,7 @@ class FlatClassifier {
   /// Base-class table, kBaseEntries entries on huge pages (the kernels
   /// read it at random). Resizing leaves it unwritten, so the compile
   /// skips the 64 MiB zero-fill: stripes only zero the lanes no prefix
-  /// paints. Empty on a cache-loaded plane (the table lives in the
-  /// mapped snapshot instead).
+  /// paints.
   util::HugePageVector<std::uint32_t> base_;
   trie::PrefixSet bogons_;           // overflow-lane bogon check
   const bgp::RoutingTable* table_ = nullptr;
@@ -334,31 +320,19 @@ class FlatClassifier {
   /// Slot-major membership records: record (slot * record_stride_ + pid)
   /// holds the full bits (low byte, bit m = method m) and partial bits
   /// (high byte) for one (member, prefix) pair — all methods in one load.
-  /// Owned storage on huge pages, like base_; empty on a cache-loaded
-  /// plane.
+  /// On huge pages, like base_, with one zeroed element of tail padding
+  /// past the last row (compile() adds it, apply_updates() keeps it), so
+  /// a vector kernel's 32-bit gather at the last record stays in bounds.
   util::HugePageVector<std::uint16_t> records_;
-  /// What the hot paths actually read: the owned storage after
-  /// compile(), or the mapped snapshot after a plane-cache load (both
-  /// 8-byte aligned, little-endian hosts only on the mapped path).
-  const std::uint32_t* base_view_ = nullptr;
-  const std::uint16_t* records_view_ = nullptr;
-  /// True when a 32-bit gather load at the last record cannot overread
-  /// the backing storage: compile() pads owned records_ by one element;
-  /// mapped planes set this only if the snapshot has trailing bytes.
-  /// When false, vector kernels use scalar record loads (labels are
-  /// identical either way — only the load width changes).
-  bool records_gather_safe_ = false;
-  /// Keeps the mapped snapshot alive for the lifetime of the views.
-  std::shared_ptr<const net::MappedTrace> plane_mapping_;
   /// Per (slot, method): the member's interval set when any partial bit
   /// is set in that lane (the extend() fallback), nullptr otherwise.
   /// Indexed slot * space_count() + method.
   std::vector<const trie::IntervalSet*> fallback_;
   /// Live prefixes: the columns [0, num_prefixes_) of each record row.
   std::size_t num_prefixes_ = 0;
-  /// Record row length. Equals num_prefixes_ on a compiled or cached
-  /// plane; apply_updates grows it on net growth and leaves the unused
-  /// columns of a shrunk plane in place (never read, hashed or counted).
+  /// Record row length. Equals num_prefixes_ on a compiled plane;
+  /// apply_updates grows it on net growth and leaves the unused columns
+  /// of a shrunk plane in place (never read, hashed or counted).
   std::size_t record_stride_ = 0;
   Label all_bogon_ = 0;
   Label all_unrouted_ = 0;
@@ -378,10 +352,6 @@ class FlatClassifier {
   static std::uint64_t live_key(const net::Prefix& p) {
     return std::uint64_t{p.first()} << 6 | p.length();
   }
-
-  /// Copies a cache-mapped plane's base table and records into owned
-  /// storage so in-place patches never write through the mmap.
-  void ensure_owned();
 
   /// Builds live_index_ / live_lengths_ / live_overflow_blocks_ /
   /// bogon_block_ops_ from live_prefixes_.

@@ -42,26 +42,9 @@
 
 #include "classify/flat_classifier.hpp"
 #include "net/bogon.hpp"
-#include "net/mapped_trace.hpp"
 #include "util/fault_injection.hpp"
 
 namespace spoofscope::classify {
-
-void FlatClassifier::ensure_owned() {
-  if (base_.empty()) {
-    base_.assign(base_view_, base_view_ + kBaseEntries);
-    base_view_ = base_.data();
-  }
-  if (records_.empty()) {
-    const std::size_t record_count = members_.size() * record_stride_;
-    records_.resize(record_count + 1);
-    std::copy(records_view_, records_view_ + record_count, records_.data());
-    records_[record_count] = 0;  // gather sentinel
-    records_view_ = records_.data();
-    records_gather_safe_ = true;
-  }
-  plane_mapping_.reset();
-}
 
 void FlatClassifier::rebuild_live_index() {
   live_index_.clear();
@@ -223,7 +206,6 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
   result.changed = !added.empty() || !removed.empty();
   if (!result.changed) return result;
 
-  ensure_owned();
   const std::size_t num_spaces = spaces_.size();
   if (partial_counts_.empty()) {
     // One-time census of the live columns: per (row, space), how many
@@ -413,7 +395,6 @@ FlatClassifier::UpdateApplyStats FlatClassifier::apply_updates(
   if (restride) {
     restrided[members_.size() * new_count] = 0;  // gather sentinel
     records_ = std::move(restrided);
-    records_view_ = records_.data();
     record_stride_ = new_count;
   }
   num_prefixes_ = new_count;

@@ -83,6 +83,27 @@ std::string sec_ctx(const std::string& origin, std::uint32_t id) {
   return "file " + origin + ", section " + std::to_string(id);
 }
 
+// Smallest encoded size of one entry of each counted section (a window
+// with no samples, a removed member, a pending flow); see put_window and
+// put_pending.
+constexpr std::size_t kMinWindowBytes =
+    4 + 4 + 4 + 1 + 8 + 8 + 8 * kNumClasses + 8;  // 69
+constexpr std::size_t kRemovedBytes = 4;
+constexpr std::size_t kPendingBytes =
+    8 + 4 + 4 + 4 + 1 + 2 + 2 + 4 + 8 + 4 + 4;  // 45
+
+/// Reads a section's entry count and refuses one the rest of the
+/// section cannot hold, before anything is sized from it: a hostile
+/// count must fail as a parse error, not as a huge reserve.
+std::uint64_t read_count(state::SectionReader& r, std::size_t min_entry_bytes,
+                         const std::string& ctx) {
+  const std::uint64_t count = r.u64();
+  if (count > r.remaining() / min_entry_bytes) {
+    corrupt("entry count exceeds section size", ctx);
+  }
+  return count;
+}
+
 // Window/pending wire helpers, shared verbatim between the full and the
 // delta payloads (templates so this file-scope code can traffic in the
 // detector's private types without naming them).
@@ -312,7 +333,7 @@ bool StreamingDetector::restore(const std::string& path,
     {
       const std::string ctx = sec_ctx(path, kSecWindows);
       state::SectionReader r(snap.section(kSecWindows), ctx);
-      const std::uint64_t count = r.u64();
+      const std::uint64_t count = read_count(r, kMinWindowBytes, ctx);
       windows_.reserve(count);
       Asn prev = 0;
       for (std::uint64_t i = 0; i < count; ++i) {
@@ -330,7 +351,7 @@ bool StreamingDetector::restore(const std::string& path,
     {
       const std::string ctx = sec_ctx(path, kSecPending);
       state::SectionReader r(snap.section(kSecPending), ctx);
-      const std::uint64_t count = r.u64();
+      const std::uint64_t count = read_count(r, kPendingBytes, ctx);
       for (std::uint64_t i = 0; i < count; ++i) {
         Pending p;
         p.flow = get_pending_flow(r, p.seq);
@@ -501,7 +522,7 @@ void StreamingDetector::apply_delta(std::span<const std::uint8_t> bytes,
   {
     const std::string ctx = sec_ctx(origin, kDeltaSecWindows);
     state::SectionReader r(snap.section(kDeltaSecWindows), ctx);
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = read_count(r, kMinWindowBytes, ctx);
     touched.reserve(count);
     Asn prev = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -517,7 +538,7 @@ void StreamingDetector::apply_delta(std::span<const std::uint8_t> bytes,
   {
     const std::string ctx = sec_ctx(origin, kDeltaSecRemoved);
     state::SectionReader r(snap.section(kDeltaSecRemoved), ctx);
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = read_count(r, kRemovedBytes, ctx);
     removed.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
       const Asn member = r.u32();
@@ -532,7 +553,7 @@ void StreamingDetector::apply_delta(std::span<const std::uint8_t> bytes,
   {
     const std::string ctx = sec_ctx(origin, kDeltaSecPending);
     state::SectionReader r(snap.section(kDeltaSecPending), ctx);
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = read_count(r, kPendingBytes, ctx);
     pend.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
       Pending p;

@@ -1,8 +1,8 @@
 // Durable state plane: the one snapshot container every persistent
-// artifact (detector checkpoints, compiled-plane cache entries) is
-// written in. Same discipline as trace v2 — little-endian fields,
-// FNV-1a checksums, versioned header — but generalized to typed
-// sections so each payload kind can evolve independently:
+// artifact (full and delta detector checkpoints) is written in. Same
+// discipline as trace v2 — little-endian fields, FNV-1a checksums,
+// versioned header — but generalized to typed sections so each payload
+// kind can evolve independently:
 //
 //   [header 32 B][section table 16 B x N][checksum 4 B][payload ...]
 //
@@ -25,8 +25,9 @@
 //
 // Error contract: parsing throws SnapshotError (carrying a
 // util::ErrorKind) on any damage. Policy-aware callers (detector
-// restore, plane cache) translate: strict rethrows, skip accounts the
-// kind in an IngestStats and falls back to fresh state / recompile.
+// restore, delta-chain resume) translate: strict rethrows, skip
+// accounts the kind in an IngestStats and falls back to fresh state or
+// the last good link.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +46,10 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50414E53;  // "SNAP"
 inline constexpr std::uint32_t kContainerVersion = 1;
 
 /// What the payload sections describe. New kinds append; readers reject
-/// a kind they were not asked to open.
+/// a kind they were not asked to open. Value 2 held compiled planes and
+/// stays unused, so such a file is rejected as a foreign kind.
 enum class PayloadKind : std::uint32_t {
   kDetector = 1,       ///< StreamingDetector checkpoint
-  kPlane = 2,          ///< compiled FlatClassifier plane
   kDetectorDelta = 3,  ///< delta checkpoint chained off a full kDetector
 };
 

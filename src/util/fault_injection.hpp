@@ -1,5 +1,5 @@
 // Deterministic fault injection for the durable-state plane. Production
-// code marks its fault sites ("snapshot.write", "plane_cache.load", ...)
+// code marks its fault sites ("snapshot.write", "detector.restore", ...)
 // with FaultInjector::at(); with no injector installed the call is a
 // null-pointer check and every site behaves normally. Tests install one
 // (FaultInjector::Scope) and either arm a specific fault at the nth

@@ -5,20 +5,18 @@
 // each swap-remove edge case (pops, chained moves, a moved overflow-lane
 // prefix, restride, shrink and regrowth), after thousand-step randomized
 // churn (including overflow-lane lengths and unaligned valid-space
-// extends), when the starting plane was mmapped out of a PlaneCache
-// entry, and after withdrawing and re-announcing every prefix of worlds
-// built to stress the compile's interval-driven row build.
+// extends), on a copy of a compiled plane (each copy owns its tables),
+// and after withdrawing and re-announcing every prefix of worlds built
+// to stress the compile's interval-driven row build.
 // The oracle classifier shares the source's ValidSpace handles, so any
 // digest difference is the patch path's fault, never the inputs'.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -31,14 +29,12 @@
 #include "net/bogon.hpp"
 #include "net/prefix.hpp"
 #include "scenario/scenario.hpp"
-#include "state/plane_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spoofscope::classify {
 namespace {
 
-namespace fs = std::filesystem;
 using bgp::UpdateMessage;
 using net::Ipv4Addr;
 using net::pfx;
@@ -224,51 +220,54 @@ TEST(PlaneUpdate, AnnounceWithdrawCountersAndClassifyParity) {
             fresh_compile_digest(*fx.classifier, {}, uopts));
 }
 
-TEST(PlaneUpdate, MappedCachePlanePatchesWithoutTouchingTheEntry) {
+TEST(PlaneUpdate, CopiedPlaneOwnsItsTables) {
   Fixture fx;
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("spoofscope_plane_update_cache." + std::to_string(::getpid())))
-          .string();
-  state::PlaneCache cache(dir);
-  util::ThreadPool pool(2);
-  {
-    const auto stored = cache.load_or_compile(*fx.classifier, &pool);
-    ASSERT_TRUE(stored.stored);
-  }
-  auto loaded = cache.load_or_compile(*fx.classifier, &pool);
-  ASSERT_TRUE(loaded.hit);
-
-  // Snapshot the single cache entry's bytes before patching.
-  std::string entry;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    entry = e.path().string();
-  }
-  ASSERT_FALSE(entry.empty());
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  const std::string before = slurp(entry);
-
-  // Patching the mmapped plane copies it out of the snapshot first
-  // (ensure_owned): the entry on disk must never be written through.
   FlatClassifier::UpdateApplyOptions uopts;
-  const auto stats = loaded.plane.apply_updates(
-      std::vector<UpdateMessage>{announce(pfx("70.0.0.0/16")),
-                                 withdraw(pfx("60.0.0.0/16"))},
-      uopts);
-  EXPECT_TRUE(stats.changed);
-  EXPECT_EQ(loaded.plane.plane_digest(),
-            fresh_compile_digest(*fx.classifier, loaded.plane.live_prefixes(),
-                                 uopts));
-  EXPECT_EQ(slurp(entry), before);
+  const Ipv4Addr in50 = Ipv4Addr::from_octets(50, 0, 0, 5);
+  const Ipv4Addr in60 = Ipv4Addr::from_octets(60, 0, 0, 5);
+  std::vector<net::FlowRecord> flows;
+  for (const Ipv4Addr src : {in50, in60}) {
+    net::FlowRecord f;
+    f.src = src;
+    f.member_in = 1;
+    flows.push_back(f);
+  }
 
-  // A second load still validates and serves the original plane.
-  const auto reloaded = cache.load_or_compile(*fx.classifier, &pool);
-  EXPECT_TRUE(reloaded.hit);
-  EXPECT_FALSE(reloaded.plane.live());
-  fs::remove_all(dir);
+  // Patching a copy patches the copy's own tables, and only those.
+  const FlatClassifier source = FlatClassifier::compile(*fx.classifier);
+  const std::uint64_t source_digest = source.plane_digest();
+  FlatClassifier copy = source;
+  const auto stats = copy.apply_updates(
+      std::vector<UpdateMessage>{withdraw(pfx("60.0.0.0/16"))}, uopts);
+  ASSERT_TRUE(stats.changed);
+  EXPECT_EQ(copy.classify(in60, 1, 0), TrafficClass::kUnrouted);
+  EXPECT_EQ(copy.classify(in50, 1, 0), TrafficClass::kValid);
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    const auto labels = classify_trace(copy, flows, kernel);
+    EXPECT_EQ(Classifier::unpack(labels[0], 0), TrafficClass::kValid)
+        << simd_kernel_name(kernel);
+    EXPECT_EQ(Classifier::unpack(labels[1], 0), TrafficClass::kUnrouted)
+        << simd_kernel_name(kernel);
+  }
+  EXPECT_EQ(copy.plane_digest(),
+            fresh_compile_digest(*fx.classifier, copy.live_prefixes(), uopts));
+
+  EXPECT_FALSE(source.live());
+  EXPECT_EQ(source.epoch(), 0u);
+  EXPECT_EQ(source.plane_digest(), source_digest);
+  EXPECT_EQ(source.classify(in60, 1, 0), TrafficClass::kInvalid);
+
+  // A copy outlives its source.
+  std::optional<FlatClassifier> doomed(FlatClassifier::compile(*fx.classifier));
+  const FlatClassifier survivor = *doomed;
+  doomed.reset();
+  EXPECT_EQ(survivor.plane_digest(), source_digest);
+  EXPECT_EQ(survivor.classify(in60, 1, 0), TrafficClass::kInvalid);
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    EXPECT_EQ(classify_trace(survivor, flows, kernel),
+              classify_trace(*fx.classifier, flows))
+        << simd_kernel_name(kernel);
+  }
 }
 
 TEST(PlaneUpdate, EpochBumpReclassifiesBufferedFlows) {

@@ -3,17 +3,13 @@
 // unusable kernels) and kernel-vs-scalar differentials over exactly the
 // inputs the vector fast path must hand to the slow lane — the overflow
 // lane (>/24 prefixes), the interval-set fallback lane (unaligned
-// ValidSpace::extend), PlaneCache-served planes (mapped records where
-// the trailing gather guard forces scalar record loads), and skip-mode
-// corrupted traces whose surviving batches are ragged.
+// ValidSpace::extend), and skip-mode corrupted traces whose surviving
+// batches are ragged.
 #include "classify/batch_kernels.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <bit>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -27,14 +23,12 @@
 #include "net/trace.hpp"
 #include "net/trace_format.hpp"
 #include "scenario/scenario.hpp"
-#include "state/plane_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spoofscope::classify {
 namespace {
 
-namespace fs = std::filesystem;
 using net::pfx;
 
 TEST(SimdKernel, NamesAndParseRoundTrip) {
@@ -259,50 +253,6 @@ TEST(SimdKernel, UnalignedExtendFallbackIdenticalAcrossKernels) {
     std::vector<Label> got(batch.size());
     flat.classify_batch(batch, got, kernel);
     ASSERT_EQ(got, oracle) << simd_kernel_name(kernel);
-  }
-}
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const char* name)
-      : path_(fs::temp_directory_path() /
-              (std::string(name) + "." + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-  }
-  ~ScratchDir() { fs::remove_all(path_); }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
-
-TEST(SimdKernel, PlaneCacheServedPlaneIdenticalAcrossKernels) {
-  if (std::endian::native != std::endian::little) {
-    GTEST_SKIP() << "plane cache degrades to compile-always on big-endian";
-  }
-  const EdgeLaneFixture fx;
-  const ScratchDir dir("spoofscope-simd-plane-cache");
-  state::PlaneCache cache(dir.str());
-  const auto stored = cache.load_or_compile(*fx.classifier, nullptr,
-                                            util::ErrorPolicy::kStrict);
-  ASSERT_FALSE(stored.hit);
-  const auto served = cache.load_or_compile(*fx.classifier, nullptr,
-                                            util::ErrorPolicy::kStrict);
-  ASSERT_TRUE(served.hit);
-
-  // The mapped plane's records view typically ends flush against the
-  // file, so the AVX2 record gather is disabled and pass C degrades to
-  // scalar record loads — the labels must not care.
-  const auto batch = fx.probe_batch();
-  std::vector<Label> oracle(batch.size());
-  stored.plane.classify_batch(batch, oracle, SimdKernel::kScalar);
-  for (const SimdKernel kernel : usable_simd_kernels()) {
-    std::vector<Label> owned(batch.size());
-    std::vector<Label> mapped(batch.size());
-    stored.plane.classify_batch(batch, owned, kernel);
-    served.plane.classify_batch(batch, mapped, kernel);
-    EXPECT_EQ(owned, oracle) << "owned " << simd_kernel_name(kernel);
-    EXPECT_EQ(mapped, oracle) << "mapped " << simd_kernel_name(kernel);
   }
 }
 

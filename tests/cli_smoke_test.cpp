@@ -524,31 +524,6 @@ TEST(CliSmoke, CorruptCheckpointStrictFailsSkipStartsFresh) {
             line_with(clean.output, "health:"));
 }
 
-TEST(CliSmoke, PlaneCacheMissThenHitProducesIdenticalLabels) {
-  auto& w = cli_world();
-  ASSERT_TRUE(w.generated);
-  const fs::path cache = w.root / "plane-cache";
-  const fs::path miss_csv = w.root / "labels-cache-miss.csv";
-  const fs::path hit_csv = w.root / "labels-cache-hit.csv";
-  const std::string base = "classify --mrt " + w.mrt() + " --trace " +
-                           w.trace() + " --plane-cache " + cache.string() +
-                           " --labels ";
-
-  const auto miss = run_cli(base + miss_csv.string(), w.log);
-  ASSERT_EQ(miss.exit_code, 0) << miss.output;
-  EXPECT_NE(miss.output.find("plane-cache: miss (compiled and stored)"),
-            std::string::npos)
-      << miss.output;
-
-  const auto hit = run_cli(base + hit_csv.string(), w.log);
-  ASSERT_EQ(hit.exit_code, 0) << hit.output;
-  EXPECT_NE(hit.output.find("plane-cache: hit"), std::string::npos)
-      << hit.output;
-
-  EXPECT_EQ(fnv1a64(slurp(miss_csv)), kGoldenLabelsCsv);
-  EXPECT_EQ(fnv1a64(slurp(hit_csv)), kGoldenLabelsCsv);
-}
-
 TEST(CliSmoke, MisspelledFlagIsRejected) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
@@ -566,25 +541,32 @@ TEST(CliSmoke, MisspelledFlagIsRejected) {
 TEST(CliSmoke, EngineFlagIsRejected) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  // The compiled plane is the only engine: a leftover --engine is an
-  // error on every command, not a silently ignored knob (nor is
-  // generate's --simd, which never affected its output).
+  // The compiled plane is the only engine and a fresh compile the only
+  // way to get one: a leftover --engine or --plane-cache is an error on
+  // every command, not a silently ignored knob (nor is generate's
+  // --simd, which never affected its output).
   const std::string inputs = " --mrt " + w.mrt() + " --trace " + w.trace();
-  for (const std::string cmd : {"classify", "report", "detect"}) {
-    const auto r = run_cli(cmd + inputs + " --engine flat", w.log);
-    EXPECT_EQ(r.exit_code, 2) << cmd << ": " << r.output;
-    EXPECT_NE(r.output.find("unknown flag for " + cmd + ": --engine"),
+  const fs::path cache = w.root / "never-created";
+  for (const std::string& flag :
+       {std::string("--engine flat"), "--plane-cache " + cache.string()}) {
+    const std::string name = flag.substr(0, flag.find(' '));
+    for (const std::string cmd : {"classify", "report", "detect"}) {
+      const auto r = run_cli(cmd + inputs + " " + flag, w.log);
+      EXPECT_EQ(r.exit_code, 2) << cmd << ": " << r.output;
+      EXPECT_NE(r.output.find("unknown flag for " + cmd + ": " + name),
+                std::string::npos)
+          << r.output;
+    }
+    const auto serve = run_cli("serve" + inputs + " --socket " +
+                                   (w.root / "engine.sock").string() + " " +
+                                   flag,
+                               w.log);
+    EXPECT_EQ(serve.exit_code, 2) << serve.output;
+    EXPECT_NE(serve.output.find("unknown flag for serve: " + name),
               std::string::npos)
-        << r.output;
+        << serve.output;
   }
-  const auto serve = run_cli("serve" + inputs + " --socket " +
-                                 (w.root / "engine.sock").string() +
-                                 " --engine trie",
-                             w.log);
-  EXPECT_EQ(serve.exit_code, 2) << serve.output;
-  EXPECT_NE(serve.output.find("unknown flag for serve: --engine"),
-            std::string::npos)
-      << serve.output;
+  EXPECT_FALSE(fs::exists(cache));
   const fs::path out = w.root / "never-generated";
   for (const std::string flag : {"--engine trie", "--simd scalar"}) {
     const auto gen = run_cli("generate --out " + out.string() + " " + flag,

@@ -1,10 +1,15 @@
 // The detector suites' shared world: a two-prefix routing view, the trie
 // Classifier over it (the compile input) and the plane compiled from it,
 // plus the degraded-mode parameters and the jittered stream the
-// checkpoint suites drive through it.
+// checkpoint suites drive through it, and a checkpoint rewriter that
+// plants a hostile entry count.
 #pragma once
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +18,7 @@
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
 #include "net/prefix.hpp"
+#include "state/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace spoofscope::testing {
@@ -91,6 +97,37 @@ inline std::vector<net::FlowRecord> make_stream(std::uint64_t seed,
     flows.push_back(f);
   }
   return flows;
+}
+
+/// Rewrites the checkpoint at `path` (full or delta, payload version 1)
+/// with section `id`'s leading entry count replaced by `count`. The
+/// container checksums are recomputed, so only the decoder's own checks
+/// can refuse the file.
+inline void plant_entry_count(const std::string& path, state::PayloadKind kind,
+                              std::uint32_t id, std::uint64_t count) {
+  std::vector<std::uint8_t> image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr std::uint32_t kPayloadVersion = 1;
+  const state::SnapshotView view =
+      state::parse_snapshot(image, kind, kPayloadVersion);
+  state::SnapshotWriter writer(kind, kPayloadVersion);
+  for (std::uint32_t sid = 1; sid <= 16; ++sid) {
+    if (!view.has(sid)) continue;
+    const std::span<const std::uint8_t> payload = view.section(sid);
+    state::SectionBuilder b;
+    if (sid == id) {
+      b.u64(count);
+      b.bytes(payload.data() + 8, payload.size() - 8);
+    } else {
+      b.bytes(payload.data(), payload.size());
+    }
+    writer.add_section(sid, b.take());
+  }
+  writer.write_atomic(path);
 }
 
 }  // namespace spoofscope::testing

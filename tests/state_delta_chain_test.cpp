@@ -228,6 +228,56 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
   EXPECT_TRUE(fs::exists(d1));
 }
 
+TEST(DeltaChainTest, HostileEntryCountTruncatesTheChain) {
+  Fixture fx;
+  ScratchDir dir("spoofscope_delta_count");
+  const std::string base = dir.file("det.ckpt");
+  const std::string d1 = base + ".d1";
+  const std::string d2 = base + ".d2";
+  const auto flows = make_stream(5, 900);
+  const std::vector<std::size_t> cuts = {100, 400, 800};
+  // Sections 3, 4 and 5 of a delta count its windows, removed members
+  // and pending flows. A checksum-valid link may still carry a count no
+  // section can hold; the decoder must refuse it before sizing anything
+  // from it.
+  for (const std::uint32_t section : {3u, 4u, 5u}) {
+    build_chain(fx, pressured_params(), base, flows, cuts);
+    ASSERT_TRUE(fs::exists(d2));
+    testing::plant_entry_count(d1, PayloadKind::kDetectorDelta, section,
+                               std::uint64_t{1} << 60);
+
+    StreamingDetector strict(fx.plane, 0, pressured_params());
+    DeltaChain chain(base);
+    try {
+      chain.resume(strict, util::ErrorPolicy::kStrict);
+      FAIL() << "absurd count in section " << section << " did not throw";
+    } catch (const SnapshotError& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(e.kind(), util::ErrorKind::kParse) << msg;
+      EXPECT_NE(msg.find(d1), std::string::npos) << msg;
+      EXPECT_NE(msg.find("section " + std::to_string(section)),
+                std::string::npos)
+          << msg;
+    }
+
+    // Skip: the chain is truncated at the hostile link, and the detector
+    // settles at the base cut.
+    StreamingDetector skip(fx.plane, 0, pressured_params());
+    DeltaChain chain2(base);
+    util::IngestStats stats;
+    const DeltaResume res =
+        chain2.resume(skip, util::ErrorPolicy::kSkip, &stats);
+    EXPECT_TRUE(res.restored);
+    EXPECT_EQ(res.deltas_applied, 0u);
+    EXPECT_EQ(res.deltas_dropped, 2u);
+    EXPECT_EQ(stats.errors[static_cast<std::size_t>(util::ErrorKind::kParse)],
+              1u);
+    EXPECT_EQ(skip.processed(), 100u);
+    EXPECT_FALSE(fs::exists(d1));
+    EXPECT_FALSE(fs::exists(d2));
+  }
+}
+
 TEST(DeltaChainTest, DamagedBaseNamesFileAndFallsBackFresh) {
   Fixture fx;
   ScratchDir dir("spoofscope_delta_base_damage");

@@ -26,7 +26,6 @@
 #include "detector_fixture.hpp"
 #include "net/prefix.hpp"
 #include "state/delta_chain.hpp"
-#include "state/plane_cache.hpp"
 #include "state/snapshot.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
@@ -395,42 +394,6 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
   StreamingDetector clean(fx.plane, 0, pressured_params());
   EXPECT_TRUE(clean.restore(ckpt));
   EXPECT_EQ(clean.processed(), flows.size());
-}
-
-TEST(ReadFaults, PlaneCacheLoadFaultRecompilesInSkipMode) {
-  Fixture fx;
-  ScratchDir dir("spoofscope_cache_faults");
-  PlaneCache cache(dir.file("plane_cache"));
-  const std::uint64_t want =
-      FlatClassifier::compile(fx.classifier).plane_digest();
-  {
-    const auto first = cache.load_or_compile(fx.classifier, nullptr);
-    ASSERT_TRUE(first.stored);
-  }
-  {
-    FaultInjector inj;
-    inj.arm("plane_cache.load", 1, FaultKind::kShortRead);
-    FaultInjector::Scope scope(inj);
-    // Strict refuses the damaged read...
-    EXPECT_THROW(cache.load_or_compile(fx.classifier, nullptr,
-                                       util::ErrorPolicy::kStrict),
-                 SnapshotError);
-  }
-  {
-    FaultInjector inj;
-    inj.arm("plane_cache.load", 1, FaultKind::kShortRead);
-    FaultInjector::Scope scope(inj);
-    util::IngestStats stats;
-    // ...skip degrades around it: recompile, engine-identical plane.
-    const auto res = cache.load_or_compile(fx.classifier, nullptr,
-                                           util::ErrorPolicy::kSkip, &stats);
-    EXPECT_FALSE(res.hit);
-    EXPECT_EQ(res.plane.plane_digest(), want);
-  }
-  // The rewritten entry serves clean hits again.
-  const auto again = cache.load_or_compile(fx.classifier, nullptr);
-  EXPECT_TRUE(again.hit);
-  EXPECT_EQ(again.plane.plane_digest(), want);
 }
 
 TEST(ReadFaults, ApplyUpdatesCrashLeavesThePlaneUntouched) {

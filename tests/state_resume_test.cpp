@@ -151,6 +151,50 @@ TEST(StateResume, MissingCheckpointThrowsStrictSkipsClean) {
   EXPECT_EQ(st.errors[static_cast<std::size_t>(util::ErrorKind::kTruncated)], 1u);
 }
 
+TEST(StateResume, HostileEntryCountIsAParseErrorNotAnAllocation) {
+  Fixture fx;
+  ScratchDir dir("spoofscope_resume_count");
+  const auto flows = make_stream(11, 400);
+  const std::string ckpt = dir.file("det.ckpt");
+  const auto ignore = [](const SpoofingAlert&) {};
+  // Sections 3 and 4 of a full checkpoint count the windows and the
+  // pending flows. A checksum-valid file may still carry a count no
+  // section can hold; the decoder must refuse it before sizing anything
+  // from it.
+  for (const std::uint32_t section : {3u, 4u}) {
+    {
+      StreamingDetector d(fx.plane, 0, pressured_params());
+      for (const auto& f : flows) d.ingest(f, ignore);
+      d.save(ckpt);
+    }
+    testing::plant_entry_count(ckpt, state::PayloadKind::kDetector, section,
+                               std::uint64_t{1} << 60);
+
+    StreamingDetector strict(fx.plane, 0, pressured_params());
+    try {
+      strict.restore(ckpt);
+      FAIL() << "absurd count in section " << section << " did not throw";
+    } catch (const state::SnapshotError& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(e.kind(), util::ErrorKind::kParse) << msg;
+      EXPECT_NE(msg.find("section " + std::to_string(section)),
+                std::string::npos)
+          << msg;
+    }
+
+    // Skip: one accounted skip, and a detector that had already ingested
+    // flows is left fresh, not half-loaded.
+    StreamingDetector skip(fx.plane, 0, pressured_params());
+    for (std::size_t i = 0; i < 50; ++i) skip.ingest(flows[i], ignore);
+    util::IngestStats st;
+    EXPECT_FALSE(skip.restore(ckpt, util::ErrorPolicy::kSkip, &st));
+    EXPECT_EQ(st.records_skipped, 1u);
+    EXPECT_EQ(st.errors[static_cast<std::size_t>(util::ErrorKind::kParse)], 1u);
+    EXPECT_EQ(skip.processed(), 0u);
+    EXPECT_EQ(skip.health(), DetectorHealth{});
+  }
+}
+
 TEST(StateResume, CorruptedCheckpointsAreNeverSilentlyWrong) {
   Fixture fx;
   ScratchDir dir("spoofscope_resume_fuzz");

@@ -71,7 +71,7 @@ TEST(Snapshot, RoundTripsEveryLaneType) {
 }
 
 TEST(Snapshot, SectionPayloadsAreEightByteAligned) {
-  SnapshotWriter writer(PayloadKind::kPlane, 1);
+  SnapshotWriter writer(PayloadKind::kDetectorDelta, 1);
   // Deliberately awkward sizes so alignment padding is actually needed.
   for (std::uint32_t id = 1; id <= 5; ++id) {
     SectionBuilder b;
@@ -79,7 +79,8 @@ TEST(Snapshot, SectionPayloadsAreEightByteAligned) {
     writer.add_section(id, b.take());
   }
   const auto bytes = writer.serialize();
-  const SnapshotView view = parse_snapshot(bytes, PayloadKind::kPlane, 1);
+  const SnapshotView view =
+      parse_snapshot(bytes, PayloadKind::kDetectorDelta, 1);
   for (std::uint32_t id = 1; id <= 5; ++id) {
     const auto sec = view.section(id);
     EXPECT_EQ((sec.data() - bytes.data()) % 8, 0)
@@ -133,10 +134,23 @@ TEST(Snapshot, ReaderUnderrunThrowsTruncated) {
 TEST(Snapshot, KindAndVersionMismatchesAreTyped) {
   const auto bytes = sample_writer().serialize();
   try {
-    parse_snapshot(bytes, PayloadKind::kPlane, 3);
+    parse_snapshot(bytes, PayloadKind::kDetectorDelta, 3);
     FAIL() << "kind mismatch did not throw";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.kind(), util::ErrorKind::kParse);
+  }
+  // Kind 2 once held compiled planes and stays unused: such a file is a
+  // foreign kind to every reader.
+  const auto retired =
+      SnapshotWriter(static_cast<PayloadKind>(2), 2).serialize();
+  for (const PayloadKind kind :
+       {PayloadKind::kDetector, PayloadKind::kDetectorDelta}) {
+    try {
+      parse_snapshot(retired, kind, 2);
+      FAIL() << "retired kind 2 did not throw";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), util::ErrorKind::kParse);
+    }
   }
   try {
     parse_snapshot(bytes, PayloadKind::kDetector, 4);

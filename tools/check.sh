@@ -15,20 +15,21 @@
 #      (the parallel classification oracles including the plane-vs-trie
 #      and batch differentials, the thread pool, the streaming detector
 #      and the corruption differential suite, which classifies on a
-#      shared pool, the state suites, which resume/compile across thread
-#      counts, and the streaming-analysis oracle, which shards reports
-#      across pools)
+#      shared pool, the state suites, which resume across thread counts,
+#      and the streaming-analysis oracle, which shards reports across
+#      pools)
 #   4. AddressSanitizer build, same suites plus the trie/interval code,
 #      the byte-level corruption/resync and batch-decode paths, the
-#      snapshot container + checkpoint/plane-cache fuzz suites, the
+#      snapshot container + checkpoint fuzz suites, the
 #      bounded-table/quantile-sketch analysis suites (LRU eviction and
 #      compactor reallocation are where lifetime bugs would hide), and
 #      the MRT-lite, AS path and dotted-quad suites (their parsers index
 #      string_views in place)
 #   5. UndefinedBehaviorSanitizer build over the parser fuzz and
 #      robustness suites (the code that chews on hostile bytes),
-#      including the mmap/batch reader differential and the snapshot
-#      parser, which reinterprets mapped cache entries, plus the
+#      including the mmap/batch reader differential, the snapshot
+#      parser and the checkpoint decoders (full and delta), which size
+#      their reads from counts in the file, plus the
 #      streaming-analysis oracle (sketch rank arithmetic, ratio
 #      histogram binning and eviction folds over adversarial batches),
 #      the aggregation suites (shifts in the member-presence rows) and
@@ -144,7 +145,6 @@ TSAN_SUITES=(
   util_thread_pool_test
   scenario_multiseed_test
   state_resume_test
-  state_plane_cache_test
   state_delta_chain_test
   state_fault_injection_test
   classify_plane_update_test
@@ -178,7 +178,6 @@ ASAN_SUITES=(
   net_trace_batch_test
   state_snapshot_test
   state_resume_test
-  state_plane_cache_test
   state_delta_chain_test
   state_fault_injection_test
   classify_plane_update_test
@@ -208,7 +207,7 @@ UBSAN_SUITES=(
   bgp_mrt_lite_test
   data_rpsl_test
   state_snapshot_test
-  state_plane_cache_test
+  state_resume_test
   state_delta_chain_test
   state_fault_injection_test
   classify_plane_update_test

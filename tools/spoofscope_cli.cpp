@@ -66,10 +66,8 @@
 // (net::FlowBatch), so classify never materializes the whole trace in
 // memory and never copies record bytes. --stats-json PATH writes the
 // per-source IngestStats (and, for detect, the DetectorHealth) as JSON
-// for monitoring pipelines. --plane-cache DIR serves the compiled
-// classification plane from a digest-validated mmap'd snapshot when one
-// matches the routing view and valid spaces, compiling (and storing)
-// only on a miss. Every command rejects flags it does not read.
+// for monitoring pipelines. Every command rejects flags it does not
+// read.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -103,7 +101,6 @@
 #include "service/merge.hpp"
 #include "service/server.hpp"
 #include "state/delta_chain.hpp"
-#include "state/plane_cache.hpp"
 #include "topo/serialize.hpp"
 #include "util/error_policy.hpp"
 #include "util/format.hpp"
@@ -129,19 +126,17 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "  spoofscope classify --mrt FILES --trace FILE [--rpsl FILE]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--labels OUT.csv] [--threads N]\n"
-      "                      [--plane-cache DIR]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--on-error strict|skip] [--stats-json PATH]\n"
       "  spoofscope report   --mrt FILES --trace FILE [--rpsl FILE]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--labels OUT.csv] [--threads N]\n"
-      "                      [--plane-cache DIR]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--on-error strict|skip] [--stats-json PATH]\n"
       "  spoofscope detect   --mrt FILES --trace FILE [--rpsl FILE]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--window SECONDS] [--skew SECONDS]\n"
-      "                      [--threads N] [--plane-cache DIR]\n"
+      "                      [--threads N]\n"
       "                      [--updates FILE]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--checkpoint PATH] [--checkpoint-every N]\n"
@@ -151,7 +146,7 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "                      [--rpsl FILE] [--shards N]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--window SECONDS] [--skew SECONDS]\n"
-      "                      [--threads N] [--plane-cache DIR]\n"
+      "                      [--threads N]\n"
       "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "                      [--resume] [--on-error strict|skip]\n"
@@ -182,9 +177,6 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "and analyses the surviving records (default: strict).\n"
       "--stats-json PATH writes per-source ingest statistics (and, for\n"
       "detect, the detector health counters) as JSON.\n"
-      "--plane-cache DIR caches the compiled classification plane on disk\n"
-      "keyed by a digest of the routing view + valid spaces; hits mmap\n"
-      "the plane instead of recompiling.\n"
       "--window and --skew (detect, serve) take seconds in\n"
       "[0, 4294967295].\n"
       "--checkpoint PATH (detect) saves the detector state atomically\n"
@@ -598,28 +590,9 @@ void build_context(const Flags& flags,
   }
 
   // The plane is compiled after the RPSL whitelist so the extend()ed
-  // spaces are baked in. With --plane-cache the compile is replaced by a
-  // digest-validated mmap load whenever a matching snapshot exists (a
-  // stale or damaged entry recompiles under skip, throws under strict).
-  if (flags.count("plane-cache")) {
-    state::PlaneCache cache(flags.at("plane-cache"));
-    util::IngestStats cache_stats;
-    auto loaded =
-        cache.load_or_compile(classifier, &pool, policy, &cache_stats);
-    std::cout << "plane-cache: "
-              << (loaded.hit ? "hit" : "miss (compiled and stored)") << " "
-              << cache.entry_path(state::classifier_digest(classifier))
-              << "\n";
-    if (!cache_stats.clean()) {
-      print_ingest(flags.at("plane-cache"), cache_stats);
-    }
-    sources.emplace_back(flags.at("plane-cache"), cache_stats);
-    ctx.plane =
-        std::make_shared<classify::FlatClassifier>(std::move(loaded.plane));
-  } else {
-    ctx.plane = std::make_shared<classify::FlatClassifier>(
-        classify::FlatClassifier::compile(classifier, pool));
-  }
+  // spaces are baked in.
+  ctx.plane = std::make_shared<classify::FlatClassifier>(
+      classify::FlatClassifier::compile(classifier, pool));
 }
 
 int cmd_classify(const Flags& flags, bool report) {
@@ -1049,22 +1022,22 @@ int main(int argc, char** argv) {
         {"out", "seed", "threads", "scale", "scale-factor", "paper"}}},
       {"classify",
        {[](const Flags& f) { return cmd_classify(f, /*report=*/false); },
-        {"mrt", "trace", "rpsl", "method", "labels", "threads", "plane-cache",
-         "simd", "on-error", "stats-json"}}},
+        {"mrt", "trace", "rpsl", "method", "labels", "threads", "simd",
+         "on-error", "stats-json"}}},
       {"report",
        {[](const Flags& f) { return cmd_classify(f, /*report=*/true); },
-        {"mrt", "trace", "rpsl", "method", "labels", "threads", "plane-cache",
-         "simd", "on-error", "stats-json"}}},
+        {"mrt", "trace", "rpsl", "method", "labels", "threads", "simd",
+         "on-error", "stats-json"}}},
       {"detect",
        {cmd_detect,
         {"mrt", "trace", "rpsl", "method", "window", "skew", "threads",
-         "plane-cache", "updates", "simd", "checkpoint", "checkpoint-every",
+         "updates", "simd", "checkpoint", "checkpoint-every",
          "checkpoint-delta", "resume", "on-error", "stats-json"}}},
       {"serve",
        {cmd_serve,
         {"mrt", "trace", "socket", "rpsl", "shards", "method", "window",
-         "skew", "threads", "plane-cache", "simd", "checkpoint-dir",
-         "checkpoint-every", "resume", "on-error"}}},
+         "skew", "threads", "simd", "checkpoint-dir", "checkpoint-every",
+         "resume", "on-error"}}},
   };
   const auto it = commands.find(cmd);
   if (it == commands.end()) usage("unknown command: " + cmd);
