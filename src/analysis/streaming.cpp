@@ -1,7 +1,6 @@
 #include "analysis/streaming.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 
 #include "net/protocols.hpp"
@@ -15,12 +14,6 @@ constexpr const char* kClassNames[] = {"bogon", "unrouted", "invalid", "regular"
 
 inline bool is_udp(std::uint8_t proto) {
   return proto == static_cast<std::uint8_t>(net::Proto::kUdp);
-}
-
-/// Element-wise `dst += src`, growing dst as needed.
-void add_series(std::vector<double>& dst, const std::vector<double>& src) {
-  if (src.size() > dst.size()) dst.resize(src.size(), 0.0);
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
 }
 
 }  // namespace
@@ -63,21 +56,6 @@ void MemberStatsBuilder::add(const net::FlowBatch& batch,
   }
 }
 
-void MemberStatsBuilder::merge(const MemberStatsBuilder& other) {
-  members_.merge(other.members_,
-                 [](MemberClassCounts& ours, const MemberClassCounts& theirs) {
-                   if (ours.member == net::kNoAsn) {
-                     ours.member = theirs.member;
-                     ours.type = theirs.type;
-                   }
-                   for (int c = 0; c < kNumClasses; ++c) {
-                     ours.packets[c] += theirs.packets[c];
-                     ours.bytes[c] += theirs.bytes[c];
-                     ours.flows[c] += theirs.flows[c];
-                   }
-                 });
-}
-
 std::vector<MemberClassCounts> MemberStatsBuilder::finish() const {
   std::vector<MemberClassCounts> out;
   out.reserve(members_.size());
@@ -100,12 +78,6 @@ void VennBuilder::add(const net::FlowBatch& batch,
       mask = static_cast<std::uint8_t>(mask | (1u << c));
     }
   }
-}
-
-void VennBuilder::merge(const VennBuilder& other) {
-  members_.merge(other.members_, [](std::uint8_t& ours, const std::uint8_t& theirs) {
-    ours = static_cast<std::uint8_t>(ours | theirs);
-  });
 }
 
 VennCounts VennBuilder::finish() const {
@@ -216,19 +188,6 @@ void PortMixBuilder::add(const net::FlowBatch& batch,
   }
 }
 
-void PortMixBuilder::merge(const PortMixBuilder& other) {
-  for (int c = 0; c < kNumClasses; ++c) {
-    for (int t = 0; t < 2; ++t) {
-      for (int d = 0; d < 2; ++d) {
-        for (std::size_t b = 0; b < kPortBuckets.size(); ++b) {
-          counts_[c][t][d][b] += other.counts_[c][t][d][b];
-        }
-        seen_[c][t][d] |= other.seen_[c][t][d];
-      }
-    }
-  }
-}
-
 PortMix PortMixBuilder::finish() const {
   PortMix out;
   for (int c = 0; c < kNumClasses; ++c) {
@@ -316,19 +275,6 @@ void TrafficCharBuilder::add(const net::FlowBatch& batch,
   }
 }
 
-void TrafficCharBuilder::merge(const TrafficCharBuilder& other) {
-  for (int c = 0; c < kNumClasses; ++c) {
-    small_[c] += other.small_[c];
-    total_[c] += other.total_[c];
-    add_series(series_[c], other.series_[c]);
-    sketches_[c].merge(other.sketches_[c]);
-  }
-  // Keep the dynamic-mode invariant that all four series share a length.
-  std::size_t bins = 0;
-  for (const auto& s : series_) bins = std::max(bins, s.size());
-  for (auto& s : series_) s.resize(bins, 0.0);
-}
-
 TrafficCharSummary TrafficCharBuilder::finish() const {
   std::array<double, kNumClasses> small_fraction{};
   for (int c = 0; c < kNumClasses; ++c) {
@@ -383,29 +329,6 @@ void AttackPatternsBuilder::add(const net::FlowBatch& batch,
     member_packets_[member_in[i]] += packets[i];
     amplifiers_.touch(dst[i]);
   }
-}
-
-void AttackPatternsBuilder::merge(const AttackPatternsBuilder& other) {
-  for (int c = 0; c < kNumClasses; ++c) {
-    by_dst_[c].merge(other.by_dst_[c], [this](DstInfo& ours, const DstInfo& theirs) {
-      ours.packets += theirs.packets;
-      ours.sources.merge(theirs.sources, limits_.max_sources_per_destination);
-    });
-  }
-  victims_.merge(other.victims_, [this](VictimAgg& ours, const VictimAgg& theirs) {
-    ours.per_amplifier.set_cap(limits_.max_amplifiers_per_victim);
-    ours.packets += theirs.packets;
-    ours.per_amplifier.merge(
-        theirs.per_amplifier,
-        [](std::uint64_t& a, const std::uint64_t& b) { a += b; });
-  });
-  amplifiers_.merge(other.amplifiers_, [](char&, const char&) {});
-  for (const auto& [asn, pkts] : other.member_packets_) {
-    member_packets_[asn] += pkts;
-  }
-  trigger_packets_ += other.trigger_packets_;
-  invalid_udp_ += other.invalid_udp_;
-  invalid_udp_ntp_ += other.invalid_udp_ntp_;
 }
 
 SrcRatioHistogram AttackPatternsBuilder::ratio(std::uint32_t min_sampled_packets,
@@ -565,22 +488,6 @@ void AmplificationBuilder::add(const net::FlowBatch& batch,
   }
 }
 
-void AmplificationBuilder::merge(const AmplificationBuilder& other) {
-  pairs_.merge(other.pairs_, [](PairState& ours, const PairState& theirs) {
-    ours.trigger = ours.trigger || theirs.trigger;
-    ours.response = ours.response || theirs.response;
-    for (const Bin& t : theirs.bins) {
-      Bin& b = ours.at(t.bin);
-      b.to_packets += t.to_packets;
-      b.to_bytes += t.to_bytes;
-      b.from_packets += t.from_packets;
-      b.from_bytes += t.from_bytes;
-      b.dual_packets += t.dual_packets;
-      b.dual_bytes += t.dual_bytes;
-    }
-  });
-}
-
 AmplificationTimeseries AmplificationBuilder::finish() const {
   AmplificationTimeseries out;
   out.bin_seconds = bin_seconds_;
@@ -668,23 +575,6 @@ void IncidentsBuilder::add(const net::FlowBatch& batch,
   }
 }
 
-void IncidentsBuilder::merge(const IncidentsBuilder& other) {
-  const auto fold = [this](ClusterState& ours, const ClusterState& theirs) {
-    ours.start_ts = std::min(ours.start_ts, theirs.start_ts);
-    ours.end_ts = std::max(ours.end_ts, theirs.end_ts);
-    ours.packets += theirs.packets;
-    ours.bytes += theirs.bytes;
-    ours.counterparts.merge(theirs.counterparts, max_counterparts_);
-    std::vector<Asn> members;
-    std::set_union(ours.members.begin(), ours.members.end(),
-                   theirs.members.begin(), theirs.members.end(),
-                   std::back_inserter(members));
-    ours.members = std::move(members);
-  };
-  by_dst_.merge(other.by_dst_, fold);
-  by_trigger_src_.merge(other.by_trigger_src_, fold);
-}
-
 std::vector<Incident> IncidentsBuilder::finish() const {
   std::vector<Incident> out;
   const auto emit = [&](IncidentKind kind, std::uint32_t victim,
@@ -754,18 +644,6 @@ void StreamingReport::add(const net::FlowBatch& batch,
   amplification_.add(batch, labels);
   incidents_.add(batch, labels);
   flows_ += batch.size();
-}
-
-void StreamingReport::merge(const StreamingReport& other) {
-  aggregate_.merge(other.aggregate_);
-  members_.merge(other.members_);
-  venn_.merge(other.venn_);
-  ports_.merge(other.ports_);
-  traffic_.merge(other.traffic_);
-  attacks_.merge(other.attacks_);
-  amplification_.merge(other.amplification_);
-  incidents_.merge(other.incidents_);
-  flows_ += other.flows_;
 }
 
 std::uint64_t StreamingReport::evictions() const {

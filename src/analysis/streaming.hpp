@@ -16,8 +16,8 @@
 //  - distinct counts that nothing reads but their size (sources per
 //    destination, an incident's counterparts) use CappedDistinctSet,
 //    whose size() is the one the capped LRU table would report;
-//  - distribution summaries (packet-size CDFs) use the mergeable
-//    util::QuantileSketch instead of materialized sample vectors;
+//  - distribution summaries (packet-size CDFs) use util::QuantileSketch
+//    instead of materialized sample vectors;
 //  - the global time series bins are fixed by the window length (or
 //    grow with the observed timestamps — O(duration / bin), not
 //    O(flows)); each amplification pair keeps only the bins it touched.
@@ -29,11 +29,7 @@
 // With unbounded limits (the default), every exact analysis reproduces
 // the whole-trace reference in tests/analysis_streaming_oracle_test.cpp
 // bit-identically; sketched quantiles carry a pinned rank-error bound.
-// merge() folds another builder in; because all exact accumulations are
-// order-free integer sums, a chunk-order merge reduction equals the
-// sequential pass bit-identically for everything but the sketches
-// (which stay within their combined error bound). That test pins all of
-// this differentially.
+// That test pins all of this differentially.
 #pragma once
 
 #include <algorithm>
@@ -84,8 +80,8 @@ namespace spoofscope::analysis {
 /// again); any other Value is assigned Value{}.
 ///
 /// A reference returned by touch() (or a pointer from find()) stays
-/// valid only until the next touch(), set_cap() or merge() on the same
-/// table: those may grow the slab or move an entry into a freed slot.
+/// valid only until the next touch() or set_cap() on the same table:
+/// those may grow the slab or move an entry into a freed slot.
 /// Touching a table nested inside the referenced value is fine.
 template <typename Key, typename Value>
 class BoundedTable {
@@ -183,16 +179,6 @@ class BoundedTable {
   void for_each(Fn&& fn) const {
     for (std::size_t pos = 0; pos < nodes_.size(); ++pos) {
       fn(nodes_[pos].key, values_[pos]);
-    }
-  }
-
-  /// Folds `other` into this table in ascending key order; `fold(ours,
-  /// theirs)` combines values for keys present on both sides.
-  template <typename Fold>
-  void merge(const BoundedTable& other, Fold&& fold) {
-    evictions_ += other.evictions_;
-    for (const Key& k : other.sorted_keys()) {
-      fold(touch(k), *other.find(k));
     }
   }
 
@@ -311,19 +297,14 @@ class BoundedTable {
 
 /// The number of distinct u32 keys inserted, saturating at a cap: what
 /// size() of a BoundedTable<std::uint32_t, char> capped at `cap` reports
-/// after the same inserts (touches) and merges, without its recency
-/// list. That table's size never falls under a fixed cap: below it
-/// nothing is evicted, and at it each new key evicts one and admits
-/// one; a merge touches the other side's keys in, so it gives
-/// min(cap, |ours ∪ theirs|), and a side already at the cap forces it.
-/// So the set stores keys until it holds `cap` of them, and from then
-/// on size() stays at `cap` and nothing more is stored. A saturated set
-/// holds exactly `cap` keys, so a merge needs no saturation case:
-/// inserting the other side's keys saturates ours whenever theirs is.
-/// For sets that nothing reads but size() and whose evictions are
-/// counted nowhere (Fig 11a's sources per destination, an incident's
-/// counterparts). cap 0 = unbounded; every call on one set, and on the
-/// sets merged into it, must pass the same cap.
+/// after the same inserts (touches), without its recency list. That
+/// table's size never falls under a fixed cap: below it nothing is
+/// evicted, and at it each new key evicts one and admits one. So the
+/// set stores keys until it holds `cap` of them, and from then on
+/// size() stays at `cap` and nothing more is stored. For sets that
+/// nothing reads but size() and whose evictions are counted nowhere
+/// (Fig 11a's sources per destination, an incident's counterparts).
+/// cap 0 = unbounded; every call on one set must pass the same cap.
 ///
 /// Layout: one open-addressed array of keys (Fibonacci hashing, linear
 /// probing, load <= 1/2, no deletion); kEmpty marks a free slot, and
@@ -346,14 +327,6 @@ class CappedDistinctSet {
     }
     slots_[s] = key;
     ++size_;
-  }
-
-  /// size() becomes min(cap, |ours ∪ theirs|).
-  void merge(const CappedDistinctSet& other, std::size_t cap) {
-    if (other.has_empty_key_) insert(kEmpty, cap);
-    for (const std::uint32_t k : other.slots_) {
-      if (k != kEmpty) insert(k, cap);
-    }
   }
 
   std::size_t size() const { return size_; }
@@ -427,7 +400,6 @@ class MemberStatsBuilder {
       : space_idx_(space_idx), ixp_(ixp), members_(max_members) {}
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
-  void merge(const MemberStatsBuilder& other);
   std::vector<MemberClassCounts> finish() const;
 
   std::size_t tracked() const { return members_.size(); }
@@ -451,7 +423,6 @@ class VennBuilder {
       : space_idx_(space_idx), members_(max_members) {}
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
-  void merge(const VennBuilder& other);
   VennCounts finish() const;
 
   std::uint64_t evictions() const { return members_.evictions(); }
@@ -472,7 +443,6 @@ class PortMixBuilder {
   explicit PortMixBuilder(std::size_t space_idx = 0) : space_idx_(space_idx) {}
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
-  void merge(const PortMixBuilder& other);
   PortMix finish() const;
 
  private:
@@ -523,7 +493,6 @@ class TrafficCharBuilder {
                               util::SimdKernel simd = util::SimdKernel::kAuto);
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
-  void merge(const TrafficCharBuilder& other);
   TrafficCharSummary finish() const;
 
   const util::QuantileSketch& size_sketch(int cls) const {
@@ -556,7 +525,6 @@ class AttackPatternsBuilder {
                                  const ReportLimits& limits = {});
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
-  void merge(const AttackPatternsBuilder& other);
 
   SrcRatioHistogram ratio(std::uint32_t min_sampled_packets = 50,
                           std::size_t bins = 10) const;
@@ -609,7 +577,6 @@ class AmplificationBuilder {
                                 std::size_t max_pairs = 0);
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
-  void merge(const AmplificationBuilder& other);
   AmplificationTimeseries finish() const;
 
   std::uint64_t evictions() const { return pairs_.evictions(); }
@@ -659,7 +626,6 @@ class IncidentsBuilder {
                             std::size_t max_counterparts = 0);
 
   void add(const net::FlowBatch& batch, std::span<const Label> labels);
-  void merge(const IncidentsBuilder& other);
   std::vector<Incident> finish() const;
 
   std::uint64_t evictions() const {
@@ -731,9 +697,6 @@ class StreamingReport {
 
   /// Accumulates one classified batch; labels[i] belongs to record i.
   void add(const net::FlowBatch& batch, std::span<const classify::Label> labels);
-
-  /// Folds another report (same space count and options) into this one.
-  void merge(const StreamingReport& other);
 
   /// Snapshot of the report so far; the builder stays usable.
   ReportResult finish() const;

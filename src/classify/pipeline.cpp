@@ -94,23 +94,6 @@ void AggregateBuilder::add(const net::FlowBatch& batch,
   }
 }
 
-void AggregateBuilder::merge(const AggregateBuilder& other) {
-  agg_.total_packets += other.agg_.total_packets;
-  agg_.total_bytes += other.agg_.total_bytes;
-  agg_.total_flows += other.agg_.total_flows;
-  for (std::size_t s = 0; s < agg_.totals.size(); ++s) {
-    for (int c = 0; c < kNumClasses; ++c) {
-      agg_.totals[s][c].flows += other.agg_.totals[s][c].flows;
-      agg_.totals[s][c].packets += other.agg_.totals[s][c].packets;
-      agg_.totals[s][c].bytes += other.agg_.totals[s][c].bytes;
-    }
-  }
-  for (std::size_t m = 0; m < rows_.size(); ++m) rows_[m] |= other.rows_[m];
-  for (std::size_t cell = 0; cell < cells(); ++cell) {
-    large_[cell].insert(other.large_[cell].begin(), other.large_[cell].end());
-  }
-}
-
 Aggregate AggregateBuilder::build() const {
   Aggregate out = agg_;
   std::array<std::size_t, 32> members{};

@@ -40,10 +40,11 @@ struct Aggregate {
 ///
 /// Member presence is a bit matrix: one row per member id below 2^16
 /// (every id a trace record can carry) with one bit per (space, class)
-/// cell, so a flow marks its member with a single OR, merge() is a
-/// word-wise OR and build() counts each cell's set bits. Larger ids,
-/// which reach add() only through aggregate_classes, keep a hash set per
-/// cell.
+/// cell, so a flow marks its member with a single OR and build() counts
+/// each cell's set bits. Larger ids, which reach add() only through
+/// aggregate_classes, keep a hash set per cell. Totals are exact however
+/// the flows are cut into batches: every summed quantity is an
+/// integral-valued double far below 2^53.
 class AggregateBuilder {
  public:
   /// Throws std::invalid_argument on more than 8 spaces (all a Label
@@ -55,11 +56,6 @@ class AggregateBuilder {
   /// members (the Sec 5.2 router-stray exclusion).
   void add(const net::FlowBatch& batch, std::span<const Label> labels,
            const std::unordered_set<Asn>& exclude_members = {});
-
-  /// Folds another builder's accumulation into this one. Totals are
-  /// exact under any chunking: every summed quantity is an
-  /// integral-valued double far below 2^53, and member sets union.
-  void merge(const AggregateBuilder& other);
 
   /// Snapshot of the aggregate so far; the builder stays usable.
   Aggregate build() const;

@@ -194,8 +194,10 @@ class StreamingDetector {
 
   /// Full-checkpoint save carrying the update-stream cursor (written as
   /// an additive section; checkpoints without it restore with a
-  /// zero-valued extra).
-  void save(const std::string& path, const DetectorCheckpointExtra& extra) const;
+  /// zero-valued extra). Returns the FNV-1a-64 digest of the written
+  /// file image (the parent digest of a delta chain's first link).
+  std::uint64_t save(const std::string& path,
+                     const DetectorCheckpointExtra& extra) const;
 
   /// Restores a checkpoint written by save(). Returns true on success.
   /// On damage, truncation or config mismatch: strict throws

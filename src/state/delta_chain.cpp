@@ -13,20 +13,11 @@ namespace spoofscope::state {
 
 namespace {
 
-std::uint64_t fnv64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Digest of a file's on-disk image (what save_delta() returned when it
-/// wrote the file — write_atomic persists serialize()'s bytes verbatim).
+/// Digest of a file's on-disk image: what write_atomic() returned when
+/// it wrote the file, since it persists serialize()'s bytes verbatim.
 std::uint64_t file_digest(const std::string& path) {
   const net::MappedTrace file(path);
-  return fnv64(file.bytes());
+  return fnv1a64(file.bytes());
 }
 
 bool file_exists(const std::string& path) {
@@ -104,7 +95,7 @@ DeltaResume DeltaChain::resume(classify::StreamingDetector& detector,
       const std::span<const std::uint8_t> bytes =
           with_injected_read_faults("delta.load", file.bytes(), scratch);
       detector.apply_delta(bytes, path, seq, last_digest_, &res.extra);
-      last_digest_ = fnv64(file.bytes());
+      last_digest_ = fnv1a64(file.bytes());
       next_seq_ = seq + 1;
       ++res.deltas_applied;
     } catch (const util::InjectedCrash&) {
@@ -142,10 +133,9 @@ bool DeltaChain::append(classify::StreamingDetector& detector,
 
 void DeltaChain::save_full(classify::StreamingDetector& detector,
                            const classify::DetectorCheckpointExtra& extra) {
-  detector.save(base_path_, extra);
+  last_digest_ = detector.save(base_path_, extra);
   detector.clear_dirty();
   have_base_ = true;
-  last_digest_ = file_digest(base_path_);
   unlink_deltas_from(1);
   next_seq_ = 1;
 }

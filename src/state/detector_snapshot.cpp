@@ -63,15 +63,6 @@ constexpr std::uint32_t kDeltaSecWindows = 3;  ///< dirty members' windows
 constexpr std::uint32_t kDeltaSecRemoved = 4;  ///< members evicted since baseline
 constexpr std::uint32_t kDeltaSecPending = 5;  ///< reorder buffer (whole)
 
-std::uint64_t fnv64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 [[noreturn]] void corrupt(const std::string& what, const std::string& ctx = {}) {
   throw state::SnapshotError(util::ErrorKind::kParse, what, ctx);
 }
@@ -189,14 +180,13 @@ std::uint64_t StreamingDetector::config_hash() const {
   b.u64(params_.max_members);
   b.u64(params_.max_window_samples);
   b.u64(space_idx_);
-  const std::vector<std::uint8_t> bytes = b.take();
-  return fnv64({bytes.data(), bytes.size()});
+  return state::fnv1a64(b.take());
 }
 
 void StreamingDetector::save(const std::string& path) const { save(path, {}); }
 
-void StreamingDetector::save(const std::string& path,
-                             const DetectorCheckpointExtra& extra) const {
+std::uint64_t StreamingDetector::save(const std::string& path,
+                                      const DetectorCheckpointExtra& extra) const {
   state::SnapshotWriter writer(state::PayloadKind::kDetector,
                                kDetectorPayloadVersion);
   {
@@ -262,7 +252,7 @@ void StreamingDetector::save(const std::string& path,
     b.u64(extra.plane_epoch);
     writer.add_section(kSecUpdateCursor, b.take());
   }
-  writer.write_atomic(path);
+  return writer.write_atomic(path);
 }
 
 void StreamingDetector::reset_state() {
@@ -460,10 +450,9 @@ std::uint64_t StreamingDetector::save_delta(const std::string& path,
   }
   // Durable first: if the write (or an injected fault) throws, the dirty
   // baseline is untouched and the next attempt re-captures everything.
-  writer.write_atomic(path);
-  const std::vector<std::uint8_t> image = writer.serialize();
+  const std::uint64_t digest = writer.write_atomic(path);
   clear_dirty();
-  return fnv64({image.data(), image.size()});
+  return digest;
 }
 
 void StreamingDetector::apply_delta(std::span<const std::uint8_t> bytes,

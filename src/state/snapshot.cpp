@@ -148,10 +148,6 @@ double SectionReader::f64() {
   return v;
 }
 
-std::span<const std::uint8_t> SectionReader::bytes(std::size_t n) {
-  return {need(n), n};
-}
-
 // --- SnapshotWriter ---------------------------------------------------
 
 std::vector<std::uint8_t> SnapshotWriter::serialize() const {
@@ -189,7 +185,7 @@ std::vector<std::uint8_t> SnapshotWriter::serialize() const {
   return out;
 }
 
-void SnapshotWriter::write_atomic(const std::string& path) const {
+std::uint64_t SnapshotWriter::write_atomic(const std::string& path) const {
   using util::FaultInjector;
   using util::FaultKind;
   const std::vector<std::uint8_t> image = serialize();
@@ -271,6 +267,16 @@ void SnapshotWriter::write_atomic(const std::string& path) const {
     throw util::InjectedCrash("snapshot.rename");
   }
 #endif
+  return fnv1a64(image);
+}
+
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 // --- SnapshotView / parse ---------------------------------------------

@@ -115,9 +115,6 @@ class SectionReader {
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
-  /// A raw byte view into the section (zero-copy; valid while the
-  /// backing snapshot bytes live).
-  std::span<const std::uint8_t> bytes(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - off_; }
 
@@ -146,15 +143,21 @@ class SnapshotWriter {
   std::vector<std::uint8_t> serialize() const;
 
   /// Crash-safe write: serialize to <path>.tmp, fsync, rename over
-  /// <path>, fsync the directory. Throws std::runtime_error on I/O
-  /// failure (a failed checkpoint must never pass silently).
-  void write_atomic(const std::string& path) const;
+  /// <path>, fsync the directory. Returns fnv1a64() of the image it
+  /// wrote (what a digest of the file reads back). Throws
+  /// std::runtime_error on I/O failure (a failed checkpoint must never
+  /// pass silently).
+  std::uint64_t write_atomic(const std::string& path) const;
 
  private:
   PayloadKind kind_;
   std::uint32_t payload_version_;
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> sections_;
 };
+
+/// FNV-1a-64 of `bytes`: the digest of a snapshot image that chains a
+/// delta checkpoint to its parent, and the detector's config hash.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 
 /// Parsed, validated view into a snapshot's bytes (zero-copy: spans
 /// point into the caller's buffer, which must outlive the view).

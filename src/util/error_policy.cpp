@@ -24,13 +24,6 @@ bool IngestStats::clean() const {
   return true;
 }
 
-void IngestStats::merge(const IngestStats& other) {
-  records_ok += other.records_ok;
-  records_skipped += other.records_skipped;
-  bytes_dropped += other.bytes_dropped;
-  for (std::size_t i = 0; i < kNumErrorKinds; ++i) errors[i] += other.errors[i];
-}
-
 std::string IngestStats::summary() const {
   std::ostringstream os;
   os << records_ok << " records ok, " << records_skipped << " skipped";

@@ -69,9 +69,6 @@ struct IngestStats {
   /// True if nothing was skipped or flagged.
   bool clean() const;
 
-  /// Folds another pass (e.g. a second input file) into this one.
-  void merge(const IngestStats& other);
-
   /// One-line human-readable summary, e.g.
   /// "1204 records ok, 3 skipped (2 checksum, 1 truncated), 121 bytes dropped".
   std::string summary() const;

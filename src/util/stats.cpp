@@ -210,21 +210,21 @@ void QuantileSketch::reject_nan() {
 
 void QuantileSketch::compact_full_levels() {
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    const std::size_t n = l == 0 ? fill_ : levels_[l].size();
-    if (n < k_) continue;
+    // A full level holds exactly k values (even): add() compacts level 0
+    // at k, and each compaction below adds k / 2 to the level above,
+    // which held 0 or k / 2.
+    if ((l == 0 ? fill_ : levels_[l].size()) < k_) continue;
     double* v = levels_[l].data();
-    if (l == 0) sort_level0<kSlack>(avx2_, v, n, runs_);
-    // Promote every other value of the sorted even-length prefix with
-    // doubled weight; an odd straggler (the largest value) stays put.
+    if (l == 0) sort_level0<kSlack>(avx2_, v, k_, runs_);
+    // Promote every other value of the sorted level with doubled weight.
     const std::size_t offset = parity_[l];
     parity_[l] ^= 1;
-    promoted_.resize(n / 2);
-    for (std::size_t i = 0; i < n / 2; ++i) promoted_[i] = v[2 * i + offset];
-    v[0] = v[n - 1];
+    promoted_.resize(k_ / 2);
+    for (std::size_t i = 0; i < k_ / 2; ++i) promoted_[i] = v[2 * i + offset];
     if (l == 0) {
-      fill_ = n % 2;
+      fill_ = 0;
     } else {
-      levels_[l].resize(n % 2);
+      levels_[l].clear();
     }
     if (l + 1 == levels_.size()) {
       levels_.emplace_back();
@@ -244,27 +244,6 @@ void QuantileSketch::merge_sorted(std::size_t level,
   merge_levels(avx2_, values, incoming, merged_.data());
   values.swap(merged_);
   merged_.clear();
-}
-
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (other.k_ != k_) {
-    throw std::invalid_argument("QuantileSketch::merge: mismatched k");
-  }
-  count_ += other.count_;
-  error_bound_ += other.error_bound_;
-  while (levels_.size() < other.levels_.size()) {
-    levels_.emplace_back();
-    parity_.push_back(0);
-  }
-  // Level 0: their arrivals after ours, keeping kSlack spare slots.
-  const std::size_t fill = fill_ + other.fill_;
-  if (levels_[0].size() < fill + kSlack) levels_[0].resize(fill + kSlack);
-  std::copy_n(other.levels_[0].data(), other.fill_, levels_[0].data() + fill_);
-  fill_ = fill;
-  for (std::size_t l = 1; l < other.levels_.size(); ++l) {
-    merge_sorted(l, other.levels_[l]);
-  }
-  compact_full_levels();
 }
 
 std::vector<std::pair<double, std::uint64_t>> QuantileSketch::weighted() const {

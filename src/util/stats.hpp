@@ -117,9 +117,6 @@ class LogHistogram {
 ///    that shrinks as k grows and is pinned by the property tests.
 ///  - Memory: retained() <= k · (log2(count/k) + 2) values, independent
 ///    of the stream length for practical purposes.
-///  - merge() folds another sketch in (same k required); counts add,
-///    error bounds add, and all merged rank estimates stay within the
-///    combined bound regardless of merge grouping.
 ///  - NaN is rejected: it has no rank, and a sort or merge over it
 ///    would leave a level unsorted. -0.0 is stored as +0.0: the two
 ///    compare equal, and a min/max network may hand back either one.
@@ -139,11 +136,7 @@ class QuantileSketch {
   /// if x is NaN.
   void add(double x, std::uint64_t weight = 1);
 
-  /// Folds `other` into this sketch. Throws std::invalid_argument if
-  /// the two sketches were built with different k.
-  void merge(const QuantileSketch& other);
-
-  /// Total samples inserted (including merged-in ones).
+  /// Total samples inserted.
   std::uint64_t count() const { return count_; }
 
   /// Counts strictly below this are guaranteed exact (no compaction).
@@ -185,9 +178,9 @@ class QuantileSketch {
   static constexpr std::size_t kSlack = 16;
 
   [[noreturn]] static void reject_nan();
-  /// Compacts every level holding >= k values, bottom-up; a level's
-  /// promoted values are merged into the level above before that level
-  /// is checked.
+  /// Compacts every full level (k values), bottom-up; a level's promoted
+  /// values are merged into the level above before that level is
+  /// checked.
   void compact_full_levels();
   /// Merges the sorted `incoming` values into sorted level `level`.
   void merge_sorted(std::size_t level, std::span<const double> incoming);

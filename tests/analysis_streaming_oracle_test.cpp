@@ -4,8 +4,7 @@
 // across seeds, classification engines, thread counts, batch sizes,
 // arbitrary batch-boundary cuts and records out of time order — and the
 // sketched packet-size quantiles must stay within their pinned
-// rank-error bound. Also pins the chunk-order merge
-// reduction to the sequential pass, skip-mode streaming over corrupted
+// rank-error bound. Also pins skip-mode streaming over corrupted
 // traces to the clean-survivor-restricted oracle, determinism under
 // finite caps, golden digests of whole (evicting and production)
 // reports, and the BoundedTable LRU eviction discipline itself, against
@@ -1174,50 +1173,6 @@ TEST_P(StreamingOracleTest, EnginesAndThreadCountsProduceIdenticalReports) {
   }
 }
 
-// The pool-shard reduction: batches dealt round-robin onto N shard
-// reports, folded back in shard order, must equal the sequential pass
-// bit-identically for every exact analysis; the merged sketch keeps its
-// (combined) rank-error bound against the ground truth.
-TEST_P(StreamingOracleTest, ChunkOrderMergeReductionMatchesSequential) {
-  auto& w = world(GetParam());
-  const std::span<const net::FlowRecord> flows = w.trace().flows;
-  const std::span<const Label> labels = w.labels();
-  const std::size_t space_count = w.classifier().space_count();
-  const auto opts = base_options(w, 0, w.params().workload.window_seconds);
-  const auto truth = size_rank_oracles(flows, labels, 0);
-
-  StreamingReport sequential(space_count, opts);
-  feed(sequential, flows, labels, 64);
-  const auto want = sequential.finish();
-
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
-    std::vector<std::unique_ptr<StreamingReport>> parts;
-    for (std::size_t s = 0; s < shards; ++s) {
-      parts.push_back(std::make_unique<StreamingReport>(space_count, opts));
-    }
-    net::FlowBatch batch;
-    std::size_t i = 0, chunk = 0;
-    while (i < flows.size()) {
-      const std::size_t n = std::min<std::size_t>(64, flows.size() - i);
-      batch.clear();
-      for (std::size_t k = 0; k < n; ++k) batch.push_back(flows[i + k]);
-      parts[chunk % shards]->add(batch, labels.subspan(i, n));
-      i += n;
-      ++chunk;
-    }
-    StreamingReport merged(space_count, opts);
-    for (const auto& part : parts) merged.merge(*part);
-    const auto got = merged.finish();
-    const std::string what = "shards=" + std::to_string(shards);
-
-    expect_same_report(got, want, /*exact_sketches=*/false, what.c_str());
-    for (int c = 0; c < kNumClasses; ++c) {
-      expect_sketch_within_bound(got.traffic.size_sketch[c], truth[c],
-                                 what.c_str());
-    }
-  }
-}
-
 // Corruption differential: a skip-mode streaming report over a damaged
 // trace must equal the oracle restricted to the records a whole-stream
 // skip-mode read survives; strict mode must refuse the stream.
@@ -1375,7 +1330,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamingOracleTest,
                          ::testing::Values(1, 7, 20170205));
 
 // The LRU discipline itself: least-recently-touched eviction, refresh on
-// touch, visible eviction counts, live re-capping and fold-merge.
+// touch, visible eviction counts and live re-capping.
 TEST(BoundedTableTest, LruEvictionDiscipline) {
   BoundedTable<int, int> table(2);
   table.touch(1) = 10;
@@ -1483,12 +1438,6 @@ class ReferenceTable {
     return keys;
   }
 
-  template <typename Fold>
-  void merge(const ReferenceTable& other, Fold&& fold) {
-    evictions_ += other.evictions_;
-    for (const Key& k : other.sorted_keys()) fold(touch(k), *other.find(k));
-  }
-
  private:
   void evict_oldest() {
     const auto victim = *recency_.begin();
@@ -1580,7 +1529,7 @@ struct RandomTableOps {
   }
 };
 
-// Differential: the slab table evicts, re-caps and merges exactly like the
+// Differential: the slab table evicts and re-caps exactly like the
 // map + recency-set table it replaced, for u32 and u64 keys, over small
 // key domains (constant eviction) and large ones (index growth).
 TEST(BoundedTableTest, SlabTableMatchesReferenceTable) {
@@ -1590,20 +1539,8 @@ TEST(BoundedTableTest, SlabTableMatchesReferenceTable) {
     const std::size_t cap0 = ops.cap();
     BoundedTable<Key, std::uint64_t> got(cap0);
     ReferenceTable<Key, std::uint64_t> want(cap0);
-    const auto sum = [](std::uint64_t& a, const std::uint64_t& b) { a += b; };
     for (int i = 0; i < 4000; ++i) {
-      if (ops.rng.index(200) == 0) {
-        // Merge in a capped table built from its own touch sequence.
-        const std::size_t cap = ops.cap();
-        BoundedTable<Key, std::uint64_t> got_other(cap);
-        ReferenceTable<Key, std::uint64_t> want_other(cap);
-        for (int j = 0; j < 200; ++j) ops.step(got_other, want_other);
-        ASSERT_TRUE(same_value(got_other, want_other));
-        got.merge(got_other, sum);
-        want.merge(want_other, sum);
-      } else {
-        ops.step(got, want);
-      }
+      ops.step(got, want);
       ASSERT_TRUE(same_value(got, want))
           << "seed=" << seed << " domain=" << domain << " step=" << i;
     }
@@ -1628,32 +1565,17 @@ TEST(BoundedTableTest, NestedSlabTablesMatchReferenceTables) {
     const std::size_t inner_cap = seed % 3 == 0 ? 0 : 4 + seed;
     BoundedTable<std::uint32_t, Inner> got(outer_cap);
     ReferenceTable<std::uint32_t, InnerRef> want(outer_cap);
-    const auto feed = [&](auto& g, auto& w, int steps) {
-      for (int i = 0; i < steps; ++i) {
+    for (int round = 0; round < 20; ++round) {
+      for (int i = 0; i < 150; ++i) {
         const std::uint32_t k = outer_keys.key();
-        auto& gi = g.touch(k);
-        auto& wi = w.touch(k);
+        auto& gi = got.touch(k);
+        auto& wi = want.touch(k);
         gi.set_cap(inner_cap);
         wi.set_cap(inner_cap);
         inner_keys.step(gi, wi);
       }
-    };
-    const auto fold = [inner_cap](auto& ours, const auto& theirs) {
-      ours.set_cap(inner_cap);
-      ours.merge(theirs,
-                 [](std::uint64_t& a, const std::uint64_t& b) { a += b; });
-    };
-    for (int round = 0; round < 20; ++round) {
-      feed(got, want, 150);
       ASSERT_TRUE(same_value(got, want))
           << "seed=" << seed << " round=" << round;
-      BoundedTable<std::uint32_t, Inner> got_other(outer_cap + 2);
-      ReferenceTable<std::uint32_t, InnerRef> want_other(outer_cap + 2);
-      feed(got_other, want_other, 60);
-      got.merge(got_other, fold);
-      want.merge(want_other, fold);
-      ASSERT_TRUE(same_value(got, want))
-          << "seed=" << seed << " round=" << round << " merged";
       const std::size_t recap = round % 4 == 3 ? 0 : 1 + (round + seed) % 7;
       got.set_cap(recap);
       want.set_cap(recap);
@@ -1689,16 +1611,14 @@ TEST(BoundedTableTest, RecycledNestedTableEqualsFreshOne) {
 
 /// Random steps on a CappedDistinctSet and the capped reference table
 /// whose size() it stands for: inserts over a key domain that holds 0
-/// and 0xFFFFFFFF, merges with sets built by their own (possibly
-/// merging) step sequences, so either side may be saturated, and
-/// recycling. Checks size() after every step.
+/// and 0xFFFFFFFF, and now and then recycling. Checks size() after
+/// every step and counts the steps that leave the set saturated.
 struct DistinctSetOps {
   using Ref = ReferenceTable<std::uint32_t, char>;
   util::Rng rng;
   std::size_t cap;
   std::uint64_t domain;
-  std::size_t merges_into_saturated = 0;
-  std::size_t merges_of_saturated = 0;
+  std::size_t saturated_steps = 0;
 
   std::uint32_t key() {
     const std::uint64_t k = rng.uniform_u64(0, domain - 1);
@@ -1707,36 +1627,27 @@ struct DistinctSetOps {
     return static_cast<std::uint32_t>(k * 0x9e3779b9u);  // spread over u32
   }
 
-  void run(CappedDistinctSet& got, Ref& want, std::size_t steps, int depth) {
+  void run(CappedDistinctSet& got, Ref& want, std::size_t steps) {
     for (std::size_t i = 0; i < steps; ++i) {
-      const std::uint64_t op = rng.index(100);
-      if (op < 88 || depth == 2) {
+      if (rng.index(100) != 0) {
         const std::uint32_t k = key();
         got.insert(k, cap);
         want.touch(k);
-      } else if (op < 97) {
-        CappedDistinctSet got_other;
-        Ref want_other(cap);
-        run(got_other, want_other, rng.index(3 * cap + 8), depth + 1);
-        const auto saturated = [&](std::size_t n) { return cap != 0 && n == cap; };
-        merges_into_saturated += saturated(want.size());
-        merges_of_saturated += saturated(want_other.size());
-        got.merge(got_other, cap);
-        want.merge(want_other, [](char&, const char&) {});
       } else {
         got.clear();  // recycled, as BoundedTable recycles an evicted value
         want = Ref(cap);
       }
       ASSERT_EQ(got.size(), want.size())
-          << "cap=" << cap << " domain=" << domain << " depth=" << depth
-          << " step=" << i;
+          << "cap=" << cap << " domain=" << domain << " step=" << i;
+      saturated_steps += cap != 0 && want.size() == cap;
     }
   }
 };
 
 // Differential: size() equals the capped LRU table's size() at every
 // step, for caps {0, 1, 2, 8, 64} over key domains that stay below the
-// cap, cross it and dwarf it.
+// cap, cross it and dwarf it; every capped run over a domain larger
+// than its cap saturates.
 TEST(CappedDistinctSetTest, SizeMatchesCappedReferenceTable) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     for (const std::size_t cap : {0u, 1u, 2u, 8u, 64u}) {
@@ -1744,44 +1655,31 @@ TEST(CappedDistinctSetTest, SizeMatchesCappedReferenceTable) {
         DistinctSetOps ops{util::Rng(seed * 131 + cap * 7 + domain), cap, domain};
         CappedDistinctSet got;
         DistinctSetOps::Ref want(cap);
-        ops.run(got, want, 1500, 0);
+        ops.run(got, want, 1500);
         if (HasFatalFailure()) return;
         if (cap != 0 && domain > cap) {
-          EXPECT_GT(ops.merges_into_saturated, 0u) << cap << " " << domain;
-          EXPECT_GT(ops.merges_of_saturated, 0u) << cap << " " << domain;
+          EXPECT_GT(ops.saturated_steps, 0u) << cap << " " << domain;
         }
       }
     }
   }
 }
 
-// A saturated side forces the cap onto every set it is merged into,
-// also through a chain of merges; below the cap a merge counts the
-// union, not the sum; a recycled set counts from zero again.
-TEST(CappedDistinctSetTest, MergeSaturationAndRecycling) {
+// Inserts saturate a set at the cap, whatever keys come after (0 and
+// 0xFFFFFFFF included); a recycled set counts from zero again; cap 0
+// never saturates.
+TEST(CappedDistinctSetTest, SaturationAndRecycling) {
   constexpr std::size_t kCap = 8;
   CappedDistinctSet full;
   for (std::uint32_t k = 0; k < 20; ++k) full.insert(k, kCap);
   EXPECT_EQ(full.size(), kCap);
+  full.insert(0xFFFFFFFFu, kCap);
+  full.insert(0, kCap);
+  EXPECT_EQ(full.size(), kCap);
 
-  CappedDistinctSet via_merge;
-  via_merge.insert(0xFFFFFFFFu, kCap);
-  via_merge.merge(full, kCap);
-  EXPECT_EQ(via_merge.size(), kCap);
-
-  CappedDistinctSet small;
-  small.insert(0, kCap);
-  small.merge(via_merge, kCap);
-  EXPECT_EQ(small.size(), kCap);
-
-  CappedDistinctSet a, b;
-  for (std::uint32_t k = 0; k < 5; ++k) a.insert(k, kCap);
-  for (std::uint32_t k = 3; k < 6; ++k) b.insert(k, kCap);
-  a.merge(b, kCap);
-  EXPECT_EQ(a.size(), 6u);  // {0..5}: below the cap, exact
-  for (std::uint32_t k = 3; k < 9; ++k) b.insert(k, kCap);
-  a.merge(b, kCap);
-  EXPECT_EQ(a.size(), kCap);  // |{0..8}| = 9 > cap
+  CappedDistinctSet below;
+  for (const std::uint32_t k : {0u, 3u, 3u, 0xFFFFFFFFu, 5u}) below.insert(k, kCap);
+  EXPECT_EQ(below.size(), 4u);  // below the cap, exact
 
   full.clear();
   EXPECT_EQ(full.size(), 0u);
@@ -1791,24 +1689,6 @@ TEST(CappedDistinctSetTest, MergeSaturationAndRecycling) {
   CappedDistinctSet unbounded;
   for (std::uint32_t k = 0; k < 5000; ++k) unbounded.insert(k * 2654435761u, 0);
   EXPECT_EQ(unbounded.size(), 5000u);
-}
-
-TEST(BoundedTableTest, MergeFoldsValuesAndAccumulatesEvictions) {
-  BoundedTable<int, int> a(0);
-  a.touch(1) = 1;
-  a.touch(2) = 2;
-
-  BoundedTable<int, int> b(1);
-  b.touch(2) = 20;
-  b.touch(3) = 30;  // evicts 2 in b
-  EXPECT_EQ(b.evictions(), 1u);
-
-  a.merge(b, [](int& ours, const int& theirs) { ours += theirs; });
-  EXPECT_EQ(a.sorted_keys(), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(*a.find(1), 1);
-  EXPECT_EQ(*a.find(2), 2);   // 2 was evicted from b before the merge
-  EXPECT_EQ(*a.find(3), 30);
-  EXPECT_EQ(a.evictions(), 1u);  // b's evictions carried over
 }
 
 }  // namespace

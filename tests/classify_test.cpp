@@ -217,19 +217,18 @@ TEST(Aggregate, CountsPerClassAndMembers) {
   expect_hand_computed(aggregate_classes(c.space_count(), flows, labels),
                        "one builder");
 
-  // Two builders whose member sets overlap on both sides of the limit
-  // (65535 and 65536 are invalid in each half): merge must union them,
-  // not add their counts.
-  const auto half = [&](std::size_t lo, std::size_t hi) {
+  // One builder fed two batches whose member sets overlap on both sides
+  // of the limit (65535 and 65536 are invalid in each): the member
+  // counts must union across add() calls, not add up.
+  AggregateBuilder builder(c.space_count());
+  const auto add_half = [&](std::size_t lo, std::size_t hi) {
     net::FlowBatch batch;
     for (std::size_t i = lo; i < hi; ++i) batch.push_back(flows[i]);
-    AggregateBuilder b(c.space_count());
-    b.add(batch, std::span<const Label>(labels).subspan(lo, hi - lo));
-    return b;
+    builder.add(batch, std::span<const Label>(labels).subspan(lo, hi - lo));
   };
-  AggregateBuilder merged = half(0, 7);
-  merged.merge(half(7, flows.size()));
-  expect_hand_computed(merged.build(), "two merged builders");
+  add_half(0, 7);
+  add_half(7, flows.size());
+  expect_hand_computed(builder.build(), "two batches");
 }
 
 TEST(Aggregate, ExclusionDropsMembers) {

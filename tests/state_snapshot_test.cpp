@@ -217,7 +217,7 @@ TEST(Snapshot, AtomicWriteLeavesNoTempAndReloadsBitIdentical) {
   fs::create_directories(dir);
   const fs::path path = dir / "atomic.snap";
   const SnapshotWriter writer = sample_writer();
-  writer.write_atomic(path.string());
+  const std::uint64_t digest = writer.write_atomic(path.string());
   EXPECT_TRUE(fs::exists(path));
   EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
 
@@ -225,18 +225,30 @@ TEST(Snapshot, AtomicWriteLeavesNoTempAndReloadsBitIdentical) {
   std::vector<std::uint8_t> loaded{std::istreambuf_iterator<char>(in),
                                    std::istreambuf_iterator<char>()};
   EXPECT_EQ(loaded, writer.serialize());
+  EXPECT_EQ(digest, fnv1a64(loaded));  // the digest of what is on disk
 
   // Overwrite: the old snapshot is replaced wholesale, never blended.
   SnapshotWriter other(PayloadKind::kDetector, 3);
   SectionBuilder b;
   b.u64(1);
   other.add_section(1, b.take());
-  other.write_atomic(path.string());
+  const std::uint64_t other_digest = other.write_atomic(path.string());
   std::ifstream in2(path, std::ios::binary);
   std::vector<std::uint8_t> reloaded{std::istreambuf_iterator<char>(in2),
                                      std::istreambuf_iterator<char>()};
   EXPECT_EQ(reloaded, other.serialize());
+  EXPECT_EQ(other_digest, fnv1a64(reloaded));
+  EXPECT_NE(other_digest, digest);
   fs::remove_all(dir);
+}
+
+// The digest that chains delta checkpoints is FNV-1a-64: pinned to its
+// published test vectors, so a changed digest (which would orphan every
+// delta chain already on disk) fails here first.
+TEST(Snapshot, Fnv1a64MatchesPublishedVectors) {
+  EXPECT_EQ(fnv1a64({}), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64(to_bytes("a")), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64(to_bytes("foobar")), 0x85944171f73967e8ull);
 }
 
 }  // namespace

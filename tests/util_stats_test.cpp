@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -302,46 +303,6 @@ TEST(QuantileSketch, DeterministicAcrossIdenticalStreams) {
   }
 }
 
-// merge() must keep every estimate within the combined bound no matter
-// how the partial sketches are grouped — the property the chunk-order
-// report reduction relies on.
-TEST(QuantileSketch, MergeGroupingsAllStayWithinCombinedBounds) {
-  constexpr std::size_t kN = 20000;
-  constexpr std::size_t kParts = 4;
-  std::vector<double> xs(kN);
-  Rng rng(42);
-  for (auto& x : xs) x = static_cast<double>(rng.uniform_u32(0, 1 << 16));
-
-  std::vector<QuantileSketch> parts(kParts, QuantileSketch(128));
-  for (std::size_t i = 0; i < kN; ++i) parts[i % kParts].add(xs[i]);
-
-  // Left fold: ((p0 + p1) + p2) + p3.
-  QuantileSketch left = parts[0];
-  for (std::size_t p = 1; p < kParts; ++p) left.merge(parts[p]);
-  // Right fold: p0 + (p1 + (p2 + p3)).
-  QuantileSketch right = parts[kParts - 1];
-  for (std::size_t p = kParts - 1; p-- > 0;) {
-    QuantileSketch acc = parts[p];
-    acc.merge(right);
-    right = acc;
-  }
-  // Balanced: (p0 + p1) + (p2 + p3).
-  QuantileSketch lo = parts[0], hi = parts[2];
-  lo.merge(parts[1]);
-  hi.merge(parts[3]);
-  QuantileSketch balanced = lo;
-  balanced.merge(hi);
-
-  expect_ranks_within_bound(left, xs, "left fold");
-  expect_ranks_within_bound(right, xs, "right fold");
-  expect_ranks_within_bound(balanced, xs, "balanced");
-}
-
-TEST(QuantileSketch, MergeRejectsMismatchedK) {
-  QuantileSketch a(64), b(128);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
 /// The compactor QuantileSketch replaced, kept as its reference: add()
 /// inserts one sample at a time and scans every level after each, and
 /// compact() std::sort-s the level it compacts.
@@ -360,22 +321,6 @@ class ReferenceSketch {
       for (std::size_t l = 0; l < levels_.size(); ++l) {
         if (levels_[l].size() >= k_) compact(l);
       }
-    }
-  }
-
-  void merge(const ReferenceSketch& other) {
-    count_ += other.count_;
-    error_bound_ += other.error_bound_;
-    for (std::size_t l = 0; l < other.levels_.size(); ++l) {
-      if (l >= levels_.size()) {
-        levels_.emplace_back();
-        parity_.push_back(0);
-      }
-      levels_[l].insert(levels_[l].end(), other.levels_[l].begin(),
-                        other.levels_[l].end());
-    }
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      while (levels_[l].size() >= k_) compact(l);
     }
   }
 
@@ -606,48 +551,6 @@ TEST(QuantileSketch, RunAwareCompactorMatchesReferenceOnUniqueStreams) {
   }
 }
 
-// Merges leave odd stragglers on any level and unsorted level-0 content;
-// adds after a merge must then compact exactly as the reference does.
-TEST(QuantileSketch, RunAwareCompactorMatchesReferenceAcrossMerges) {
-  for (const SimdKernel kernel : usable_simd_kernels()) {
-    for (const std::size_t k : kReferenceKs) {
-      QuantileSketch got(k, kernel);
-      ReferenceSketch want(k);
-      std::vector<double> probes;
-      Rng rng(k);
-      for (std::size_t part = 0; part < 9; ++part) {
-        // Odd, part-dependent lengths so levels end at odd sizes.
-        const auto stream =
-            part % 3 == 2
-                ? unique_stream("shuffled", 37 * k / 8 + 2 * part + 1)
-                : duplicate_heavy(part * 7 + k, 5 * k + 2 * part + 1);
-        QuantileSketch got_part(k, kernel);
-        ReferenceSketch want_part(k);
-        for (const auto& [x, w] : stream) {
-          got_part.add(x, w);
-          want_part.add(x, w);
-        }
-        const auto values = values_of(stream);
-        probes.insert(probes.end(), values.begin(), values.end());
-        got.merge(got_part);
-        want.merge(want_part);
-        const std::string what =
-            case_name(k, kernel) + " part=" + std::to_string(part);
-        expect_same_as_reference(got, want, probes, what + " merged");
-        // Keep adding into the merged sketch.
-        for (int i = 0; i < 5; ++i) {
-          const double x = static_cast<double>(rng.uniform_u32(0, 50));
-          const std::uint64_t w = 1 + rng.index(16);
-          got.add(x, w);
-          want.add(x, w);
-          probes.push_back(x);
-        }
-        expect_same_as_reference(got, want, probes, what + " added");
-      }
-    }
-  }
-}
-
 /// Every level of `got` holds exactly `want`'s values, bit for bit, in
 /// the same order (level 0 in arrival order, the others sorted), with
 /// the same parity, and the two agree on count and bound.
@@ -675,9 +578,8 @@ WeightedStream weight_one(std::uint64_t seed, std::size_t n) {
 }
 
 // Each SIMD kernel must leave the scalar kernel's sketch state: the same
-// values, bit for bit, in the same order on every level, after plain
-// streams (the weighted one holds -0.0) and after merge chains that
-// leave odd stragglers on several levels.
+// values, bit for bit, in the same order on every level (the weighted
+// stream holds -0.0).
 TEST(QuantileSketch, SimdKernelsLeaveTheScalarKernelsLevels) {
   if (usable_simd_kernels().size() == 1) {
     GTEST_SKIP() << "only the scalar kernel is usable here";
@@ -698,30 +600,42 @@ TEST(QuantileSketch, SimdKernelsLeaveTheScalarKernelsLevels) {
         }
         expect_same_levels(got, want, case_name(k, kernel) + " " + name);
       }
-      // A merge chain over odd-length parts of all three kinds.
-      QuantileSketch got(k, kernel), want(k, SimdKernel::kScalar);
-      bool straggler = false;
-      for (std::size_t part = 0; part < 12; ++part) {
-        const std::size_t n = 3 * k + 2 * part + 1;
-        const auto& [name, stream] = streams[part % 3];
-        QuantileSketch got_part(k, kernel), want_part(k, SimdKernel::kScalar);
-        for (std::size_t i = part; i < part + n && i < stream.size(); ++i) {
-          got_part.add(stream[i].first, stream[i].second);
-          want_part.add(stream[i].first, stream[i].second);
+    }
+  }
+}
+
+// add() compacts level 0 at exactly k values (k even), and each
+// compaction hands the level above k / 2, so after every add level 0
+// holds fewer than k values and every higher level 0 or k / 2: no
+// compaction ever sees an odd count.
+TEST(QuantileSketch, AddKeepsLevelZeroUnderKAndHigherLevelsAtZeroOrHalfK) {
+  // kReferenceKs, plus 9, which rounds up to 10.
+  std::vector<std::size_t> ks(std::begin(kReferenceKs), std::end(kReferenceKs));
+  ks.push_back(9);
+  for (const SimdKernel kernel : usable_simd_kernels()) {
+    for (const std::size_t k : ks) {
+      const std::pair<const char*, WeightedStream> streams[] = {
+          {"weighted", duplicate_heavy(k + 3, 100 * k)},
+          {"unique", unique_stream("shuffled", 200 * k)},
+          {"weight-1", weight_one(k + 7, 200 * k)},
+      };
+      for (const auto& [name, stream] : streams) {
+        QuantileSketch sk(k, kernel);
+        const std::size_t even_k = sk.exact_threshold();
+        ASSERT_EQ(even_k, k + k % 2);
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+          sk.add(stream[i].first, stream[i].second);
+          ASSERT_LT(sk.level(0).size(), even_k)
+              << case_name(k, kernel) << " " << name << " i=" << i;
+          for (std::size_t l = 1; l < sk.levels(); ++l) {
+            const std::size_t n = sk.level(l).size();
+            ASSERT_TRUE(n == 0 || n == even_k / 2)
+                << case_name(k, kernel) << " " << name << " i=" << i
+                << " level=" << l << " size=" << n;
+          }
         }
-        got.merge(got_part);
-        want.merge(want_part);
-        got.add(static_cast<double>(part), 1 + part);
-        want.add(static_cast<double>(part), 1 + part);
-        expect_same_levels(got, want,
-                           case_name(k, kernel) + " merge part=" +
-                               std::to_string(part) + " " + name);
-        for (std::size_t l = 1; l < got.levels(); ++l) {
-          straggler = straggler || got.level(l).size() % 2 != 0;
-        }
+        EXPECT_GE(sk.levels(), 4u) << case_name(k, kernel) << " " << name;
       }
-      EXPECT_TRUE(straggler) << case_name(k, kernel)
-                             << ": the chain left no odd level";
     }
   }
 }
@@ -750,15 +664,14 @@ TEST(QuantileSketch, StoresNegativeZeroAsPositiveZero) {
   for (const SimdKernel kernel : usable_simd_kernels()) {
     for (const std::size_t k : kReferenceKs) {
       const std::string what = case_name(k, kernel);
-      QuantileSketch exact(k, kernel), sketched(k, kernel), part(k, kernel);
+      QuantileSketch exact(k, kernel), sketched(k, kernel);
       exact.add(-0.0, 3);
       ASSERT_TRUE(exact.exact()) << what;
       for (std::size_t i = 0; i < 40 * k; ++i) {
         const double x = i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : 1.0;
         sketched.add(x, 1 + i % 16);
-        part.add(-0.0, 1 + i % 5);
+        sketched.add(-0.0, 1 + i % 5);
       }
-      sketched.merge(part);
       ASSERT_FALSE(sketched.exact()) << what;
       for (const QuantileSketch* sk : {&exact, &sketched}) {
         for (std::size_t l = 0; l < sk->levels(); ++l) {

@@ -11,21 +11,24 @@
 #      produce every report byte, and over the plane-vs-trie oracle and
 #      the plane-patch suite, so the compile's interval-driven member
 #      rows are checked at -O3 too
-#   3. ThreadSanitizer build, running the concurrency-sensitive suites
+#   3. perfbench self-test: builds the end-to-end benchmark program
+#      against this checkout's library and runs every workload's output
+#      checks on a small world, so a library change that breaks the
+#      benchmark fails here rather than in a benchmark run
+#   4. ThreadSanitizer build, running the concurrency-sensitive suites
 #      (the parallel classification oracles including the plane-vs-trie
 #      and batch differentials, the thread pool, the streaming detector
 #      and the corruption differential suite, which classifies on a
 #      shared pool, the state suites, which resume across thread counts,
-#      and the streaming-analysis oracle, which shards reports across
-#      pools)
-#   4. AddressSanitizer build, same suites plus the trie/interval code,
+#      and the streaming-analysis oracle, which classifies on pools)
+#   5. AddressSanitizer build, same suites plus the trie/interval code,
 #      the byte-level corruption/resync and batch-decode paths, the
 #      snapshot container + checkpoint fuzz suites, the
 #      bounded-table/quantile-sketch analysis suites (LRU eviction and
 #      compactor reallocation are where lifetime bugs would hide), and
 #      the MRT-lite, AS path and dotted-quad suites (their parsers index
 #      string_views in place)
-#   5. UndefinedBehaviorSanitizer build over the parser fuzz and
+#   6. UndefinedBehaviorSanitizer build over the parser fuzz and
 #      robustness suites (the code that chews on hostile bytes),
 #      including the mmap/batch reader differential, the snapshot
 #      parser and the checkpoint decoders (full and delta), which size
@@ -34,25 +37,26 @@
 #      histogram binning and eviction folds over adversarial batches),
 #      the aggregation suites (shifts in the member-presence rows) and
 #      the plane-patch suite (partial-bit counter arithmetic)
-#   6. portable build guard: -DSPOOFSCOPE_DISABLE_SIMD=ON compiles only
+#   7. portable build guard: -DSPOOFSCOPE_DISABLE_SIMD=ON compiles only
 #      the scalar batch, decode and quantile-sketch kernels — what a
 #      target with neither AVX2 nor NEON gets — and the batch, decode
 #      and sketch differentials (with the golden report digests) must
 #      still pass on it
-#   7. serve smoke: the resident sharded daemon boots on a generated
+#   8. serve smoke: the resident sharded daemon boots on a generated
 #      world and every control verb is driven through a real socket
 #      session, ending in a clean shutdown (the service suites — shard
 #      differential, rolling restart, control units — also run under
-#      TSan and ASan in stages 3 and 4)
-#   8. internet-scale generate: the chunk-parallel generator end to end
+#      TSan and ASan in stages 4 and 5)
+#   9. internet-scale generate: the chunk-parallel generator end to end
 #      through the CLI under TSan and ASan
-#   9. sanitized CLI: classify --labels, report, a delta-checkpointed
-#      detect followed by its --resume, classify --on-error skip over a
-#      trace damaged at fixed offsets (the skip-mode resync), and detect
+#  10. sanitized CLI: classify --labels, report, a delta-checkpointed
+#      detect followed by its --resume, a full-checkpointed detect
+#      followed by its --resume, classify --on-error skip over a trace
+#      damaged at fixed offsets (the skip-mode resync), and detect
 #      --updates (route churn interleaved with the flows), run by the
 #      ASan and UBSan builds of the CLI on a seed-7 world; every run must
 #      exit 0 with output byte-identical to the tier-1 binary's
-#  10. fault injection: the crash/churn differential suite re-runs under
+#  11. fault injection: the crash/churn differential suite re-runs under
 #      all three sanitizer builds with a widened injector seed sweep
 #      (SPOOFSCOPE_FAULT_SEEDS), and the plane-churn fuzz runs its full
 #      1000-step sweep (SPOOFSCOPE_CHURN_STEPS) against the fresh-compile
@@ -131,6 +135,9 @@ cmake -S "${REPO_ROOT}" -B "${REPO_ROOT}/build-release" \
 cmake --build "${REPO_ROOT}/build-release" -j "${JOBS}" \
   --target "${RELEASE_SUITES[@]}"
 run_suite build-release "${RELEASE_SUITES[@]}"
+
+echo "=== perfbench self-test: the benchmark program against this library ==="
+python3 "${REPO_ROOT}/perfbench/run.py" --self-test
 
 TSAN_SUITES=(
   topo_parallel_determinism_test
@@ -323,7 +330,7 @@ for tree in build-tsan build-asan; do
   rm -rf "${GEN_OUT}"
 done
 
-echo "=== sanitized CLI: classify, report, detect + resume, skip-mode, updates under ASan + UBSan ==="
+echo "=== sanitized CLI: classify, report, detect + resume (delta and full), skip-mode, updates under ASan + UBSan ==="
 # The production commands run by the sanitizer builds of the CLI. Output
 # paths are relative to a per-tree directory so every printed line —
 # including "labels written to" and "resume: restored ... from" — must
@@ -351,6 +358,8 @@ cli_runs() {
   local detect=(detect "${inputs[@]}" --window 1800 --skew 60
                 --checkpoint detect.ckpt --checkpoint-every 5000
                 --checkpoint-delta)
+  local full=(detect "${inputs[@]}" --window 1800 --skew 60
+              --checkpoint full.ckpt --checkpoint-every 5000)
   mkdir -p "${out}"
   (
     cd "${out}"
@@ -359,6 +368,8 @@ cli_runs() {
       > report.txt 2>&1
     "${bin}" "${detect[@]}" > detect.txt 2>&1
     "${bin}" "${detect[@]}" --resume > resume.txt 2>&1
+    "${bin}" "${full[@]}" > full.txt 2>&1
+    "${bin}" "${full[@]}" --resume > full-resume.txt 2>&1
     "${bin}" classify --mrt "${CLI_OUT}/world/route-server.mrt" \
       --trace "${CLI_OUT}/world/damaged.trace" --on-error skip \
       --labels skip-labels.csv > skip.txt 2>&1
@@ -369,10 +380,10 @@ cli_runs() {
 cli_runs build
 for tree in build-asan build-ubsan; do
   cmake --build "${REPO_ROOT}/${tree}" -j "${JOBS}" --target spoofscope_cli
-  echo "--- ${tree}/tools/spoofscope classify, report, detect, detect --resume, classify --on-error skip, detect --updates"
+  echo "--- ${tree}/tools/spoofscope classify, report, detect, detect --resume (delta and full), classify --on-error skip, detect --updates"
   cli_runs "${tree}"
   for f in classify.txt labels.csv report.txt detect.txt resume.txt \
-           skip.txt skip-labels.csv updates.txt; do
+           full.txt full-resume.txt skip.txt skip-labels.csv updates.txt; do
     if ! cmp -s "${CLI_OUT}/build/${f}" "${CLI_OUT}/${tree}/${f}"; then
       echo "FAIL sanitized CLI: ${tree} ${f} differs from the tier-1 output"
       diff "${CLI_OUT}/build/${f}" "${CLI_OUT}/${tree}/${f}" | head -20
